@@ -16,6 +16,7 @@ from pathlib import Path
 from .harness import (
     HARD_KINDS,
     ConfigInvalid,
+    ResourceExhausted,
     emit_plot,
     load_config,
     run,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         _add_common(p)
 
-    g = sub.add_parser("generate", help="dump point-set samples to CSV")
+    g = sub.add_parser("generate", help="dump point-set samples to CSV or JSON")
     _add_common(g)
     g.add_argument("--n", type=int, action="append", help="modulus (repeatable)")
     g.add_argument("--alpha", default="1/2", help="expansion exponent, e.g. 1/2")
@@ -68,6 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_flags(cfg, args) -> None:
+    if args.threads:
+        cfg.threads = args.threads
+    if args.format:
+        cfg.format = args.format
+
+
 def _run_config_command(args, kind: str) -> int:
     if args.config is None:
         print(f"error: {kind} requires --config", file=sys.stderr)
@@ -75,10 +83,7 @@ def _run_config_command(args, kind: str) -> int:
     cfg = load_config(args.config)
     if cfg.kind != kind:
         raise ConfigInvalid(f"config kind {cfg.kind!r} does not match command {kind!r}")
-    if args.threads:
-        cfg.threads = args.threads
-    if args.format:
-        cfg.format = args.format
+    _apply_flags(cfg, args)
     manifest = run(cfg, out_dir=args.out)
     status = "pass" if manifest.all_passed else "FAIL"
     print(f"{kind}: {status} -> {manifest.out_dir}")
@@ -111,14 +116,16 @@ def main(argv=None) -> int:
                         "b": args.b, "c": args.c, "variant": args.variant,
                     },
                 })
-            if args.threads:
-                cfg.threads = args.threads
+            _apply_flags(cfg, args)
             manifest = run(cfg, out_dir=args.out)
             print(f"generate -> {manifest.out_dir}")
             return 0
         return _run_config_command(args, command.replace("-", "_"))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ResourceExhausted as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
         return 2
 
 

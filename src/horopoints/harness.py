@@ -15,7 +15,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,8 +41,8 @@ from .observables import (
 )
 from .points import (
     PointSetSpec,
-    gen_full,
     gen_monomial,
+    gen_point_set,
     gen_triple,
     project_level,
     verify_invariance,
@@ -190,12 +191,34 @@ def _parse_schedule(raw) -> list[int]:
     return sorted(set(sched))
 
 
+def _path_exists(source) -> bool:
+    try:
+        return Path(source).exists()
+    except (OSError, ValueError):
+        # a JSON string can be longer than a file name may be, or hold a NUL
+        return False
+
+
+def _parse_json(text: str, what: str) -> dict:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("config must be a JSON object")
+    return raw
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse and validate a config from a dict, a path, or a JSON string."""
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        raw = json.loads(Path(source).read_text())
+    if isinstance(source, (str, Path)) and _path_exists(source):
+        try:
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(f"cannot read config {source}: {exc}") from exc
+        raw = _parse_json(text, f"config file {source}")
     elif isinstance(source, str):
-        raw = json.loads(source)
+        raw = _parse_json(source, "config string (not an existing file)")
     elif isinstance(source, dict):
         raw = source
     else:
@@ -208,9 +231,9 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigInvalid(f"unknown kind {kind!r}")
 
     needs_schedule = kind not in ("projection",)
-    n_schedule = _parse_schedule(raw["n_schedule"]) if needs_schedule else []
     if needs_schedule and "n_schedule" not in raw:
         raise ConfigInvalid("n_schedule is required")
+    n_schedule = _parse_schedule(raw["n_schedule"]) if needs_schedule else []
 
     ps = dict(raw.get("point_set", {}))
     ps.setdefault("alpha", "1/2")
@@ -262,20 +285,15 @@ def _spec_for(cfg: ExperimentConfig, n: int) -> PointSetSpec:
     )
 
 
-def _generate_set(cfg: ExperimentConfig, n: int):
-    spec = _spec_for(cfg, n)
-    variant = cfg.point_set["variant"]
-    if variant == "full":
-        return gen_full(n, spec.alpha)
-    if variant == "monomial":
-        return gen_monomial(spec)
-    return gen_triple(spec)
-
-
 # ---------------------------------------------------------------------------
 # deterministic writers
+#
+# A row table reaches the writers either as rows of Python values, encoded
+# cell by cell, or as EncodedColumns built from numpy arrays.  Both end in
+# one CSV text builder and one JSON text builder.
 
 def _fmt_cell(v) -> str:
+    """A CSV cell."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -285,39 +303,108 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _json_cell(v) -> str:
+    """A JSON cell, as json.dumps writes it inside a list."""
+    if isinstance(v, Fraction):
+        v = f"{v.numerator}/{v.denominator}"
+    elif not isinstance(v, (bool, int, float, str)):
+        v = str(v)
+    return json.dumps(v)
+
+
+_CELL_ENCODERS = {"csv": _fmt_cell, "json": _json_cell}
+
+
+@dataclass
+class EncodedColumns:
+    """A row table held as columns of cells already encoded for one format.
+
+    len() is the row count, as for a list of rows.
+    """
+
+    fmt: str
+    columns: list[list[str]]
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+def _fraction_cells(numerators: np.ndarray, denominator: int, fmt: str) -> list[str]:
+    """numerator/denominator in lowest terms; 0 is 0/1, as for Fraction."""
+    g = np.gcd(numerators, denominator)
+    q = '"' if fmt == "json" else ""
+    return [f"{q}{a}/{b}{q}"
+            for a, b in zip((numerators // g).tolist(), (denominator // g).tolist())]
+
+
+def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
+    """Shortest round-trip reprs; JSON spells non-finite values NaN/Infinity."""
+    if np.isfinite(values).all():
+        return list(map(repr, values.tolist()))
+    return list(map(_CELL_ENCODERS[fmt], values.tolist()))
+
+
+def _encoded_rows(rows, fmt: str):
+    if isinstance(rows, EncodedColumns):
+        if rows.fmt != fmt:
+            raise ValueError(f"columns are encoded for {rows.fmt}, not {fmt}")
+        return zip(*rows.columns)
+    encode = _CELL_ENCODERS[fmt]
+    return ([encode(v) for v in row] for row in rows)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def _json_array(items, level: int) -> str:
+    """Encoded JSON values as an array, laid out as by json.dumps(indent=2)."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _json_table_text(header: list[str], rows) -> str:
+    # the bytes of json.dumps(payload, sort_keys=True, indent=2) + "\n" for
+    # payload {"schema_version", "columns", "rows"}, without building payload
+    columns = _json_array([json.dumps(h) for h in header], 1)
+    body = _json_array([_json_array(r, 2) for r in rows], 1)
+    return (f'{{\n  "columns": {columns},\n  "rows": {body},\n'
+            f'  "schema_version": {SCHEMA_VERSION}\n}}\n')
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows (tuples of values, or EncodedColumns) as CSV."""
+    path.write_text(_csv_text(header, _encoded_rows(rows, "csv")))
 
 
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_rows(out: Path, stem: str, header: list[str], rows: list[tuple],
-               fmt: str) -> str:
-    """Persist a row table as CSV or as a JSON record list; returns the name."""
+def write_rows(out: Path, stem: str, header: list[str], rows, fmt: str) -> str:
+    """Persist a row table as CSV or as a JSON record list; returns the name.
+
+    rows are tuples of values or EncodedColumns in the format fmt.
+    """
     if fmt == "json":
         name = f"{stem}.json"
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "columns": header,
-            "rows": [[_json_cell(v) for v in row] for row in rows],
-        }
-        write_json(out / name, payload)
+        (out / name).write_text(_json_table_text(header, _encoded_rows(rows, "json")))
     else:
         name = f"{stem}.csv"
         write_csv(out / name, header, rows)
     return name
 
 
-def _json_cell(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (bool, int, float, str)):
-        return v
-    return str(v)
+@contextmanager
+def _stage(clocks: dict, name: str):
+    """Add the wall time of the block to clocks[name]."""
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        clocks[name] = clocks.get(name, 0.0) + time.monotonic() - t0
 
 
 @dataclass
@@ -354,31 +441,40 @@ def _map_schedule(cfg: ExperimentConfig, fn):
         return list(pool.map(fn, cfg.n_schedule))
 
 
+_SAMPLE_HEADER = ["k", "n", "alpha", "d", "torus1", "torus2", "re_z", "im_z", "height"]
+
+
 def _exp_generate(cfg: ExperimentConfig, out: Path):
-    rows = []
+    fmt = cfg.format
+    cell = _CELL_ENCODERS[fmt]
+    table = EncodedColumns(fmt, [[] for _ in _SAMPLE_HEADER])
+    clocks: dict = {}
     for n in cfg.n_schedule:
-        ps = _generate_set(cfg, n)
-        spec = ps.spec
-        heights = ps.heights()
-        t1s = ps.torus1_numerators()
-        t2s = ps.torus2_numerators() if ps.with_second else None
-        xs = ps.x_reals()
-        y = float(ps.scale_height)
-        for i in range(len(ps)):
-            rows.append((
-                int(ps.residues[i]),
-                n,
-                spec.alpha,
-                spec.d,
-                Fraction(int(t1s[i]), n),
-                Fraction(int(t2s[i]), n) if t2s is not None else "",
-                float(xs[i]),
-                y,
-                float(heights[i]),
-            ))
-    header = ["k", "n", "alpha", "d", "torus1", "torus2", "re_z", "im_z", "height"]
-    name = write_rows(out, "samples", header, rows, cfg.format)
-    return [name], True, {}
+        with _stage(clocks, "generate"):
+            ps = gen_point_set(_spec_for(cfg, n), cfg.point_set["variant"])
+            t1s = ps.torus1_numerators()
+            t2s = ps.torus2_numerators() if ps.with_second else None
+            xs = ps.x_reals()
+            heights = ps.heights()
+        with _stage(clocks, "format"):
+            m = len(ps)
+            spec = ps.spec
+            cells = (
+                list(map(str, ps.residues.tolist())),
+                [cell(n)] * m,
+                [cell(spec.alpha)] * m,
+                [cell(spec.d)] * m,
+                _fraction_cells(t1s, n, fmt),
+                _fraction_cells(t2s, n, fmt) if t2s is not None else [cell("")] * m,
+                _float_cells(xs, fmt),
+                [cell(float(ps.scale_height))] * m,
+                _float_cells(heights, fmt),
+            )
+            for column, chunk in zip(table.columns, cells):
+                column.extend(chunk)
+    with _stage(clocks, "write"):
+        name = write_rows(out, "samples", _SAMPLE_HEADER, table, fmt)
+    return [name], True, clocks
 
 
 def _exp_equidist(cfg: ExperimentConfig, out: Path):
@@ -389,12 +485,9 @@ def _exp_equidist(cfg: ExperimentConfig, out: Path):
     outputs = []
     obs_payload = []
     for d in d_values:
-        dcfg = cfg if d == cfg.point_set["d"] else ExperimentConfig(
-            kind=cfg.kind, raw=cfg.raw, n_schedule=cfg.n_schedule,
-            point_set={**cfg.point_set, "d": d}, observables=cfg.observables,
-            out_dir=cfg.out_dir, threads=cfg.threads, seed=cfg.seed,
-            format=cfg.format)
-        sets = dict(_map_schedule(dcfg, lambda n: (n, _generate_set(dcfg, n))))
+        dcfg = replace(cfg, point_set={**cfg.point_set, "d": d})
+        sets = dict(_map_schedule(
+            dcfg, lambda n: (n, gen_point_set(_spec_for(dcfg, n), variant))))
         spec0 = _spec_for(dcfg, dcfg.n_schedule[0])
         for i, obs in enumerate(cfg.observables):
             rep = equidist_report(spec0, variant, obs, cfg.n_schedule, point_sets=sets)
@@ -615,7 +708,7 @@ def _exp_cusp_mass(cfg: ExperimentConfig, out: Path):
     height_rows = []
 
     def work(n):
-        ps = _generate_set(cfg, n)
+        ps = gen_point_set(_spec_for(cfg, n), cfg.point_set["variant"])
         local = []
         for T in thresholds:
             mass = cusp_mass(ps, T)

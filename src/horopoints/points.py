@@ -30,6 +30,7 @@ __all__ = [
     "gen_full",
     "gen_monomial",
     "gen_triple",
+    "gen_point_set",
     "apply_M",
     "apply_T",
     "verify_invariance",
@@ -204,6 +205,20 @@ def gen_triple(spec: PointSetSpec) -> PointSet:
         )
     res = residue_array(spec.n, spec.d)
     return PointSet(spec, res, with_second=True, x_mult=spec.c)
+
+
+def gen_point_set(spec: PointSetSpec, variant: str) -> PointSet:
+    """The point set of a variant name: "full", "monomial" or "triple".
+
+    The full set takes only n and alpha from the spec.
+    """
+    if variant == "full":
+        return gen_full(spec.n, spec.alpha)
+    if variant == "monomial":
+        return gen_monomial(spec)
+    if variant == "triple":
+        return gen_triple(spec)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .arith import primes_coprime, totient, unit_inverses, units
 from .observables import Observable, evaluate, evaluate_many, haar_expectation
-from .points import PointSet, PointSetSpec, gen_full, gen_monomial, gen_triple
+from .points import PointSet, PointSetSpec, gen_point_set
 
 __all__ = [
     "EmptySet",
@@ -231,16 +231,6 @@ class EquidistReport:
         ]
 
 
-def _generate(spec: PointSetSpec, variant: str) -> PointSet:
-    if variant == "full":
-        return gen_full(spec.n, spec.alpha)
-    if variant == "monomial":
-        return gen_monomial(spec)
-    if variant == "triple":
-        return gen_triple(spec)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def equidist_report(spec_template: PointSetSpec, variant: str, obs: Observable,
                     n_values: Sequence[int],
                     point_sets: dict[int, PointSet] | None = None) -> EquidistReport:
@@ -256,7 +246,7 @@ def equidist_report(spec_template: PointSetSpec, variant: str, obs: Observable,
     for n in n_values:
         ps = None if point_sets is None else point_sets.get(n)
         if ps is None:
-            ps = _generate(replace(spec_template, n=n), variant)
+            ps = gen_point_set(replace(spec_template, n=n), variant)
         emp = empirical_average(ps, obs)
         empirical.append(emp)
         errors.append(abs(emp - target.value))

@@ -186,3 +186,60 @@ def test_json_format_payload(tmp_path):
     payload = json.loads((tmp_path / "cardinality.json").read_text())
     assert payload["columns"] == ["n", "d", "generated", "formula", "match"]
     assert payload["rows"][0] == [12, 2, 1, 1, True]  # squares mod 12 = {1}
+
+
+def test_config_without_schedule_is_invalid():
+    with pytest.raises(ConfigInvalid, match="n_schedule is required"):
+        load_config({"schema_version": 1, "kind": "generate"})
+
+
+def test_long_json_string_config():
+    # longer than a file name may be; must not reach the OS as a path
+    observables = [{"type": "torus_char", "m": m} for m in range(1, 30)]
+    text = json.dumps(_base("equidist", observables=observables))
+    assert len(text) > 255
+    assert len(load_config(text).observables) == 29
+    with pytest.raises(ConfigInvalid):
+        load_config(json.dumps(_base("nonsense", observables=observables)))
+
+
+def test_malformed_json_config(tmp_path, capsys):
+    with pytest.raises(ConfigInvalid, match="not valid JSON"):
+        load_config('{"schema_version": 1, "kind": ')
+    with pytest.raises(ConfigInvalid, match="JSON object"):
+        load_config("[1, 2]")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1,,}')
+    with pytest.raises(ConfigInvalid, match="not valid JSON"):
+        load_config(bad)
+    assert main(["kloosterman", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_resource_exhausted_exits_2(tmp_path, capsys):
+    assert main(["generate", "--n", str(10 ** 9), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_generate_honours_format(tmp_path):
+    assert main(["generate", "--n", "7", "--variant", "triple", "--format", "json",
+                 "--out", str(tmp_path / "flags")]) == 0
+    assert (tmp_path / "flags" / "samples.json").exists()
+    assert not (tmp_path / "flags" / "samples.csv").exists()
+    payload = json.loads((tmp_path / "flags" / "samples.json").read_text())
+    assert payload["rows"][0][:6] == [1, 7, "1/2", 1, "1/7", "1/7"]
+
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps(_base("generate", n_schedule=[7])))
+    assert main(["generate", "--config", str(cfg_path), "--format", "json",
+                 "--out", str(tmp_path / "cfg")]) == 0
+    assert (tmp_path / "cfg" / "samples.json").exists()
+
+
+def test_generate_manifest_stage_clocks(tmp_path):
+    run(_base("generate", n_schedule=[7, 11]), out_dir=tmp_path)
+    clocks = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
+    assert set(clocks) == {"generate", "format", "write", "total"}
+    assert all(v >= 0 for v in clocks.values())

@@ -15,6 +15,7 @@ from horopoints.points import (
     apply_T,
     gen_full,
     gen_monomial,
+    gen_point_set,
     gen_triple,
     project_level,
     project_level_direct,
@@ -62,6 +63,17 @@ def test_gen_monomial_pair_puts_b_on_surface():
         assert abs(s.xpoint.z.real - (3 * s.k % 7) / 7) < 1e-15
         assert s.torus1 == Fraction(s.k % 7, 7)
         assert s.torus2 is None
+
+
+def test_gen_point_set_dispatches_on_variant():
+    spec = PointSetSpec(n=9, alpha=Fraction(1), d=2)
+    full = gen_point_set(spec, "full")
+    assert (len(full), full.spec.d, full.spec.alpha) == (9, 1, Fraction(1))
+    assert gen_point_set(spec, "monomial").residues.tolist() == \
+        gen_monomial(spec).residues.tolist()
+    assert gen_point_set(spec, "triple").with_second
+    with pytest.raises(ValueError):
+        gen_point_set(spec, "quadruple")
 
 
 def test_gen_triple_examples():
