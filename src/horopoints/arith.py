@@ -1,15 +1,15 @@
 """Exact modular and multiplicative arithmetic underlying the point sets.
 
 Integers are plain Python ints (arbitrary precision), so nothing here can
-silently overflow.  Bulk helpers use int64 numpy arrays and are only taken
-when the modulus is small enough that every intermediate product fits.
+silently overflow.  Bulk helpers use int64 numpy arrays and need a modulus
+below 2^31, so that every intermediate product fits; above it they raise
+ValueError.
 Exponential sums accumulate in float64 through numpy's pairwise summation,
 which is deterministic and keeps the rounding error at O(log n * eps).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -47,8 +47,6 @@ __all__ = [
 class NotCoprime(ValueError):
     """An operation required coprime arguments and did not get them."""
 
-
-_TWO_PI = 2.0 * math.pi
 
 # int64 modular products are exact only below this modulus
 _INT64_MOD_LIMIT = 1 << 31
@@ -255,11 +253,18 @@ def mod_inverse(k: int, n: int) -> int:
 
 
 def units(n: int) -> np.ndarray:
-    """Residues in [0, n) coprime to n, ascending int64 (requires n < 2^31)."""
+    """Residues in [0, n) coprime to n, ascending int64 (requires n < 2^31).
+
+    Sieves a boolean mask of length n (n bytes): for each prime p of n the
+    n/p multiples of p are cleared, and the survivors are the units.  Costs
+    one factorization of n and O(n) work, with no gcd per residue.
+    """
     if not 1 <= n < _INT64_MOD_LIMIT:
         raise ValueError("units() is an int64 bulk path; need 1 <= n < 2^31")
-    ks = np.arange(n, dtype=np.int64)
-    return ks[np.gcd(ks, n) == 1]
+    keep = np.ones(n, dtype=bool)
+    for p in factorize(n):
+        keep[::p] = False
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
 
 
 def powmod(base: np.ndarray, exp: int, n: int) -> np.ndarray:
@@ -293,18 +298,25 @@ def residue_set(n: int, d: int, a: int = 1) -> set[int]:
 
 
 def residue_array(n: int, d: int, a: int = 1) -> np.ndarray:
-    """Sorted unique array of a * k^d mod n over units k."""
+    """Sorted unique int64 array of a * k^d mod n over units k (n < 2^31).
+
+    The powers come from :func:`powmod`; they are deduplicated and sorted in
+    one pass by marking each value in a boolean "seen" mask over [0, n)
+    (n bytes) and reading the marks back in ascending order, which is
+    linear in n where a sort-based unique is O(phi(n) log phi(n)).
+    """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if gcd(a, n) != 1:
         raise NotCoprime(f"a={a} shares a factor with n={n}")
-    if n < _INT64_MOD_LIMIT:
-        r = powmod(units(n), d, n)
-        if a % n != 1:
-            r = (r * (a % n)) % n
-        return np.unique(r)
-    vals = sorted({a * pow(k, d, n) % n for k in range(n) if gcd(k, n) == 1})
-    return np.array(vals, dtype=object)
+    if n >= _INT64_MOD_LIMIT:
+        raise ValueError("residue_array is an int64 bulk path; need n < 2^31")
+    r = powmod(units(n), d, n)
+    if a % n != 1:
+        r = (r * (a % n)) % n
+    seen = np.zeros(n, dtype=bool)
+    seen[r] = True
+    return np.flatnonzero(seen).astype(np.int64, copy=False)
 
 
 def residue_count_formula(n: int, d: int) -> int:
@@ -354,24 +366,18 @@ def kloosterman_sum(m1: int, m2: int, n: int) -> complex:
     """S(m1, m2; n) = sum over units k of e((m1*k + m2*kbar)/n).
 
     The value is real (k <-> n-k pairs terms into conjugates); the complex
-    return type keeps the roundoff in the imaginary part visible.
+    return type keeps the roundoff in the imaginary part visible.  Summed
+    over int64 unit arrays, so n < 2^31.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return complex(1.0)
-    if n < _INT64_MOD_LIMIT:
-        u = units(n)
-        phase = (m1 % n) * u % n
-        if m2 % n:
-            phase = (phase + (m2 % n) * unit_inverses(n)) % n
-        return complex(np.exp((2j * np.pi / n) * phase).sum())
-    total = 0.0 + 0.0j
-    for k in range(n):
-        if gcd(k, n) == 1:
-            e = (m1 * k + m2 * mod_inverse(k, n)) % n
-            total += cmath.exp(_TWO_PI * 1j * e / n)
-    return total
+    u = units(n)
+    phase = (m1 % n) * u % n
+    if m2 % n:
+        phase = (phase + (m2 % n) * unit_inverses(n)) % n
+    return complex(np.exp((2j * np.pi / n) * phase).sum())
 
 
 def weil_bound(m1: int, m2: int, n: int) -> float:

@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(cfg, args) -> None:
-    if args.threads:
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigInvalid("--threads must be >= 1")
         cfg.threads = args.threads
     if args.format:
         cfg.format = args.format

@@ -163,12 +163,28 @@ def parse_observable(rec: dict) -> Observable:
     raise ConfigInvalid(f"unknown observable type {t!r}")
 
 
+def _range_bound(raw: dict, key: str, default=None) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"n_schedule range {key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_schedule(raw) -> list[int]:
     if isinstance(raw, list):
         sched = [int(n) for n in raw]
     elif isinstance(raw, dict) and "stop" in raw:
-        sched = list(range(int(raw.get("start", 1)), int(raw["stop"]) + 1,
-                           int(raw.get("step", 1))))
+        # checked before the range is listed, so a huge stop cannot allocate
+        start = _range_bound(raw, "start", 1)
+        step = _range_bound(raw, "step", 1)
+        if step < 1:
+            raise ConfigInvalid("n_schedule range step must be >= 1")
+        if start < 1:
+            raise ConfigInvalid("n values must be >= 1")
+        span = range(start, _range_bound(raw, "stop") + 1, step)
+        if span and span[-1] > _N_GUARD:
+            raise ResourceExhausted(f"n = {span[-1]} exceeds the 1e8 guard")
+        sched = list(span)
     elif isinstance(raw, dict) and "count" in raw:
         start = int(raw["start"])
         factor = float(raw.get("factor", 10))
@@ -407,6 +423,12 @@ def _stage(clocks: dict, name: str):
         clocks[name] = clocks.get(name, 0.0) + time.monotonic() - t0
 
 
+def _merge_clocks(clocks: dict, part: dict) -> None:
+    """Add the stage times of one n (timed on any thread) into clocks."""
+    for name, seconds in part.items():
+        clocks[name] = clocks.get(name, 0.0) + seconds
+
+
 @dataclass
 class RunManifest:
     kind: str
@@ -482,20 +504,38 @@ def _exp_equidist(cfg: ExperimentConfig, out: Path):
         raise ConfigInvalid("equidist needs at least one observable")
     variant = cfg.point_set["variant"]
     d_values = [int(d) for d in cfg.raw.get("d_values", [cfg.point_set["d"]])]
+    # the surface points are reduced up front only if an observable reads them
+    on_surface = any("x" in obs._slots() for obs in cfg.observables)
     outputs = []
     obs_payload = []
+    clocks: dict = {}
     for d in d_values:
         dcfg = replace(cfg, point_set={**cfg.point_set, "d": d})
-        sets = dict(_map_schedule(
-            dcfg, lambda n: (n, gen_point_set(_spec_for(dcfg, n), variant))))
+
+        def work(n):
+            part: dict = {}
+            with _stage(part, "generate"):
+                ps = gen_point_set(_spec_for(dcfg, n), variant)
+            if on_surface:
+                with _stage(part, "reduce"):
+                    ps.reduced_xy()
+            return n, ps, part
+
+        sets = {}
+        for n, ps, part in _map_schedule(dcfg, work):
+            sets[n] = ps
+            _merge_clocks(clocks, part)
         spec0 = _spec_for(dcfg, dcfg.n_schedule[0])
         for i, obs in enumerate(cfg.observables):
-            rep = equidist_report(spec0, variant, obs, cfg.n_schedule, point_sets=sets)
+            with _stage(clocks, "evaluate"):
+                rep = equidist_report(spec0, variant, obs, cfg.n_schedule,
+                                      point_sets=sets)
             name = (f"equidist_{i}.csv" if len(d_values) == 1
                     else f"equidist_d{d}_{i}.csv")
-            write_csv(out / name,
-                      ["n", "empirical_re", "empirical_im", "haar", "abs_error"],
-                      rep.rows())
+            with _stage(clocks, "write"):
+                write_csv(out / name,
+                          ["n", "empirical_re", "empirical_im", "haar", "abs_error"],
+                          rep.rows())
             outputs.append(name)
             obs_payload.append({
                 "d": d,
@@ -528,9 +568,10 @@ def _exp_equidist(cfg: ExperimentConfig, out: Path):
         "point_set": cfg.point_set,
         "observables": obs_payload,
     }
-    write_json(out / "equidist.json", payload)
+    with _stage(clocks, "write"):
+        write_json(out / "equidist.json", payload)
     outputs.append("equidist.json")
-    return outputs, ok, {}
+    return outputs, ok, clocks
 
 
 def _exp_kloosterman(cfg: ExperimentConfig, out: Path):
@@ -708,39 +749,47 @@ def _exp_cusp_mass(cfg: ExperimentConfig, out: Path):
     height_rows = []
 
     def work(n):
-        ps = gen_point_set(_spec_for(cfg, n), cfg.point_set["variant"])
+        part: dict = {}
+        with _stage(part, "generate"):
+            ps = gen_point_set(_spec_for(cfg, n), cfg.point_set["variant"])
+        with _stage(part, "reduce"):
+            heights = ps.heights()
         local = []
-        for T in thresholds:
-            mass = cusp_mass(ps, T)
-            expected = 3.0 / (math.pi * T)
-            rel = abs(mass - expected) / expected
-            if full_mass:
-                good = mass == 1.0
-            elif rel_tol is not None:
-                good = rel <= float(rel_tol)
-            else:
-                good = True
-            local.append((n, T, mass, expected, rel, good))
-        hrow = None
-        if floor_check:
-            lowest = float(ps.heights().min())
-            floor = math.sqrt(n) * (1.0 - 1e-6)
-            hrow = (n, lowest, math.sqrt(n), lowest >= floor)
-        return local, hrow
+        with _stage(part, "evaluate"):
+            for T in thresholds:
+                mass = cusp_mass(ps, T)
+                expected = 3.0 / (math.pi * T)
+                rel = abs(mass - expected) / expected
+                if full_mass:
+                    good = mass == 1.0
+                elif rel_tol is not None:
+                    good = rel <= float(rel_tol)
+                else:
+                    good = True
+                local.append((n, T, mass, expected, rel, good))
+            hrow = None
+            if floor_check:
+                lowest = float(heights.min())
+                floor = math.sqrt(n) * (1.0 - 1e-6)
+                hrow = (n, lowest, math.sqrt(n), lowest >= floor)
+        return local, hrow, part
 
-    for local, hrow in _map_schedule(cfg, work):
+    clocks: dict = {}
+    for local, hrow, part in _map_schedule(cfg, work):
         rows.extend(local)
         if hrow is not None:
             height_rows.append(hrow)
+        _merge_clocks(clocks, part)
     ok = all(r[-1] for r in rows) and all(r[-1] for r in height_rows)
-    outputs = [write_rows(out, "cusp_mass",
-                          ["n", "T", "mass", "expected", "rel_err", "ok"],
-                          rows, cfg.format)]
-    if height_rows:
-        outputs.append(write_rows(out, "heights",
-                                  ["n", "min_height", "sqrt_n", "ok"],
-                                  height_rows, cfg.format))
-    return outputs, ok, {}
+    with _stage(clocks, "write"):
+        outputs = [write_rows(out, "cusp_mass",
+                              ["n", "T", "mass", "expected", "rel_err", "ok"],
+                              rows, cfg.format)]
+        if height_rows:
+            outputs.append(write_rows(out, "heights",
+                                      ["n", "min_height", "sqrt_n", "ok"],
+                                      height_rows, cfg.format))
+    return outputs, ok, clocks
 
 
 def _exp_projection(cfg: ExperimentConfig, out: Path):

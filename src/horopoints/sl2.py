@@ -235,16 +235,20 @@ def reduce_many(
         y = np.array(y, dtype=np.float64, copy=True)
     if not (y > 0).all():
         raise ValueError("all points must lie in the upper half plane")
-    a = np.ones(x.shape, dtype=np.int64)
-    b = np.zeros(x.shape, dtype=np.int64)
-    c = np.zeros(x.shape, dtype=np.int64)
-    d = np.ones(x.shape, dtype=np.int64)
+    # the matrix entries are tracked only on request; x and y take the same
+    # float operations either way
+    if with_matrices:
+        a = np.ones(x.shape, dtype=np.int64)
+        b = np.zeros(x.shape, dtype=np.int64)
+        c = np.zeros(x.shape, dtype=np.int64)
+        d = np.ones(x.shape, dtype=np.int64)
     for _ in range(_MAX_REDUCE_STEPS):
         m = np.rint(x)
         x -= m
-        mi = m.astype(np.int64)
-        a -= mi * c
-        b -= mi * d
+        if with_matrices:
+            mi = m.astype(np.int64)
+            a -= mi * c
+            b -= mi * d
         r2 = x * x + y * y
         inv = (r2 < 1.0 - _BOUNDARY_TOL) | (
             (np.abs(r2 - 1.0) <= _BOUNDARY_TOL) & (x > _BOUNDARY_TOL)
@@ -255,16 +259,18 @@ def reduce_many(
         xi = x[inv]
         x[inv] = -xi / r2i
         y[inv] = y[inv] / r2i
-        ai, bi = a[inv].copy(), b[inv].copy()
-        a[inv], b[inv] = -c[inv], -d[inv]
-        c[inv], d[inv] = ai, bi
+        if with_matrices:
+            ai, bi = a[inv].copy(), b[inv].copy()
+            a[inv], b[inv] = -c[inv], -d[inv]
+            c[inv], d[inv] = ai, bi
     else:
         raise NumericalDegeneracy("vectorized reduction did not terminate")
     fix = x > 0.5 - _BOUNDARY_TOL
     if fix.any():
         x[fix] -= 1.0
-        a[fix] -= c[fix]
-        b[fix] -= d[fix]
+        if with_matrices:
+            a[fix] -= c[fix]
+            b[fix] -= d[fix]
     if with_matrices:
         return x, y, (a, b, c, d)
     return x, y

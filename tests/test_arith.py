@@ -22,8 +22,10 @@ from horopoints.arith import (
     mobius,
     next_prime,
     omega,
+    powmod,
     primes_coprime,
     ramanujan_sum,
+    residue_array,
     residue_count_formula,
     residue_set,
     totient,
@@ -78,6 +80,26 @@ def brute_kloosterman(m1, m2, n):
             kbar = pow(k, -1, n) if n > 1 else 0
             total += cmath.exp(2j * cmath.pi * ((m1 * k + m2 * kbar) % n) / n)
     return total
+
+
+def gcd_scan_units(n):
+    # the earlier bulk units(): one np.gcd per residue
+    ks = np.arange(n, dtype=np.int64)
+    return ks[np.gcd(ks, n) == 1]
+
+
+def unique_residue_array(n, d, a=1):
+    # the earlier bulk residue_array(): powers of the gcd-scan units, np.unique
+    r = powmod(gcd_scan_units(n), d, n)
+    if a % n != 1:
+        r = (r * (a % n)) % n
+    return np.unique(r)
+
+
+def _assert_same_sorted_int64(got, want, key):
+    assert got.dtype == np.int64, key
+    assert np.array_equal(got, want), key
+    assert (np.diff(got) > 0).all(), key
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +194,36 @@ def test_units_and_inverses():
         assert len(u) == totient(n)
         ub = unit_inverses(n)
         assert (u * ub % n == (1 % n)).all()
+
+
+def test_units_match_gcd_scan_oracle():
+    for n in range(1, 2001):
+        _assert_same_sorted_int64(units(n), gcd_scan_units(n), n)
+
+
+def test_residue_array_matches_unique_oracle():
+    for n in range(1, 2001):
+        for d in (1, 2, 3, 4, 6, 12):
+            for a in (1, 5):
+                if gcd(a, n) != 1:
+                    continue
+                _assert_same_sorted_int64(residue_array(n, d, a),
+                                          unique_residue_array(n, d, a), (n, d, a))
+
+
+@pytest.mark.parametrize("n", [10007, 100003, 1000003])
+def test_unit_and_residue_sets_match_oracle_at_large_primes(n):
+    _assert_same_sorted_int64(units(n), gcd_scan_units(n), n)
+    for d in (1, 2):
+        _assert_same_sorted_int64(residue_array(n, d), unique_residue_array(n, d), (n, d))
+
+
+def test_bulk_paths_reject_moduli_beyond_int64():
+    n = (1 << 31) + 11
+    with pytest.raises(ValueError):
+        residue_array(n, 2)
+    with pytest.raises(ValueError):
+        kloosterman_sum(1, 1, n)
 
 
 def test_residue_set_examples():

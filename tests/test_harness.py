@@ -2,9 +2,13 @@
 payloads, the CLI surface, and plot emission."""
 
 import json
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 
+from horopoints import harness
 from horopoints.cli import main
 from horopoints.harness import (
     ConfigInvalid,
@@ -243,3 +247,77 @@ def test_generate_manifest_stage_clocks(tmp_path):
     clocks = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
     assert set(clocks) == {"generate", "format", "write", "total"}
     assert all(v >= 0 for v in clocks.values())
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    cfg_path = tmp_path / "k.json"
+    cfg_path.write_text(json.dumps(_base("kloosterman", m_range=0)))
+    assert main(["kloosterman", "--config", str(cfg_path), "--threads", threads,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_range_schedule_fails_closed():
+    # a range is checked before it is listed: 1e12 entries are never allocated
+    with pytest.raises(ResourceExhausted):
+        load_config(_base("generate", n_schedule={"stop": 10 ** 12}))
+    for bad in ({"stop": 10, "step": 0}, {"stop": 10, "step": -1},
+                {"stop": "x"}, {"start": 1.5, "stop": 10}, {"stop": True},
+                {"start": -10 ** 12, "stop": 5}):
+        with pytest.raises(ConfigInvalid):
+            load_config(_base("generate", n_schedule=bad))
+    cfg = load_config(_base("generate", n_schedule={"start": 3, "stop": 11, "step": 4}))
+    assert cfg.n_schedule == [3, 7, 11]
+    # the guard applies to the largest scheduled n, not to stop
+    cfg = load_config(_base("generate", n_schedule={"stop": 10 ** 12, "step": 10 ** 12}))
+    assert cfg.n_schedule == [1]
+
+
+def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
+    kernel = {"type": "kernel", "radius": 1.0}
+    cases = {
+        "cusp": (_base("cusp_mass", n_schedule=[101, 103]),
+                 {"generate", "reduce", "evaluate", "write", "total"}),
+        "surface": (_base("equidist", n_schedule=[101, 103], observables=[kernel]),
+                    {"generate", "reduce", "evaluate", "write", "total"}),
+        "torus": (_base("equidist", n_schedule=[101, 103],
+                        observables=[{"type": "torus_char", "m": 1}]),
+                  {"generate", "evaluate", "write", "total"}),
+    }
+    for name, (cfg, stages) in cases.items():
+        run(cfg, out_dir=tmp_path / name)
+        clocks = json.loads((tmp_path / name / "manifest.json").read_text())["wall_clock_s"]
+        assert set(clocks) == stages, name
+        assert all(v >= 0 for v in clocks.values())
+
+
+def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
+    # each thread's clock ticks 1 s per reading, so every stage span is 1 s;
+    # a stage update lost between threads would show as a short sum
+    local = threading.local()
+
+    def tick():
+        local.t = getattr(local, "t", 0.0) + 1.0
+        return local.t
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=tick))
+    schedule = list(range(30, 90))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cusp = run(_base("cusp_mass", n_schedule=schedule, threads=4),
+                   out_dir=tmp_path / "cusp").wall_clock_s
+        eq = run(_base("equidist", n_schedule=schedule, threads=4, d_values=[1, 2],
+                       observables=[{"type": "height_band", "lower": 2.0}]),
+                 out_dir=tmp_path / "eq").wall_clock_s
+    finally:
+        sys.setswitchinterval(interval)
+    m = len(schedule)
+    assert [cusp[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, m, 1]
+    assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == [2 * m, 2 * m, 2, 3]
+    run(_base("cusp_mass", n_schedule=schedule), out_dir=tmp_path / "serial")
+    assert ((tmp_path / "serial" / "cusp_mass.csv").read_bytes()
+            == (tmp_path / "cusp" / "cusp_mass.csv").read_bytes())

@@ -195,6 +195,28 @@ def test_reduce_heights_matches_scalar():
         assert _close(hs[i], invariant_height(complex(x[i], y[i])), 1e-9 * max(1, hs[i]))
 
 
+def _assert_matrices_leave_xy_alone(x, y):
+    xf, yf = reduce_many(x, y)
+    xm, ym, _ = reduce_many(x, y, with_matrices=True)
+    assert xf.tobytes() == xm.tobytes()
+    assert yf.tobytes() == ym.tobytes()
+
+
+def test_reduce_many_xy_independent_of_matrices():
+    # tracking the matrix entries must not touch the float path
+    rng = np.random.default_rng(41)
+    _assert_matrices_leave_xy_alone(rng.uniform(-3.0, 3.0, 20_000),
+                                    10 ** rng.uniform(-8.0, 4.0, 20_000))
+    t = rng.uniform(0.0, math.pi, 2_000)
+    _assert_matrices_leave_xy_alone(np.cos(t), np.sin(t))  # |z| = 1
+    edge = np.array([-0.5, 0.5, -0.5 + 1e-13, 0.5 - 1e-13, 0.5 + 1e-13])
+    for y in (0.5, math.sqrt(3) / 2, 1.0, 3.0):
+        _assert_matrices_leave_xy_alone(edge, y)  # Re z = +-1/2
+    # the alpha = 5/4 horocycle at n near 1e5: z = k/n + i n^(-5/2)
+    n = 100003
+    _assert_matrices_leave_xy_alone(np.arange(1, n) / n, math.exp(-2.5 * math.log(n)))
+
+
 def test_adjoint_height():
     assert _close(adjoint_height(make_u(0.0)), 1.0)
     for y in (2.0, 3.0, 10.0):
