@@ -14,23 +14,12 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    HARD_KINDS,
+    KINDS,
     ConfigInvalid,
     ResourceExhausted,
     emit_plot,
     load_config,
     run,
-)
-
-_CONFIG_KINDS = (
-    "equidist",
-    "kloosterman",
-    "invariance",
-    "cardinality",
-    "discrepancy",
-    "cusp-mass",
-    "projection",
-    "intersection",
 )
 
 
@@ -48,12 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in _CONFIG_KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        _add_common(p)
-
-    g = sub.add_parser("generate", help="dump point-set samples to CSV or JSON")
-    _add_common(g)
+    # one subcommand per experiment kind, in the order of KINDS
+    for kind in KINDS:
+        command = kind.replace("_", "-")
+        _add_common(sub.add_parser(command, help=(
+            "dump point-set samples to CSV or JSON" if kind == "generate"
+            else f"run a {command} experiment")))
+    g = sub.choices["generate"]
     g.add_argument("--n", type=int, action="append", help="modulus (repeatable)")
     g.add_argument("--alpha", default="1/2", help="expansion exponent, e.g. 1/2")
     g.add_argument("--d", type=int, default=1)
@@ -89,7 +79,7 @@ def _run_config_command(args, kind: str) -> int:
     manifest = run(cfg, out_dir=args.out)
     status = "pass" if manifest.all_passed else "FAIL"
     print(f"{kind}: {status} -> {manifest.out_dir}")
-    if not manifest.all_passed and kind in HARD_KINDS:
+    if not manifest.all_passed and KINDS[kind].hard:
         return 1
     return 0
 

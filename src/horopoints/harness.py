@@ -12,12 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -76,21 +79,8 @@ __all__ = [
 ENV_OUT_DIR = "HOROPOINTS_OUT"
 SCHEMA_VERSION = 1
 _N_GUARD = 10 ** 8
-
-KINDS = (
-    "generate",
-    "equidist",
-    "kloosterman",
-    "invariance",
-    "cardinality",
-    "discrepancy",
-    "cusp_mass",
-    "projection",
-    "intersection",
-)
-# experiments whose checks are exact identities; a failure flips the exit status
-HARD_KINDS = ("kloosterman", "invariance", "cardinality", "discrepancy",
-              "projection", "intersection")
+# the largest shipped schedule (c05) has 5000 entries
+_SCHEDULE_GUARD = 10 ** 5
 
 
 class ConfigInvalid(ValueError):
@@ -98,7 +88,7 @@ class ConfigInvalid(ValueError):
 
 
 class ResourceExhausted(RuntimeError):
-    """The requested n exceeds the desk-scale memory guard."""
+    """The requested n or schedule exceeds the desk-scale guards."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +105,8 @@ class ExperimentConfig:
     threads: int
     seed: int
     format: str
+    spec: PointSetSpec
+    params: dict
 
     @property
     def config_hash(self) -> str:
@@ -125,14 +117,71 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _invalid(what: str):
+    """Raise a parse error of the block as ConfigInvalid, naming what."""
+    try:
+        yield
+    except ConfigInvalid:
+        raise
+    except KeyError as exc:
+        raise ConfigInvalid(f"{what}: missing {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigInvalid(f"{what}: {exc}") from exc
+
+
+def _int(value) -> int:
+    """An integer, also from an integral float or a string; a bool is not one."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A finite number, also from a string; a bool is not one."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _parse_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10 ** 6)
-    raise ConfigInvalid(f"cannot parse fraction from {x!r}")
+    return Fraction(x)
+
+
+@dataclass(frozen=True)
+class Param:
+    """A config key of a kind.  parse reads one value (many: each entry of a
+    non-empty list), test must hold for it (need says what it asks), and an
+    absent or null key takes the default, unless it is required."""
+
+    key: str
+    parse: Callable
+    default: object = None
+    many: bool = False
+    test: Callable | None = None
+    need: str = ""
+    required: bool = False
+
+    def read(self, raw: dict):
+        value = raw.get(self.key)
+        if value is None and self.required:
+            raise ConfigInvalid(f"{self.key} is required")
+        if value is None:
+            return self.default
+        with _invalid(self.key):
+            if not self.many:
+                return self._one(value)
+            if not isinstance(value, list) or not value:
+                raise ValueError(f"expected a non-empty list, got {value!r}")
+            return [self._one(v) for v in value]
+
+    def _one(self, value):
+        parsed = self.parse(value)
+        if self.test is not None and not self.test(parsed):
+            raise ValueError(f"{value!r} is not {self.need}")
+        return parsed
 
 
 def parse_observable(rec: dict) -> Observable:
@@ -140,7 +189,7 @@ def parse_observable(rec: dict) -> Observable:
     if not isinstance(rec, dict) or "type" not in rec:
         raise ConfigInvalid(f"observable record needs a 'type': {rec!r}")
     t = rec["type"]
-    try:
+    with _invalid(f"bad observable record {rec!r}"):
         if t == "torus_char":
             return TorusChar(m=int(rec["m"]))
         if t == "two_torus_char":
@@ -158,53 +207,100 @@ def parse_observable(rec: dict) -> Observable:
                               upper=math.inf if upper is None else float(upper))
         if t == "product":
             return Product(tuple(parse_observable(f) for f in rec["factors"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigInvalid(f"bad observable record {rec!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown observable type {t!r}")
 
 
-def _range_bound(raw: dict, key: str, default=None) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(f"n_schedule range {key} must be an integer, got {value!r}")
-    return value
+def _toral(value) -> dict | None:
+    """The toral block of invariance: how many matrices, with entries up to what."""
+    if not value:
+        return None
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    count, max_entry = _int(value.get("count", 1000)), _int(value.get("max_entry", 10))
+    if count < 0 or max_entry < 1:
+        raise ValueError("needs count >= 0 and max_entry >= 1")
+    return {"count": count, "max_entry": max_entry}
+
+
+def _case(value) -> tuple:
+    """A projection case (n, places, l, m), checked as project_level checks it."""
+    n = _int(value["n"])
+    places, l, m = (tuple(map(_int, value[key])) for key in ("places", "l", "m"))
+    if not 1 <= n <= _N_GUARD or len(l) != len(places) or len(m) != len(places):
+        raise ValueError(f"{value!r} needs 1 <= n <= 1e8 and l, m aligned with places")
+    if any(e < 0 for e in l + m) or any(p < 2 or n % p == 0 for p in places):
+        raise ValueError(f"{value!r} needs exponents >= 0 and places >= 2 coprime to n")
+    return n, places, l, m
+
+
+def _check_length(length: int) -> None:
+    if length > _SCHEDULE_GUARD:
+        raise ResourceExhausted(
+            f"n_schedule has {length} entries, above the {_SCHEDULE_GUARD} guard")
 
 
 def _parse_schedule(raw) -> list[int]:
+    """The sorted distinct n of a list, a range or a ramp.  The length is
+    checked before a range or a ramp is listed, and a ramp stops at the
+    first n beyond the 1e8 guard, before snapping it."""
     if isinstance(raw, list):
-        sched = [int(n) for n in raw]
+        _check_length(len(raw))
+        sched = [_int(n) for n in raw]
     elif isinstance(raw, dict) and "stop" in raw:
-        # checked before the range is listed, so a huge stop cannot allocate
-        start = _range_bound(raw, "start", 1)
-        step = _range_bound(raw, "step", 1)
-        if step < 1:
-            raise ConfigInvalid("n_schedule range step must be >= 1")
-        if start < 1:
-            raise ConfigInvalid("n values must be >= 1")
-        span = range(start, _range_bound(raw, "stop") + 1, step)
-        if span and span[-1] > _N_GUARD:
-            raise ResourceExhausted(f"n = {span[-1]} exceeds the 1e8 guard")
+        start, step = _int(raw.get("start", 1)), _int(raw.get("step", 1))
+        if start < 1 or step < 1:
+            raise ValueError("a range needs start >= 1 and step >= 1")
+        span = range(start, _int(raw["stop"]) + 1, step)
+        _check_length(len(span))
         sched = list(span)
     elif isinstance(raw, dict) and "count" in raw:
-        start = int(raw["start"])
-        factor = float(raw.get("factor", 10))
-        count = int(raw["count"])
+        start, count = _int(raw["start"]), _int(raw["count"])
+        factor = _float(raw.get("factor", 10))
+        if start < 1 or factor <= 0:
+            raise ValueError("a ramp needs start >= 1 and factor > 0")
+        _check_length(count)
         snap = bool(raw.get("snap_to_prime", False))
         sched = []
         val = float(start)
         for _ in range(count):
+            if val > _N_GUARD:
+                raise ResourceExhausted(f"n = {val:.0f} exceeds the 1e8 guard")
             n = int(round(val))
             sched.append(next_prime(n) if snap else n)
             val *= factor
     else:
-        raise ConfigInvalid("n_schedule must be a list, a range, or a ramp object")
+        raise ValueError("must be a list, a range, or a ramp object")
     if not sched:
         raise ConfigInvalid("n schedule is empty")
-    if any(n < 1 for n in sched):
+    if min(sched) < 1:
         raise ConfigInvalid("n values must be >= 1")
     if max(sched) > _N_GUARD:
         raise ResourceExhausted(f"n = {max(sched)} exceeds the 1e8 guard")
     return sorted(set(sched))
+
+
+_SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
+_RUN_PARAMS = (Param("threads", _int, 1, test=lambda t: t >= 1, need=">= 1"),
+               Param("seed", _int, 0),
+               Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
+                     need="csv or json"))
+_POINT_SET_DEFAULTS = {"alpha": "1/2", "d": 1, "a": 1, "b": 1, "c": 1,
+                       "primitive": True, "variant": "monomial"}
+
+
+def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
+    """The point_set record with its defaults, kept raw for the equidist
+    report, which writes it verbatim; and its spec at n = 1."""
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"point_set must be an object, got {raw!r}")
+    ps = {**_POINT_SET_DEFAULTS, **raw}
+    if ps["variant"] not in ("full", "monomial", "triple"):
+        raise ConfigInvalid(f"unknown point set variant {ps['variant']!r}")
+    with _invalid("point_set"):
+        spec = PointSetSpec(n=1, alpha=_parse_fraction(ps["alpha"]), d=_int(ps["d"]),
+                            a=_int(ps["a"]), b=_int(ps["b"]), c=_int(ps["c"]),
+                            primitive=bool(ps["primitive"]))
+    return ps, spec
 
 
 def _path_exists(source) -> bool:
@@ -243,61 +339,32 @@ def load_config(source) -> ExperimentConfig:
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigInvalid(f"schema_version must be {SCHEMA_VERSION}")
     kind = raw.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigInvalid(f"unknown kind {kind!r}")
 
-    needs_schedule = kind not in ("projection",)
-    if needs_schedule and "n_schedule" not in raw:
-        raise ConfigInvalid("n_schedule is required")
-    n_schedule = _parse_schedule(raw["n_schedule"]) if needs_schedule else []
+    n_schedule = _SCHEDULE.read(raw) if KINDS[kind].items == "n_schedule" else []
 
-    ps = dict(raw.get("point_set", {}))
-    ps.setdefault("alpha", "1/2")
-    ps.setdefault("d", 1)
-    ps.setdefault("a", 1)
-    ps.setdefault("b", 1)
-    ps.setdefault("c", 1)
-    ps.setdefault("primitive", True)
-    ps.setdefault("variant", "monomial")
-    if ps["variant"] not in ("full", "monomial", "triple"):
-        raise ConfigInvalid(f"unknown point set variant {ps['variant']!r}")
+    point_set, spec = _parse_point_set(raw.get("point_set", {}))
     # coprimality of the multipliers is checked against every scheduled n up front
     for n in n_schedule:
-        if gcd(ps["a"] * ps["b"] * ps["c"], n) != 1:
+        if gcd(spec.a * spec.b * spec.c, n) != 1:
             raise ConfigInvalid(f"multipliers not coprime to n={n}")
+    params = {p.key: p.read(raw) for p in KINDS[kind].params}
 
-    observables = [parse_observable(r) for r in raw.get("observables", [])]
-
+    threads, seed, fmt = (p.read(raw) for p in _RUN_PARAMS)
     out_dir = raw.get("out_dir") or os.environ.get(ENV_OUT_DIR)
-    threads = int(raw.get("threads", 1))
-    if threads < 1:
-        raise ConfigInvalid("threads must be >= 1")
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigInvalid("format must be csv or json")
     return ExperimentConfig(
         kind=kind,
         raw=raw,
         n_schedule=n_schedule,
-        point_set=ps,
-        observables=observables,
+        point_set=point_set,
+        observables=params.get("observables", []),
         out_dir=Path(out_dir) if out_dir else None,
         threads=threads,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         format=fmt,
-    )
-
-
-def _spec_for(cfg: ExperimentConfig, n: int) -> PointSetSpec:
-    ps = cfg.point_set
-    return PointSetSpec(
-        n=n,
-        alpha=_parse_fraction(ps["alpha"]),
-        d=int(ps["d"]),
-        a=int(ps["a"]),
-        b=int(ps["b"]),
-        c=int(ps["c"]),
-        primitive=bool(ps["primitive"]),
+        spec=spec,
+        params=params,
     )
 
 
@@ -455,25 +522,100 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _map_schedule(cfg: ExperimentConfig, fn):
-    """Apply fn(n) over the schedule, merged back in ascending n order."""
-    if cfg.threads == 1 or len(cfg.n_schedule) <= 1:
-        return [fn(n) for n in cfg.n_schedule]
+@dataclass(frozen=True)
+class Table:
+    """A payload table: file stem and columns, the last of which is the row's
+    verdict.  An optional table is written only when it has rows."""
+
+    stem: str
+    header: tuple[str, ...]
+    optional: bool = False
+
+
+@dataclass(frozen=True)
+class Kind:
+    """An experiment kind, declared once in KINDS.
+
+    The driver maps rows(cfg, item), one row list per table, over the items:
+    the n schedule, the param named by items, or with on_point_set the point
+    set of each n, generated and reduced.  once(cfg) makes the last table's
+    rows once per run; check(cfg, tables) is a whole-table check beside the
+    verdict columns.  A hard kind checks exact identities, so a failure flips
+    the CLI status.  A kind with a body runs body(cfg, out) instead.
+    """
+
+    params: tuple[Param, ...] = ()
+    tables: tuple[Table, ...] = ()
+    rows: Callable | None = None
+    hard: bool = False
+    check: Callable | None = None
+    once: Callable | None = None
+    items: str = "n_schedule"
+    on_point_set: bool = False
+    body: Callable | None = None
+
+
+def _map_schedule(cfg: ExperimentConfig, fn, items):
+    """Apply fn over the items, merged back in item order."""
+    if cfg.threads == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(fn, cfg.n_schedule))
+        return list(pool.map(fn, items))
+
+
+def _staged_point_set(cfg: ExperimentConfig, spec, part: dict, reduce=True):
+    """The point set of spec, generated and, if asked, reduced; timed into part."""
+    with _stage(part, "generate"):
+        ps = gen_point_set(spec, cfg.point_set["variant"])
+    if reduce:
+        with _stage(part, "reduce"):
+            ps.reduced_xy()
+    return ps
+
+
+def _run_tables(cfg: ExperimentConfig, out: Path):
+    """The driver of every kind without a body."""
+    kind = KINDS[cfg.kind]
+
+    def work(item):
+        part: dict = {}
+        if kind.on_point_set:
+            item = _staged_point_set(cfg, replace(cfg.spec, n=item), part)
+        with _stage(part, "evaluate"):
+            rows = kind.rows(cfg, item)
+        return rows, part
+
+    items = cfg.n_schedule if kind.items == "n_schedule" else cfg.params[kind.items]
+    tables: list[list] = [[] for _ in kind.tables]
+    clocks: dict = {}
+    for rows, part in _map_schedule(cfg, work, items):
+        for table, chunk in zip(tables, rows):
+            table.extend(chunk)
+        _merge_clocks(clocks, part)
+    if kind.once is not None:
+        with _stage(clocks, "evaluate"):
+            tables[-1] = kind.once(cfg)
+    ok = all(row[-1] for table in tables for row in table)
+    if kind.check is not None:
+        ok = ok and kind.check(cfg, tables)
+    with _stage(clocks, "write"):
+        outputs = [write_rows(out, table.stem, list(table.header), rows, cfg.format)
+                   for table, rows in zip(kind.tables, tables)
+                   if rows or not table.optional]
+    return outputs, ok, clocks
 
 
 _SAMPLE_HEADER = ["k", "n", "alpha", "d", "torus1", "torus2", "re_z", "im_z", "height"]
 
 
-def _exp_generate(cfg: ExperimentConfig, out: Path):
+def _run_generate(cfg: ExperimentConfig, out: Path):
     fmt = cfg.format
     cell = _CELL_ENCODERS[fmt]
     table = EncodedColumns(fmt, [[] for _ in _SAMPLE_HEADER])
     clocks: dict = {}
     for n in cfg.n_schedule:
         with _stage(clocks, "generate"):
-            ps = gen_point_set(_spec_for(cfg, n), cfg.point_set["variant"])
+            ps = gen_point_set(replace(cfg.spec, n=n), cfg.point_set["variant"])
             t1s = ps.torus1_numerators()
             t2s = ps.torus2_numerators() if ps.with_second else None
             xs = ps.x_reals()
@@ -499,37 +641,28 @@ def _exp_generate(cfg: ExperimentConfig, out: Path):
     return [name], True, clocks
 
 
-def _exp_equidist(cfg: ExperimentConfig, out: Path):
-    if not cfg.observables:
-        raise ConfigInvalid("equidist needs at least one observable")
+def _run_equidist(cfg: ExperimentConfig, out: Path):
     variant = cfg.point_set["variant"]
-    d_values = [int(d) for d in cfg.raw.get("d_values", [cfg.point_set["d"]])]
+    d_values = cfg.params["d_values"] or [cfg.spec.d]
     # the surface points are reduced up front only if an observable reads them
     on_surface = any("x" in obs._slots() for obs in cfg.observables)
     outputs = []
     obs_payload = []
     clocks: dict = {}
     for d in d_values:
-        dcfg = replace(cfg, point_set={**cfg.point_set, "d": d})
-
         def work(n):
             part: dict = {}
-            with _stage(part, "generate"):
-                ps = gen_point_set(_spec_for(dcfg, n), variant)
-            if on_surface:
-                with _stage(part, "reduce"):
-                    ps.reduced_xy()
+            ps = _staged_point_set(cfg, replace(cfg.spec, n=n, d=d), part, on_surface)
             return n, ps, part
 
         sets = {}
-        for n, ps, part in _map_schedule(dcfg, work):
+        for n, ps, part in _map_schedule(cfg, work, cfg.n_schedule):
             sets[n] = ps
             _merge_clocks(clocks, part)
-        spec0 = _spec_for(dcfg, dcfg.n_schedule[0])
+        spec0 = replace(cfg.spec, n=cfg.n_schedule[0], d=d)
         for i, obs in enumerate(cfg.observables):
             with _stage(clocks, "evaluate"):
-                rep = equidist_report(spec0, variant, obs, cfg.n_schedule,
-                                      point_sets=sets)
+                rep = equidist_report(spec0, variant, obs, cfg.n_schedule, point_sets=sets)
             name = (f"equidist_{i}.csv" if len(d_values) == 1
                     else f"equidist_d{d}_{i}.csv")
             with _stage(clocks, "write"):
@@ -550,7 +683,7 @@ def _exp_equidist(cfg: ExperimentConfig, out: Path):
                 "fit_residual": rep.fit_residual,
             })
     ok = True
-    if cfg.raw.get("require_decay"):
+    if cfg.params["require_decay"]:
         # the smallest n is pre-asymptotic: the trend and the decay fit both
         # start at the second point
         for rec in obs_payload:
@@ -574,276 +707,185 @@ def _exp_equidist(cfg: ExperimentConfig, out: Path):
     return outputs, ok, clocks
 
 
-def _exp_kloosterman(cfg: ExperimentConfig, out: Path):
-    if cfg.raw.get("weyl_full"):
-        return _exp_weyl_full(cfg, out)
-    m_range = int(cfg.raw.get("m_range", 2))
-    cross = bool(cfg.raw.get("cross_check", False))
-    tol = 1e-9
-    rows = []
-    ok = True
-
-    def work(n):
-        local = []
-        phi = totient(n)
-        tau = divisor_count(n)
-        ps = gen_triple(PointSetSpec(n=n)) if cross else None
-        for m1 in range(-m_range, m_range + 1):
-            for m2 in range(-m_range, m_range + 1):
-                avg = kloosterman_average(n, m1, m2)
-                closed = kloosterman_sum(m1, m2, n) / phi
-                good = abs(avg - closed) <= tol
-                if (m1, m2) != (0, 0):
-                    g = gcd(gcd(abs(m1), abs(m2)), n)
-                    good &= abs(avg) <= tau * math.sqrt(g * n) / phi + tol
-                if cross and ps is not None:
-                    emp = empirical_average(ps, TwoTorusChar(m1, m2))
-                    good &= abs(emp - closed) <= tol
-                local.append((n, m1, m2, avg.real, avg.imag, good))
-        return local
-
-    for chunk in _map_schedule(cfg, work):
-        rows.extend(chunk)
-    ok = all(r[-1] for r in rows)
-    name = write_rows(out, "kloosterman",
-                      ["n", "m1", "m2", "avg_re", "avg_im", "ok"], rows, cfg.format)
-    return [name], ok, {}
-
-
-def _exp_weyl_full(cfg: ExperimentConfig, out: Path):
-    # full-set character sums for every residue frequency at once; the value
-    # must match the 0/1 closed form, and periodicity in m covers |m| <= 2n
-    tol = 1e-10
-
-    def work(n):
+def _kloosterman_rows(cfg: ExperimentConfig, n: int):
+    if cfg.params["weyl_full"]:
+        # full-set character sums for every residue frequency at once must match
+        # the 0/1 closed form; periodicity in m covers |m| <= 2n
         vals = weyl_sums_all_residues(n)
         dev = float(abs(vals[0] - 1.0))
         if n > 1:
             dev = max(dev, float(np.abs(vals[1:]).max()))
-        return (n, dev, dev <= tol)
-
-    rows = _map_schedule(cfg, work)
-    ok = all(r[-1] for r in rows)
-    name = write_rows(out, "weyl", ["n", "max_abs_error", "ok"], rows, cfg.format)
-    return [name], ok, {}
-
-
-def _exp_invariance(cfg: ExperimentConfig, out: Path):
-    primes = [int(p) for p in cfg.raw.get("primes", [2, 3, 5])]
-    d_values = [int(d) for d in cfg.raw.get("d_values", [1])]
+        return [], [(n, dev, dev <= 1e-10)]
+    m_range, tol = cfg.params["m_range"], 1e-9
+    phi, tau = totient(n), divisor_count(n)
+    ps = gen_triple(PointSetSpec(n=n)) if cfg.params["cross_check"] else None
     rows = []
-
-    def work(n):
-        local = []
-        for d in d_values:
-            for p in primes:
-                if n % p == 0:
-                    continue
-                spec = _spec_for(cfg, n)
-                spec = PointSetSpec(n=n, alpha=spec.alpha, d=d, a=spec.a,
-                                    b=spec.b, c=spec.c, primitive=spec.primitive)
-                local.append((n, p, d, verify_invariance(spec, p)))
-        return local
-
-    for chunk in _map_schedule(cfg, work):
-        rows.extend(chunk)
-    ok = all(r[-1] for r in rows)
-    outputs = [write_rows(out, "invariance", ["n", "p", "d", "invariant"],
-                          rows, cfg.format)]
-    toral = cfg.raw.get("toral")
-    if toral:
-        toral_rows, toral_ok = _toral_block(toral, cfg.seed)
-        ok &= toral_ok
-        outputs.append(write_rows(
-            out, "toral", ["instance", "expanding", "rule_value", "match"],
-            toral_rows, cfg.format))
-    return outputs, ok, {}
+    for m1, m2 in product(range(-m_range, m_range + 1), repeat=2):
+        avg = kloosterman_average(n, m1, m2)
+        closed = kloosterman_sum(m1, m2, n) / phi
+        good = abs(avg - closed) <= tol
+        if (m1, m2) != (0, 0):
+            g = gcd(gcd(abs(m1), abs(m2)), n)
+            good &= abs(avg) <= tau * math.sqrt(g * n) / phi + tol
+        if ps is not None:
+            emp = empirical_average(ps, TwoTorusChar(m1, m2))
+            good &= abs(emp - closed) <= tol
+        rows.append((n, m1, m2, avg.real, avg.imag, good))
+    return rows, []
 
 
-def _toral_block(spec: dict, seed: int):
+def _invariance_rows(cfg: ExperimentConfig, n: int):
+    return ([(n, p, d, verify_invariance(replace(cfg.spec, n=n, d=d), p))
+             for d in cfg.params["d_values"] for p in cfg.params["primes"]
+             if n % p],)
+
+
+def _toral_rows(cfg: ExperimentConfig):
     # seeded random expanding matrices: the correlation must match the
     # frequency transport rule A^T m_in = m_out on every instance
-    count = int(spec.get("count", 1000))
-    max_entry = int(spec.get("max_entry", 10))
-    rng = np.random.default_rng(seed)
-    rows = [(-1, True, toral_correlation([[3, 1], [1, 2]], [1, 0], [3, 1]),
-             toral_correlation([[3, 1], [1, 2]], [1, 0], [3, 1]) == 1.0)]
-    ok = bool(rows[0][-1])
-    made = 0
-    while made < count:
+    toral = cfg.params["toral"]
+    if toral is None:
+        return []
+    max_entry = toral["max_entry"]
+    rng = np.random.default_rng(cfg.seed)
+    val = toral_correlation([[3, 1], [1, 2]], [1, 0], [3, 1])
+    rows = [(-1, True, val, val == 1.0)]
+    while len(rows) <= toral["count"]:
         size = 2 if rng.random() < 0.5 else 1
         A = rng.integers(-max_entry, max_entry + 1, size=(size, size))
         m_in = rng.integers(-max_entry, max_entry + 1, size=size)
         # half the trials see the transported frequency, half a decoy
-        if rng.random() < 0.5:
-            m_out = A.T @ m_in
-        else:
-            m_out = rng.integers(-max_entry, max_entry + 1, size=size)
+        m_out = (A.T @ m_in if rng.random() < 0.5
+                 else rng.integers(-max_entry, max_entry + 1, size=size))
         try:
             val = toral_correlation(A, m_in, m_out)
         except NotExpanding:
             continue
         expected = 1.0 if np.array_equal(A.T @ m_in, m_out) else 0.0
-        good = val == expected
-        ok &= good
-        rows.append((made, True, val, good))
-        made += 1
-    return rows, ok
+        rows.append((len(rows) - 1, True, val, val == expected))
+    return rows
 
 
-def _exp_cardinality(cfg: ExperimentConfig, out: Path):
-    d_values = [int(d) for d in cfg.raw.get("d_values", list(range(1, 13)))]
+def _cardinality_rows(cfg: ExperimentConfig, n: int):
     rows = []
-
-    def work(n):
-        local = []
-        for d in d_values:
-            spec = PointSetSpec(n=n, d=d)
-            generated = len(gen_monomial(spec))
-            formula = residue_count_formula(n, d)
-            local.append((n, d, generated, formula, generated == formula))
-        return local
-
-    for chunk in _map_schedule(cfg, work):
-        rows.extend(chunk)
-    ok = all(r[-1] for r in rows)
-    name = write_rows(out, "cardinality",
-                      ["n", "d", "generated", "formula", "match"], rows, cfg.format)
-    return [name], ok, {}
+    for d in cfg.params["d_values"]:
+        generated = len(gen_monomial(PointSetSpec(n=n, d=d)))
+        formula = residue_count_formula(n, d)
+        rows.append((n, d, generated, formula, generated == formula))
+    return (rows,)
 
 
-def _exp_discrepancy(cfg: ExperimentConfig, out: Path):
-    betas = [float(b) for b in cfg.raw.get("betas", [0.2, 0.4])]
-    d_values = [int(d) for d in cfg.raw.get("d_values", [1])]
-    m_values = [int(m) for m in cfg.raw.get("m_values", [1])]
-    monotone = cfg.raw.get("require_decreasing")  # 'strict' | 'nonincreasing'
+def _discrepancy_rows(cfg: ExperimentConfig, n: int):
     rows = []
+    for beta, d, m in product(cfg.params["betas"], cfg.params["d_values"],
+                              cfg.params["m_values"]):
+        res = discrepancy_l2(n, beta, d, m)
+        rows.append((n, beta, d, m, res.l2_value, res.closed_form, res.prime_count,
+                     abs(res.l2_value - res.closed_form) <= 1e-9))
+    return (rows,)
+
+
+def _discrepancy_falls(cfg: ExperimentConfig, tables) -> bool:
+    # every (beta, d, m) series of L2 values falls along the schedule
+    rule = cfg.params["require_decreasing"]
+    if rule is None:
+        return True
     series: dict[tuple, list[float]] = {}
-    for n in cfg.n_schedule:
-        for beta in betas:
-            for d in d_values:
-                for m in m_values:
-                    res = discrepancy_l2(n, beta, d, m)
-                    rows.append((n, beta, d, m, res.l2_value, res.closed_form,
-                                 res.prime_count,
-                                 abs(res.l2_value - res.closed_form) <= 1e-9))
-                    series.setdefault((beta, d, m), []).append(res.l2_value)
-    ok = all(r[-1] for r in rows)
-    if monotone == "strict":
-        ok &= all(all(a > b for a, b in zip(v, v[1:])) for v in series.values())
-    elif monotone == "nonincreasing":
-        ok &= all(all(a >= b for a, b in zip(v, v[1:])) for v in series.values())
-    name = write_rows(
-        out, "discrepancy",
-        ["n", "beta", "d", "m", "l2", "closed_form", "prime_count", "match"],
-        rows, cfg.format)
-    return [name], ok, {}
+    for row in tables[0]:
+        series.setdefault(row[1:4], []).append(row[4])
+    falls = operator.gt if rule == "strict" else operator.ge
+    return all(all(map(falls, v, v[1:])) for v in series.values())
 
 
-def _exp_cusp_mass(cfg: ExperimentConfig, out: Path):
-    thresholds = [float(t) for t in cfg.raw.get("thresholds", [2.0, 4.0, 8.0])]
-    rel_tol = cfg.raw.get("rel_tol")
-    full_mass = bool(cfg.raw.get("expect_full_mass", False))
-    floor_check = bool(cfg.raw.get("min_height_sqrt_n", False))
+def _cusp_mass_rows(cfg: ExperimentConfig, ps):
+    n = ps.n
     rows = []
-    height_rows = []
-
-    def work(n):
-        part: dict = {}
-        with _stage(part, "generate"):
-            ps = gen_point_set(_spec_for(cfg, n), cfg.point_set["variant"])
-        with _stage(part, "reduce"):
-            heights = ps.heights()
-        local = []
-        with _stage(part, "evaluate"):
-            for T in thresholds:
-                mass = cusp_mass(ps, T)
-                expected = 3.0 / (math.pi * T)
-                rel = abs(mass - expected) / expected
-                if full_mass:
-                    good = mass == 1.0
-                elif rel_tol is not None:
-                    good = rel <= float(rel_tol)
-                else:
-                    good = True
-                local.append((n, T, mass, expected, rel, good))
-            hrow = None
-            if floor_check:
-                lowest = float(heights.min())
-                floor = math.sqrt(n) * (1.0 - 1e-6)
-                hrow = (n, lowest, math.sqrt(n), lowest >= floor)
-        return local, hrow, part
-
-    clocks: dict = {}
-    for local, hrow, part in _map_schedule(cfg, work):
-        rows.extend(local)
-        if hrow is not None:
-            height_rows.append(hrow)
-        _merge_clocks(clocks, part)
-    ok = all(r[-1] for r in rows) and all(r[-1] for r in height_rows)
-    with _stage(clocks, "write"):
-        outputs = [write_rows(out, "cusp_mass",
-                              ["n", "T", "mass", "expected", "rel_err", "ok"],
-                              rows, cfg.format)]
-        if height_rows:
-            outputs.append(write_rows(out, "heights",
-                                      ["n", "min_height", "sqrt_n", "ok"],
-                                      height_rows, cfg.format))
-    return outputs, ok, clocks
+    for T in cfg.params["thresholds"]:
+        mass = cusp_mass(ps, T)
+        expected = 3.0 / (math.pi * T)
+        rel = abs(mass - expected) / expected
+        rel_tol = cfg.params["rel_tol"]
+        good = (mass == 1.0 if cfg.params["expect_full_mass"]
+                else rel_tol is None or rel <= rel_tol)
+        rows.append((n, T, mass, expected, rel, good))
+    if not cfg.params["min_height_sqrt_n"]:
+        return rows, []
+    lowest = float(ps.heights().min())
+    return rows, [(n, lowest, math.sqrt(n), lowest >= math.sqrt(n) * (1.0 - 1e-6))]
 
 
-def _exp_projection(cfg: ExperimentConfig, out: Path):
-    cases = cfg.raw.get("cases")
-    if not cases:
-        raise ConfigInvalid("projection needs a non-empty 'cases' list")
-    rows = []
-    ok = True
-    for case in cases:
-        n = int(case["n"])
-        places = tuple(int(p) for p in case["places"])
-        l = tuple(int(e) for e in case["l"])
-        m = tuple(int(e) for e in case["m"])
-        try:
-            proj = project_level(n, places, l, m)
-            agree = True
-            count = len(proj.pairs)
-        except ArithmeticError:
-            agree = False
-            count = -1
-        ok &= agree
-        rows.append((n, "|".join(map(str, places)), "|".join(map(str, l)),
-                     "|".join(map(str, m)), count, agree))
-    name = write_rows(out, "projection",
-                      ["n", "places", "l", "m", "pairs", "agree"], rows, cfg.format)
-    return [name], ok, {}
+def _projection_rows(cfg: ExperimentConfig, case):
+    n, places, l, m = case
+    try:
+        count, agree = len(project_level(n, places, l, m).pairs), True
+    except ArithmeticError:
+        count, agree = -1, False
+    return ([(n, "|".join(map(str, places)), "|".join(map(str, l)),
+              "|".join(map(str, m)), count, agree)],)
 
 
-def _exp_intersection(cfg: ExperimentConfig, out: Path):
-    def work(n):
-        checked = passed = 0
-        for k in range(1, max(n, 2)):
-            if gcd(k, n) == 1:
-                checked += 1
-                passed += verify_intersection(k, n)
-        return (n, checked, passed, checked == passed)
-
-    rows = _map_schedule(cfg, work)
-    ok = all(r[-1] for r in rows)
-    name = write_rows(out, "intersection",
-                      ["n", "units_checked", "verified", "ok"], rows, cfg.format)
-    return [name], ok, {}
+def _intersection_rows(cfg: ExperimentConfig, n: int):
+    checked = passed = 0
+    for k in range(1, max(n, 2)):
+        if gcd(k, n) == 1:
+            checked += 1
+            passed += verify_intersection(k, n)
+    return ([(n, checked, passed, checked == passed)],)
 
 
-_EXPERIMENTS = {
-    "generate": _exp_generate,
-    "equidist": _exp_equidist,
-    "kloosterman": _exp_kloosterman,
-    "invariance": _exp_invariance,
-    "cardinality": _exp_cardinality,
-    "discrepancy": _exp_discrepancy,
-    "cusp_mass": _exp_cusp_mass,
-    "projection": _exp_projection,
-    "intersection": _exp_intersection,
+def _d_values(default) -> Param:
+    return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1")
+
+
+# in the order of the CLI subcommands
+KINDS: dict[str, Kind] = {
+    "equidist": Kind(body=_run_equidist, params=(
+        Param("observables", parse_observable, many=True, required=True),
+        _d_values(None), Param("require_decay", bool, False))),
+    # weyl_full writes the weyl table instead of the kloosterman one
+    "kloosterman": Kind(
+        hard=True, rows=_kloosterman_rows,
+        params=(Param("m_range", _int, 2, test=lambda m: m >= 0, need=">= 0"),
+                Param("cross_check", bool, False), Param("weyl_full", bool, False)),
+        tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
+                Table("weyl", ("n", "max_abs_error", "ok"), True))),
+    "invariance": Kind(
+        hard=True, rows=_invariance_rows, once=_toral_rows,
+        params=(Param("primes", _int, [2, 3, 5], many=True, test=lambda p: p >= 2,
+                      need=">= 2"),
+                _d_values([1]), Param("toral", _toral)),
+        tables=(Table("invariance", ("n", "p", "d", "invariant")),
+                Table("toral", ("instance", "expanding", "rule_value", "match"), True))),
+    "cardinality": Kind(
+        hard=True, rows=_cardinality_rows, params=(_d_values(list(range(1, 13))),),
+        tables=(Table("cardinality", ("n", "d", "generated", "formula", "match")),)),
+    "discrepancy": Kind(
+        hard=True, rows=_discrepancy_rows, check=_discrepancy_falls,
+        params=(Param("betas", _float, [0.2, 0.4], many=True, test=lambda b: 0 < b < 0.5,
+                      need="in (0, 1/2)"),
+                _d_values([1]),
+                Param("m_values", _int, [1], many=True, test=bool, need="nonzero"),
+                Param("require_decreasing", str, need="strict or nonincreasing",
+                      test=lambda rule: rule in ("strict", "nonincreasing"))),
+        tables=(Table("discrepancy", ("n", "beta", "d", "m", "l2", "closed_form",
+                                      "prime_count", "match")),)),
+    "cusp_mass": Kind(
+        rows=_cusp_mass_rows, on_point_set=True,
+        params=(Param("thresholds", _float, [2.0, 4.0, 8.0], many=True,
+                      test=lambda t: t > 0, need="> 0"),
+                Param("rel_tol", _float, test=lambda t: t >= 0, need=">= 0"),
+                Param("expect_full_mass", bool, False),
+                Param("min_height_sqrt_n", bool, False)),
+        tables=(Table("cusp_mass", ("n", "T", "mass", "expected", "rel_err", "ok")),
+                Table("heights", ("n", "min_height", "sqrt_n", "ok"), True))),
+    "projection": Kind(
+        hard=True, rows=_projection_rows, items="cases",
+        params=(Param("cases", _case, many=True, required=True),),
+        tables=(Table("projection", ("n", "places", "l", "m", "pairs", "agree")),)),
+    "intersection": Kind(
+        hard=True, rows=_intersection_rows,
+        tables=(Table("intersection", ("n", "units_checked", "verified", "ok")),)),
+    "generate": Kind(body=_run_generate),
 }
 
 
@@ -853,7 +895,7 @@ def run(config, out_dir=None) -> RunManifest:
     out = Path(out_dir) if out_dir else (cfg.out_dir or Path.cwd() / "horopoints-out")
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    outputs, ok, clocks = _EXPERIMENTS[cfg.kind](cfg, out)
+    outputs, ok, clocks = (KINDS[cfg.kind].body or _run_tables)(cfg, out)
     clocks = dict(clocks)
     clocks["total"] = time.monotonic() - t0
     manifest = RunManifest(

@@ -31,9 +31,6 @@ __all__ = [
     "HeightBand",
     "Product",
     "Observable",
-    "evaluate",
-    "evaluate_many",
-    "haar_expectation",
     "sobolev_norm_torus",
 ]
 
@@ -374,21 +371,6 @@ class Product:
 
 
 Observable = Union[TorusChar, TwoTorusChar, AutomorphicKernel, HeightBand, Product]
-
-
-def evaluate(obs: Observable, sample: HorocycleSample):
-    """Value of the observable at one sample."""
-    return obs.eval(sample)
-
-
-def evaluate_many(obs: Observable, ps: PointSet) -> np.ndarray:
-    """Values over a whole point set (vectorized)."""
-    return obs.eval_many(ps)
-
-
-def haar_expectation(obs: Observable) -> HaarTarget:
-    """The Haar-measure integral the empirical averages are tested against."""
-    return obs.haar()
 
 
 def sobolev_norm_torus(coefficients: Mapping[int, complex], degree: int,

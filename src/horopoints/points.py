@@ -32,7 +32,6 @@ __all__ = [
     "gen_triple",
     "gen_point_set",
     "apply_M",
-    "apply_T",
     "verify_invariance",
     "project_level",
     "project_level_direct",
@@ -230,23 +229,14 @@ def _check_prime_action(p: int, n: int) -> None:
 
 
 def apply_M(sample: HorocycleSample, p: int, d: int, sign: int = 1) -> HorocycleSample:
-    """Residue map k -> p^(+-2d) * k mod n (negative sign via the inverse)."""
+    """Residue map k -> p^(+-2d) * k mod n (negative sign via the inverse);
+    on a triple sample it moves the second torus coordinate by the inverse."""
     _check_prime_action(p, sample.n)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     factor = pow(p, 2 * d, sample.n)
     if sign < 0:
         factor = mod_inverse(factor, sample.n)
-    return replace(sample, k=(factor * sample.k) % sample.n)
-
-
-def apply_T(sample: HorocycleSample, p: int, d: int) -> HorocycleSample:
-    """Triple action: first torus coordinate times p^(2d), second times its
-    inverse, surface point moved accordingly (k -> p^(2d) k mod n)."""
-    if sample.b is None:
-        raise ValueError("apply_T acts on triple samples")
-    _check_prime_action(p, sample.n)
-    factor = pow(p, 2 * d, sample.n)
     return replace(sample, k=(factor * sample.k) % sample.n)
 
 

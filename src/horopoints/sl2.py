@@ -34,7 +34,6 @@ __all__ = [
     "to_point",
     "reduce",
     "reduce_many",
-    "reduce_heights",
     "invariant_height",
     "adjoint_height",
     "intersection_witness",
@@ -274,11 +273,6 @@ def reduce_many(
     if with_matrices:
         return x, y, (a, b, c, d)
     return x, y
-
-
-def reduce_heights(x: np.ndarray, y) -> np.ndarray:
-    """Invariant heights for a batch of points z = x + iy."""
-    return reduce_many(x, y)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import primes_coprime, totient, unit_inverses, units
-from .observables import Observable, evaluate, evaluate_many, haar_expectation
+from .observables import Observable
 from .points import PointSet, PointSetSpec, gen_point_set
 
 __all__ = [
@@ -63,9 +63,9 @@ def empirical_average(samples, obs: Observable) -> complex:
     if isinstance(samples, PointSet):
         if len(samples) == 0:
             raise EmptySet("point set is empty")
-        vals = np.asarray(evaluate_many(obs, samples), dtype=complex)
+        vals = np.asarray(obs.eval_many(samples), dtype=complex)
     else:
-        vals = np.array([evaluate(obs, s) for s in samples], dtype=complex)
+        vals = np.array([obs.eval(s) for s in samples], dtype=complex)
         if vals.size == 0:
             raise EmptySet("no samples given")
     return complex(vals.mean())
@@ -104,13 +104,12 @@ def weyl_sums_all_residues(n: int) -> np.ndarray:
     return np.conj(np.fft.fft(ones)) / n
 
 
-def toral_correlation(matrix, m_in, m_out, level=None) -> float:
+def toral_correlation(matrix, m_in, m_out) -> float:
     """<e_{m_in} o T_A, e_{m_out}> for an expanding integer matrix A.
 
     By orthogonality of characters this is 1 exactly when A^T m_in = m_out
     and 0 otherwise; the bookkeeping is exact integer arithmetic, the
-    expansion check is numeric.  `level` (torus periods) is accepted for
-    signature completeness; the frequency lattice is Z^n for every level.
+    expansion check is numeric.  The level of the torus does not enter.
     """
     A = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
     if A.shape[0] != A.shape[1] or A.shape[0] not in (1, 2):
@@ -240,7 +239,7 @@ def equidist_report(spec_template: PointSetSpec, variant: str, obs: Observable,
     (exact-cancellation cases carry no rate information).
     """
     n_values = sorted(n_values)
-    target = haar_expectation(obs)
+    target = obs.haar()
     empirical: list[complex] = []
     errors: list[float] = []
     for n in n_values:

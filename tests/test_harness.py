@@ -4,6 +4,7 @@ payloads, the CLI surface, and plot emission."""
 import json
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -86,6 +87,39 @@ def test_equidist_thread_count_does_not_change_bytes(tmp_path):
         (tmp_path / "t3" / "equidist_0.csv").read_bytes()
     assert (tmp_path / "t1" / "equidist.json").read_bytes() == \
         (tmp_path / "t3" / "equidist.json").read_bytes()
+
+
+# one small config per kind mapped over items, both kloosterman modes
+PER_ITEM_CONFIGS = {
+    "kloosterman": _base("kloosterman", n_schedule=[5, 7, 12, 30], m_range=1,
+                         cross_check=True),
+    "weyl_full": _base("kloosterman", n_schedule=list(range(1, 40)), weyl_full=True),
+    "intersection": _base("intersection", n_schedule=list(range(1, 30))),
+    "cardinality": _base("cardinality", n_schedule=[12, 16, 45], d_values=[1, 2, 3]),
+    "invariance": _base("invariance", n_schedule=[7, 11, 49], primes=[2, 3],
+                        d_values=[1, 2], toral={"count": 20}),
+    "discrepancy": _base("discrepancy", n_schedule=[1009, 2003, 10007], betas=[0.3],
+                         m_values=[1, 2], require_decreasing="nonincreasing"),
+    "cusp_mass": _base("cusp_mass", n_schedule=[101, 103, 107], thresholds=[2.0],
+                       min_height_sqrt_n=True, point_set={"alpha": "5/4"}),
+    "projection": {"schema_version": 1, "kind": "projection",
+                   "cases": [{"n": 5, "places": [2], "l": [1], "m": [0]},
+                             {"n": 7, "places": [2, 3], "l": [1, 0], "m": [0, 2]},
+                             {"n": 25, "places": [3], "l": [2], "m": [1]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_ITEM_CONFIGS))
+def test_thread_count_does_not_change_bytes(tmp_path, name):
+    cfg = PER_ITEM_CONFIGS[name]
+    one = run({**cfg, "threads": 1}, out_dir=tmp_path / "t1")
+    three = run({**cfg, "threads": 3}, out_dir=tmp_path / "t3")
+    assert one.all_passed and three.all_passed
+    assert one.outputs == three.outputs
+    for out in one.outputs:
+        assert (tmp_path / "t1" / out).read_bytes() == (tmp_path / "t3" / out).read_bytes()
+    # the driver times every item and the writes
+    assert {"evaluate", "write", "total"} <= set(one.wall_clock_s)
 
 
 def test_generate_csv_columns(tmp_path):
@@ -274,6 +308,19 @@ def test_range_schedule_fails_closed():
     # the guard applies to the largest scheduled n, not to stop
     cfg = load_config(_base("generate", n_schedule={"stop": 10 ** 12, "step": 10 ** 12}))
     assert cfg.n_schedule == [1]
+    # the length is bounded before a range or a ramp is listed
+    guard = harness._SCHEDULE_GUARD
+    assert len(load_config(_base("generate", n_schedule={"stop": guard})).n_schedule) == guard
+    for too_long in ({"stop": guard + 1}, {"stop": 10 ** 8},
+                     {"start": 1, "factor": 1, "count": guard + 1},
+                     {"start": 1, "factor": 1, "count": 10 ** 12},
+                     list(range(1, guard + 2))):
+        with pytest.raises(ResourceExhausted):
+            load_config(_base("generate", n_schedule=too_long))
+    # a ramp stops at the first n beyond the 1e8 guard, before snapping it
+    with pytest.raises(ResourceExhausted):
+        load_config(_base("generate", n_schedule={
+            "start": 10, "factor": 10, "count": 400, "snap_to_prime": True}))
 
 
 def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
@@ -321,3 +368,47 @@ def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
     run(_base("cusp_mass", n_schedule=schedule), out_dir=tmp_path / "serial")
     assert ((tmp_path / "serial" / "cusp_mass.csv").read_bytes()
             == (tmp_path / "cusp" / "cusp_mass.csv").read_bytes())
+
+
+# each must fail at load time as ConfigInvalid, and on the CLI exit 2, not a traceback
+BAD_CONFIGS = {
+    "ramp_without_start": _base("generate", n_schedule={"factor": 10, "count": 3}),
+    "ramp_factor_not_a_number": _base("generate", n_schedule={
+        "start": 10, "factor": "x", "count": 3}),
+    "schedule_entry_not_an_integer": _base("generate", n_schedule=["x"]),
+    "alpha_not_a_fraction": _base("generate", point_set={"alpha": "abc"}),
+    "alpha_negative": _base("generate", point_set={"alpha": "-1"}),
+    "degree_zero": _base("generate", point_set={"d": 0}),
+    "m_range_not_an_integer": _base("kloosterman", m_range="x"),
+    "beta_beyond_one_half": _base("discrepancy", betas=[0.9]),
+    "case_without_places": {"schema_version": 1, "kind": "projection",
+                            "cases": [{"n": 5, "l": [1], "m": [0]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_parameters_fail_closed_at_load(tmp_path, capsys, name):
+    cfg = BAD_CONFIGS[name]
+    with pytest.raises(ConfigInvalid):
+        load_config(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    command = cfg["kind"].replace("_", "-")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_a_subcommand_per_kind(capsys):
+    # the ten subcommands in help order; every shipped config's kind has one
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = ("{equidist,kloosterman,invariance,cardinality,discrepancy,cusp-mass,"
+              "projection,intersection,generate,plot}")
+    assert listed in capsys.readouterr().out
+    commands = listed.strip("{}").split(",")
+    shipped = Path(__file__).resolve().parent.parent / "configs"
+    for path in shipped.glob("c*.json"):
+        assert json.loads(path.read_text())["kind"].replace("_", "-") in commands
+    assert sorted(commands) == sorted([k.replace("_", "-") for k in harness.KINDS] + ["plot"])

@@ -13,9 +13,6 @@ from horopoints.observables import (
     RadiusTooLarge,
     TorusChar,
     TwoTorusChar,
-    evaluate,
-    evaluate_many,
-    haar_expectation,
     sobolev_norm_torus,
 )
 from horopoints.points import HorocycleSample, PointSetSpec, gen_full, gen_triple
@@ -56,17 +53,17 @@ def brute_kernel(z, radius, profile="indicator", center=1j, bound=10):
 
 def test_torus_char_examples():
     s = HorocycleSample(k=1, n=4)
-    assert abs(evaluate(TorusChar(2), s) - (-1.0)) < 1e-12
-    assert evaluate(TorusChar(0), s) == 1.0
+    assert abs(TorusChar(2).eval(s) - (-1.0)) < 1e-12
+    assert TorusChar(0).eval(s) == 1.0
 
 
 def test_two_torus_char():
     ps = gen_triple(PointSetSpec(n=5, d=1))
-    vals = evaluate_many(TwoTorusChar(1, 1), ps)
-    scalar = np.array([evaluate(TwoTorusChar(1, 1), s) for s in ps])
+    vals = TwoTorusChar(1, 1).eval_many(ps)
+    scalar = np.array([TwoTorusChar(1, 1).eval(s) for s in ps])
     assert np.allclose(vals, scalar, atol=1e-12)
     with pytest.raises(ValueError):
-        evaluate(TwoTorusChar(1, 1), HorocycleSample(k=1, n=5))
+        TwoTorusChar(1, 1).eval(HorocycleSample(k=1, n=5))
 
 
 def test_kernel_at_center_matches_brute_enumeration():
@@ -114,12 +111,12 @@ def test_kernel_enumeration_complete_under_widening():
 
 
 def test_kernel_haar_examples():
-    t = haar_expectation(AutomorphicKernel(radius=1.0, profile="indicator"))
+    t = AutomorphicKernel(radius=1.0, profile="indicator").haar()
     # ball area 4*pi*sinh^2(R/2) over the surface volume pi/3
     assert abs(t.value - 12.0 * math.sinh(0.5) ** 2) < 1e-10
     assert not t.exact and t.tolerance <= 1e-8
 
-    smooth = haar_expectation(AutomorphicKernel(radius=1.0, profile="smooth"))
+    smooth = AutomorphicKernel(radius=1.0, profile="smooth").haar()
     # trapezoid oracle for 6 * int (1-r^2)^2 sinh r dr
     rs = np.linspace(0.0, 1.0, 200_001)
     vals = (1 - rs ** 2) ** 2 * np.sinh(rs)
@@ -127,30 +124,30 @@ def test_kernel_haar_examples():
 
 
 def test_height_band_haar():
-    t = haar_expectation(HeightBand(2.0))
+    t = HeightBand(2.0).haar()
     assert t.exact and abs(t.value - 3.0 / (2 * math.pi)) < 1e-15
     with pytest.raises(ValueError):
         HeightBand(0.5)
     # additivity over a partition of (1, inf)
     cuts = [1.0, 1.5, 2.0, 4.0, 16.0, math.inf]
-    total = sum(haar_expectation(HeightBand(a, b)).value
+    total = sum(HeightBand(a, b).haar().value
                 for a, b in zip(cuts[:-1], cuts[1:]))
     assert abs(total - 3.0 / math.pi) < 1e-12
 
 
 def test_height_band_eval():
     ps = gen_full(2, Fraction(1, 2))  # heights {2, 1}
-    vals = evaluate_many(HeightBand(1.5), ps)
+    vals = HeightBand(1.5).eval_many(ps)
     assert sorted(vals.tolist()) == [0.0, 1.0]
     s = ps[0]
-    assert evaluate(HeightBand(1.5), s) == 1.0  # k=0 reduces to 2i
+    assert HeightBand(1.5).eval(s) == 1.0  # k=0 reduces to 2i
 
 
 def test_torus_char_haar():
-    assert haar_expectation(TorusChar(3)).value == 0.0
-    assert haar_expectation(TorusChar(0)).value == 1.0
-    assert haar_expectation(TwoTorusChar(0, 0)).value == 1.0
-    assert haar_expectation(TwoTorusChar(2, -1)).value == 0.0
+    assert TorusChar(3).haar().value == 0.0
+    assert TorusChar(0).haar().value == 1.0
+    assert TwoTorusChar(0, 0).haar().value == 1.0
+    assert TwoTorusChar(2, -1).haar().value == 0.0
 
 
 def test_radius_cap():
@@ -161,10 +158,10 @@ def test_radius_cap():
 def test_product():
     prod = Product((TorusChar(1), AutomorphicKernel(1.0)))
     ps = gen_full(7, Fraction(1, 2))
-    vals = evaluate_many(prod, ps)
-    byhand = evaluate_many(TorusChar(1), ps) * evaluate_many(AutomorphicKernel(1.0), ps)
+    vals = prod.eval_many(ps)
+    byhand = TorusChar(1).eval_many(ps) * AutomorphicKernel(1.0).eval_many(ps)
     assert np.allclose(vals, byhand, atol=1e-12)
-    assert haar_expectation(prod).value == 0.0
+    assert prod.haar().value == 0.0
     with pytest.raises(ValueError):
         Product((TorusChar(1), TorusChar(2)))
     with pytest.raises(ValueError):
@@ -175,19 +172,19 @@ def test_eval_many_matches_scalar():
     ps = gen_full(31, Fraction(1, 2))
     for obs in (TorusChar(2), AutomorphicKernel(1.0), HeightBand(1.2, 5.0),
                 Product((TorusChar(1), HeightBand(1.1)))):
-        bulk = np.asarray(evaluate_many(obs, ps), dtype=complex)
-        scalar = np.array([evaluate(obs, s) for s in ps], dtype=complex)
+        bulk = np.asarray(obs.eval_many(ps), dtype=complex)
+        scalar = np.array([obs.eval(s) for s in ps], dtype=complex)
         assert np.allclose(bulk, scalar, atol=1e-9), obs
 
 
 def test_unfolding_trend():
     # empirical kernel averages drift toward the unfolded Haar value
     ker = AutomorphicKernel(radius=1.0, profile="smooth")
-    target = haar_expectation(ker).value
+    target = ker.haar().value
     errs = []
     for n in (997, 10007):
         ps = gen_full(n, Fraction(1, 2))
-        errs.append(abs(np.mean(evaluate_many(ker, ps)) - target))
+        errs.append(abs(np.mean(ker.eval_many(ps)) - target))
     assert errs[1] < errs[0]
 
 

@@ -12,7 +12,6 @@ from horopoints.points import (
     PointSetSpec,
     PrimeDividesModulus,
     apply_M,
-    apply_T,
     gen_full,
     gen_monomial,
     gen_point_set,
@@ -111,26 +110,21 @@ def test_apply_M_examples():
     assert apply_M(apply_M(s, 3, 1, +1), 3, 1, -1).k == s.k
     with pytest.raises(PrimeDividesModulus):
         apply_M(HorocycleSample(k=1, n=9), 3, 1)
-
-
-def test_apply_T_examples():
-    s = HorocycleSample(k=1, n=5, b=1)
-    t = apply_T(s, 2, 1)
+    # on a triple sample: first torus coordinate times p^(2d), second by its inverse
+    t = apply_M(HorocycleSample(k=1, n=5, b=1), 2, 1)
     assert t.k == 4
     assert (t.torus1, t.torus2) == (Fraction(4, 5), Fraction(4, 5))
     with pytest.raises(PrimeDividesModulus):
-        apply_T(HorocycleSample(k=1, n=4, b=1), 2, 1)
-    with pytest.raises(ValueError):
-        apply_T(HorocycleSample(k=1, n=5), 2, 1)  # no second coordinate
+        apply_M(HorocycleSample(k=1, n=4, b=1), 2, 1)
 
 
-def test_apply_T_totient_cycle():
+def test_apply_M_totient_cycle():
     # phi(n)-fold composition is the identity on every sample
     for n, p, d in [(5, 2, 1), (7, 3, 2), (9, 2, 1)]:
         s = HorocycleSample(k=1, n=n, b=1)
         t = s
         for _ in range(totient(n)):
-            t = apply_T(t, p, d)
+            t = apply_M(t, p, d)
         assert t.k == s.k
 
 

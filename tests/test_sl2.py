@@ -21,7 +21,6 @@ from horopoints.sl2 import (
     make_v,
     mobius,
     reduce,
-    reduce_heights,
     reduce_many,
     to_point,
     verify_intersection,
@@ -186,11 +185,11 @@ def test_invariant_height_gamma_invariance():
         assert _close(invariant_height(z), invariant_height(mobius(g, z)), 1e-9)
 
 
-def test_reduce_heights_matches_scalar():
+def test_reduce_many_heights_match_scalar():
     rng = np.random.default_rng(31)
     x = rng.uniform(-2, 2, 400)
     y = 10 ** rng.uniform(-6, 2, 400)
-    hs = reduce_heights(x, y)
+    hs = reduce_many(x, y)[1]
     for i in range(0, 400, 7):
         assert _close(hs[i], invariant_height(complex(x[i], y[i])), 1e-9 * max(1, hs[i]))
 
