@@ -26,7 +26,6 @@ __all__ = [
     "next_prime",
     "factorize",
     "totient",
-    "omega",
     "mobius",
     "divisor_count",
     "mod_inverse",
@@ -35,7 +34,6 @@ __all__ = [
     "units",
     "unit_inverses",
     "powmod",
-    "residue_set",
     "residue_array",
     "residue_count_formula",
     "ramanujan_sum",
@@ -218,15 +216,8 @@ def totient(n: int) -> int:
     return phi
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    if n < 1:
-        raise ValueError("omega requires n >= 1")
-    return len(factorize(n))
-
-
 def mobius(n: int) -> int:
-    """Moebius mu: 0 on non-squarefree n, else (-1)^omega(n)."""
+    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
     fac = factorize(n)
     if any(e > 1 for e in fac.values()):
         return 0
@@ -286,15 +277,6 @@ def unit_inverses(n: int) -> np.ndarray:
     """Inverses of units(n), aligned elementwise (k * kbar = 1 mod n)."""
     u = units(n)
     return powmod(u, totient(n) - 1, n)
-
-
-def residue_set(n: int, d: int, a: int = 1) -> set[int]:
-    """The set {a * k^d mod n : gcd(k, n) = 1}, deduplicated."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if gcd(a, n) != 1:
-        raise NotCoprime(f"a={a} shares a factor with n={n}")
-    return set(residue_array(n, d, a).tolist())
 
 
 def residue_array(n: int, d: int, a: int = 1) -> np.ndarray:

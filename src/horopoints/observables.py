@@ -13,7 +13,7 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,7 +31,6 @@ __all__ = [
     "HeightBand",
     "Product",
     "Observable",
-    "sobolev_norm_torus",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -371,12 +370,3 @@ class Product:
 
 
 Observable = Union[TorusChar, TwoTorusChar, AutomorphicKernel, HeightBand, Product]
-
-
-def sobolev_norm_torus(coefficients: Mapping[int, complex], degree: int,
-                       period: float = 1.0) -> float:
-    """(sum |a_m|^2 (1 + |m / period|)^(2*degree))^(1/2) over the support."""
-    total = 0.0
-    for m, amp in coefficients.items():
-        total += abs(amp) ** 2 * (1.0 + abs(m / period)) ** (2 * degree)
-    return math.sqrt(total)

@@ -3,7 +3,6 @@ the prime-averaged discrepancy operator, and decay-rate estimation."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -11,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import primes_coprime, totient, unit_inverses, units
+from .arith import primes_coprime
 from .observables import Observable
 from .points import PointSet, PointSetSpec, gen_point_set
 
@@ -23,14 +22,12 @@ __all__ = [
     "DiscrepancyResult",
     "EquidistReport",
     "empirical_average",
-    "kloosterman_average",
     "weyl_sum_full",
     "weyl_sums_all_residues",
     "toral_correlation",
     "discrepancy_l2",
     "rate_fit",
     "cusp_mass",
-    "primitive_density",
     "equidist_report",
 ]
 
@@ -68,19 +65,6 @@ def empirical_average(samples, obs: Observable) -> complex:
         vals = np.array([obs.eval(s) for s in samples], dtype=complex)
         if vals.size == 0:
             raise EmptySet("no samples given")
-    return complex(vals.mean())
-
-
-def kloosterman_average(n: int, m1: int, m2: int) -> complex:
-    """(1/phi(n)) * sum over units of e((m1*k + m2*kbar)/n), summed directly."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return complex(1.0)
-    u = units(n)
-    ub = unit_inverses(n)
-    phase = ((m1 % n) * u % n + (m2 % n) * ub % n) % n
-    vals = np.exp((2j * np.pi / n) * phase)
     return complex(vals.mean())
 
 
@@ -195,14 +179,6 @@ def cusp_mass(samples, T: float) -> float:
     if not heights:
         raise EmptySet("no samples given")
     return sum(1 for h in heights if h > T) / len(heights)
-
-
-def primitive_density(n: int) -> tuple[float, float]:
-    """(phi(n)/n, phi(n) * log log n / n); the second stays bounded below."""
-    if n < 3:
-        raise ValueError("need n >= 3 for log log n")
-    ratio = totient(n) / n
-    return ratio, ratio * math.log(math.log(n))
 
 
 # ---------------------------------------------------------------------------

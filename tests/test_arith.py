@@ -6,7 +6,6 @@ under test never computes its own expectations.
 """
 
 import cmath
-import math
 from math import gcd
 
 import numpy as np
@@ -21,13 +20,11 @@ from horopoints.arith import (
     mod_inverse,
     mobius,
     next_prime,
-    omega,
     powmod,
     primes_coprime,
     ramanujan_sum,
     residue_array,
     residue_count_formula,
-    residue_set,
     totient,
     units,
     unit_inverses,
@@ -50,19 +47,6 @@ def brute_gcd(a, b):
 
 def brute_totient(n):
     return sum(1 for k in range(n) if gcd(k, n) == 1) if n > 1 else 1
-
-
-def brute_omega(n):
-    count = 0
-    m = n
-    for p in range(2, n + 1):
-        if p * p > m:
-            break
-        if m % p == 0:
-            count += 1
-            while m % p == 0:
-                m //= p
-    return count + (1 if m > 1 else 0)
 
 
 def brute_residues(n, d, a=1):
@@ -148,22 +132,6 @@ def test_totient_brute_force_sweep():
         assert totient(n) == expected, n
 
 
-def test_omega_examples():
-    assert omega(1) == 0
-    assert omega(12) == 2 == brute_omega(12)
-    assert omega(30030) == 6 == brute_omega(30030)
-
-
-def test_omega_log_bound():
-    # omega(n) <= log2(n) holds everywhere (2^omega <= product of prime divisors <= n)
-    for n in range(2, 10_001):
-        assert omega(n) <= math.log2(n) + 1e-12
-    # the natural-log version holds on [3, 10^4] with the single exception
-    # n = 6, where omega = 2 > ln 6 = 1.79...; the bound is asymptotic.
-    violations = {n for n in range(3, 10_001) if omega(n) > math.log(n)}
-    assert violations == {6}
-
-
 def test_factorize_and_divisors():
     assert factorize(1) == {}
     assert factorize(9973 * 9973) == {9973: 2}
@@ -226,12 +194,16 @@ def test_bulk_paths_reject_moduli_beyond_int64():
         kloosterman_sum(1, 1, n)
 
 
+def _residue_set(n, d, a=1):
+    return set(residue_array(n, d, a).tolist())
+
+
 def test_residue_set_examples():
-    assert residue_set(5, 1) == {1, 2, 3, 4} == brute_residues(5, 1)
-    assert residue_set(7, 2) == {1, 2, 4} == brute_residues(7, 2)
-    assert residue_set(15, 2) == {1, 4} == brute_residues(15, 2)
+    assert _residue_set(5, 1) == {1, 2, 3, 4} == brute_residues(5, 1)
+    assert _residue_set(7, 2) == {1, 2, 4} == brute_residues(7, 2)
+    assert _residue_set(15, 2) == {1, 4} == brute_residues(15, 2)
     with pytest.raises(NotCoprime):
-        residue_set(6, 1, a=3)
+        residue_array(6, 1, a=3)
 
 
 def test_residue_set_random_against_brute():
@@ -242,7 +214,7 @@ def test_residue_set_random_against_brute():
         a = int(rng.integers(1, n + 1))
         if gcd(a, n) != 1:
             continue
-        assert residue_set(n, d, a) == brute_residues(n, d, a), (n, d, a)
+        assert _residue_set(n, d, a) == brute_residues(n, d, a), (n, d, a)
 
 
 def test_residue_count_formula_examples():
@@ -260,7 +232,7 @@ def test_residue_count_formula_examples():
 def test_residue_count_formula_sweep():
     for n in range(1, 301):
         for d in range(1, 9):
-            assert residue_count_formula(n, d) == len(residue_set(n, d)), (n, d)
+            assert residue_count_formula(n, d) == len(residue_array(n, d)), (n, d)
 
 
 def test_ramanujan_examples():

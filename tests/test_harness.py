@@ -63,7 +63,7 @@ def test_parse_observables():
 
 
 def test_run_kloosterman_and_determinism(tmp_path):
-    cfg = _base("kloosterman", m_range=1, cross_check=True)
+    cfg = _base("kloosterman", m_range=1)
     m1 = run(cfg, out_dir=tmp_path / "a")
     m2 = run(cfg, out_dir=tmp_path / "b")
     assert m1.all_passed and m2.all_passed
@@ -91,8 +91,7 @@ def test_equidist_thread_count_does_not_change_bytes(tmp_path):
 
 # one small config per kind mapped over items, both kloosterman modes
 PER_ITEM_CONFIGS = {
-    "kloosterman": _base("kloosterman", n_schedule=[5, 7, 12, 30], m_range=1,
-                         cross_check=True),
+    "kloosterman": _base("kloosterman", n_schedule=[5, 7, 12, 30], m_range=1),
     "weyl_full": _base("kloosterman", n_schedule=list(range(1, 40)), weyl_full=True),
     "intersection": _base("intersection", n_schedule=list(range(1, 30))),
     "cardinality": _base("cardinality", n_schedule=[12, 16, 45], d_values=[1, 2, 3]),
@@ -224,6 +223,44 @@ def test_json_format_payload(tmp_path):
     payload = json.loads((tmp_path / "cardinality.json").read_text())
     assert payload["columns"] == ["n", "d", "generated", "formula", "match"]
     assert payload["rows"][0] == [12, 2, 1, 1, True]  # squares mod 12 = {1}
+
+
+def test_equidist_honours_format(tmp_path):
+    cfg = _base("equidist", n_schedule=[53, 101],
+                observables=[{"type": "torus_char", "m": 1}], format="json")
+    man = run(cfg, out_dir=tmp_path)
+    assert man.outputs == ["equidist_0.json", "equidist.json"]
+    assert not (tmp_path / "equidist_0.csv").exists()
+    payload = json.loads((tmp_path / "equidist_0.json").read_text())
+    assert payload["columns"] == ["n", "empirical_re", "empirical_im", "haar", "abs_error"]
+    assert [row[0] for row in payload["rows"]] == [53, 101]
+    assert all(len(row) == 5 for row in payload["rows"])
+
+
+def test_discrepancy_prime_windows_admit_the_shipped_schedules():
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "c10_discrepancy.json"
+    assert load_config(shipped).n_schedule == [1009, 10007, 100003, 1000003]
+    # the benchmark's discrepancy shape: primes near 1e4, 1e5, 1e6
+    cfg = load_config(_base("discrepancy", n_schedule=[10007, 100003, 1000003],
+                            betas=[0.2, 0.4], d_values=[1, 2], m_values=[1, 5]))
+    assert cfg.params["betas"] == [0.2, 0.4]
+    # the smallest admitted n at beta = 0.2 is 33: 33^0.2 > 2
+    assert load_config(_base("discrepancy", n_schedule=[33], betas=[0.2]))
+    with pytest.raises(ConfigInvalid, match="prime window"):
+        load_config(_base("discrepancy", n_schedule=[31], betas=[0.2]))
+
+
+COMMON_KEYS = {"schema_version", "kind", "n_schedule", "point_set", "threads", "seed",
+               "format", "out_dir"}
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_keys_are_declared(path):
+    # a dead or misspelt key would be ignored silently by the loader
+    raw = json.loads(path.read_text())
+    declared = COMMON_KEYS | {p.key for p in harness.KINDS[raw["kind"]].params}
+    assert set(raw) <= declared, sorted(set(raw) - declared)
 
 
 def test_config_without_schedule_is_invalid():
@@ -381,6 +418,10 @@ BAD_CONFIGS = {
     "degree_zero": _base("generate", point_set={"d": 0}),
     "m_range_not_an_integer": _base("kloosterman", m_range="x"),
     "beta_beyond_one_half": _base("discrepancy", betas=[0.9]),
+    # 5^0.2 < 2, so P(5, 5^0.2) holds no prime
+    "empty_prime_window": _base("discrepancy", n_schedule=[5, 1009], betas=[0.2]),
+    # 30^0.45 ~ 4.6, and 2 and 3 both divide 30
+    "prime_window_of_divisors_only": _base("discrepancy", n_schedule=[30], betas=[0.45]),
     "case_without_places": {"schema_version": 1, "kind": "projection",
                             "cases": [{"n": 5, "l": [1], "m": [0]}]},
 }

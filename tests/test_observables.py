@@ -13,7 +13,6 @@ from horopoints.observables import (
     RadiusTooLarge,
     TorusChar,
     TwoTorusChar,
-    sobolev_norm_torus,
 )
 from horopoints.points import HorocycleSample, PointSetSpec, gen_full, gen_triple
 from horopoints.sl2 import IntegerMatrix2, mobius
@@ -187,12 +186,3 @@ def test_unfolding_trend():
         errs.append(abs(np.mean(ker.eval_many(ps)) - target))
     assert errs[1] < errs[0]
 
-
-def test_sobolev_norm_examples():
-    assert sobolev_norm_torus({}, 3) == 0.0
-    for m in (1, 4, -7):
-        for D in (1, 2, 3):
-            assert abs(sobolev_norm_torus({m: 1.0}, D) - (1 + abs(m)) ** D) < 1e-12
-    assert abs(sobolev_norm_torus({1: 1.0, 2: 1.0}, 1) - math.sqrt(13)) < 1e-12
-    # period rescaling
-    assert abs(sobolev_norm_torus({3: 2.0}, 2, period=3.0) - 2.0 * 4.0) < 1e-12

@@ -1,10 +1,14 @@
 """Tests for averages, sum identities, the discrepancy operator, and rate
 estimation."""
 
+import cmath
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horopoints.arith import kloosterman_sum, totient, weil_bound
 from horopoints.observables import TorusChar, TwoTorusChar
@@ -18,8 +22,6 @@ from horopoints.stats import (
     discrepancy_l2,
     empirical_average,
     equidist_report,
-    kloosterman_average,
-    primitive_density,
     rate_fit,
     toral_correlation,
     weyl_sum_full,
@@ -54,20 +56,49 @@ def test_empirical_average_permutation_stable():
         assert abs(empirical_average(samples, obs) - base) < 1e-12
 
 
-def test_kloosterman_average_two_paths():
-    for n in range(1, 300):
-        phi = totient(n)
-        for m1, m2 in [(1, 1), (2, -1), (0, 3), (0, 0), (-3, -3)]:
-            avg = kloosterman_average(n, m1, m2)
-            assert abs(avg * phi - kloosterman_sum(m1, m2, n)) < 1e-9, (n, m1, m2)
-            if (m1, m2) != (0, 0):
-                assert abs(avg) <= weil_bound(m1, m2, n) / phi + 1e-9
+def brute_kloosterman(m1, m2, n):
+    total = 0j
+    for k in range(n):
+        if gcd(k, n) == 1:
+            kbar = pow(k, -1, n) if n > 1 else 0
+            total += cmath.exp(2j * cmath.pi * ((m1 * k + m2 * kbar) % n) / n)
+    return total
+
+
+def _kloosterman_average(n, m1, m2):
+    # the two-torus character averaged over the triple set, as criterion c01 takes it
+    return empirical_average(gen_triple(PointSetSpec(n=n)), TwoTorusChar(m1, m2))
+
+
+@st.composite
+def _modulus_and_frequencies(draw):
+    n = draw(st.integers(1, 3000))
+    freq = st.integers(-2 * n, 2 * n)
+    return n, draw(freq), draw(freq)
+
+
+@settings(deadline=None)
+@given(_modulus_and_frequencies())
+@example((1, 0, 0))
+@example((1, 2, -1))
+@example((12, 0, 0))
+@example((30, 6, -60))
+def test_kloosterman_average_two_paths(case):
+    # the triple-set average against the exponential-sum definition
+    n, m1, m2 = case
+    phi = totient(n)
+    avg = _kloosterman_average(n, m1, m2)
+    assert abs(avg * phi - kloosterman_sum(m1, m2, n)) <= 1e-9
+    if n <= 200:
+        assert abs(avg * phi - brute_kloosterman(m1, m2, n)) <= 1e-9
+    if (m1, m2) != (0, 0):
+        assert abs(avg) <= weil_bound(m1, m2, n) / phi + 1e-9
 
 
 def test_kloosterman_average_examples():
-    assert abs(kloosterman_average(5, 1, 1) - 0.09549150281252627) < 1e-9
-    assert kloosterman_average(17, 0, 0) == 1.0
-    assert abs(kloosterman_average(6, 1, 0) - 0.5) < 1e-12
+    assert abs(_kloosterman_average(5, 1, 1) - 0.09549150281252627) < 1e-9
+    assert _kloosterman_average(17, 0, 0) == 1.0
+    assert abs(_kloosterman_average(6, 1, 0) - 0.5) < 1e-12
 
 
 def test_weyl_sum_closed_form():
@@ -190,15 +221,6 @@ def test_cusp_mass_high_alpha():
 
     ps = gen_monomial(ps_spec)
     assert cusp_mass(ps, 10.0) == 1.0
-
-
-def test_primitive_density():
-    d, dl = primitive_density(4)
-    assert d == 0.5
-    for p in (7, 101):
-        assert abs(primitive_density(p)[0] - (p - 1) / p) < 1e-15
-    d, _ = primitive_density(30030)
-    assert abs(d - 5760 / 30030) < 1e-15
 
 
 def test_equidist_report_structure():
