@@ -26,7 +26,6 @@ __all__ = [
     "next_prime",
     "factorize",
     "totient",
-    "mobius",
     "divisor_count",
     "mod_inverse",
     "primes_upto",
@@ -36,7 +35,6 @@ __all__ = [
     "powmod",
     "residue_array",
     "residue_count_formula",
-    "ramanujan_sum",
     "kloosterman_sum",
     "weil_bound",
 ]
@@ -216,14 +214,6 @@ def totient(n: int) -> int:
     return phi
 
 
-def mobius(n: int) -> int:
-    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def divisor_count(n: int) -> int:
     """tau(n), the number of divisors."""
     tau = 1
@@ -328,21 +318,6 @@ def residue_count_formula(n: int, d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # exponential sums
-
-def ramanujan_sum(n: int, m: int) -> int:
-    """c_n(m) = sum over units k of e(mk/n), by the closed form.
-
-    Equals mu(n/g) * phi(n) / phi(n/g) with g = gcd(m, n); always an integer.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    g = gcd(abs(m), n)
-    q = n // g
-    mu = mobius(q)
-    if mu == 0:
-        return 0
-    return mu * totient(n) // totient(q)
-
 
 def kloosterman_sum(m1: int, m2: int, n: int) -> complex:
     """S(m1, m2; n) = sum over units k of e((m1*k + m2*kbar)/n).

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .arith import (
     gcd,
+    is_prime,
     kloosterman_sum,
     next_prime,
     residue_count_formula,
@@ -78,7 +79,8 @@ __all__ = [
 ENV_OUT_DIR = "HOROPOINTS_OUT"
 SCHEMA_VERSION = 1
 _N_GUARD = 10 ** 8
-# the largest shipped schedule (c05) has 5000 entries
+# bounds the entries of a schedule, of the m_range frequency grid and of the
+# toral instances; the largest shipped one (c05's schedule) has 5000
 _SCHEDULE_GUARD = 10 ** 5
 
 
@@ -198,7 +200,7 @@ def parse_observable(rec: dict) -> Observable:
             return AutomorphicKernel(
                 radius=float(rec["radius"]),
                 profile=rec.get("profile", "smooth"),
-                center=complex(center[0], center[1]) if center else 1j,
+                center=complex(_float(center[0]), _float(center[1])) if center else 1j,
             )
         if t == "height_band":
             upper = rec.get("upper")
@@ -218,6 +220,7 @@ def _toral(value) -> dict | None:
     count, max_entry = _int(value.get("count", 1000)), _int(value.get("max_entry", 10))
     if count < 0 or max_entry < 1:
         raise ValueError("needs count >= 0 and max_entry >= 1")
+    _check_length(count, "toral count")
     return {"count": count, "max_entry": max_entry}
 
 
@@ -227,15 +230,24 @@ def _case(value) -> tuple:
     places, l, m = (tuple(map(_int, value[key])) for key in ("places", "l", "m"))
     if not 1 <= n <= _N_GUARD or len(l) != len(places) or len(m) != len(places):
         raise ValueError(f"{value!r} needs 1 <= n <= 1e8 and l, m aligned with places")
-    if any(e < 0 for e in l + m) or any(p < 2 or n % p == 0 for p in places):
-        raise ValueError(f"{value!r} needs exponents >= 0 and places >= 2 coprime to n")
+    if any(e < 0 for e in l + m) or any(not is_prime(p) or n % p == 0 for p in places):
+        raise ValueError(f"{value!r} needs exponents >= 0 and prime places not dividing n")
     return n, places, l, m
 
 
-def _check_length(length: int) -> None:
+def _m_range(value) -> int:
+    """m_range >= 0, whose (2 m_range + 1)^2 frequency pairs are each one row."""
+    m = _int(value)
+    if m < 0:
+        raise ValueError(f"{value!r} is not >= 0")
+    _check_length((2 * m + 1) ** 2, f"m_range {m}")
+    return m
+
+
+def _check_length(length: int, what: str = "n_schedule") -> None:
     if length > _SCHEDULE_GUARD:
         raise ResourceExhausted(
-            f"n_schedule has {length} entries, above the {_SCHEDULE_GUARD} guard")
+            f"{what} has {length} entries, above the {_SCHEDULE_GUARD} guard")
 
 
 def _parse_schedule(raw) -> list[int]:
@@ -280,7 +292,7 @@ def _parse_schedule(raw) -> list[int]:
 
 _SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
 _RUN_PARAMS = (Param("threads", _int, 1, test=lambda t: t >= 1, need=">= 1"),
-               Param("seed", _int, 0),
+               Param("seed", _int, 0, test=lambda s: s >= 0, need=">= 0"),
                Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
                      need="csv or json"))
 _POINT_SET_DEFAULTS = {"alpha": "1/2", "d": 1, "a": 1, "b": 1, "c": 1,
@@ -348,12 +360,18 @@ def load_config(source) -> ExperimentConfig:
     for n in n_schedule:
         if gcd(spec.a * spec.b * spec.c, n) != 1:
             raise ConfigInvalid(f"multipliers not coprime to n={n}")
+    # the height n^(-2 alpha) falls with n; the spec checks it at the largest n
+    if n_schedule:
+        with _invalid("point_set"):
+            replace(spec, n=n_schedule[-1])
     params = {p.key: p.read(raw) for p in KINDS[kind].params}
     if KINDS[kind].admit is not None:
         KINDS[kind].admit(n_schedule, params)
 
     threads, seed, fmt = (p.read(raw) for p in _RUN_PARAMS)
     out_dir = raw.get("out_dir") or os.environ.get(ENV_OUT_DIR)
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigInvalid(f"out_dir must be a path string, got {out_dir!r}")
     return ExperimentConfig(
         kind=kind,
         raw=raw,
@@ -663,10 +681,9 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
         for n, ps, part in _map_schedule(cfg, work, cfg.n_schedule):
             sets[n] = ps
             _merge_clocks(clocks, part)
-        spec0 = replace(cfg.spec, n=cfg.n_schedule[0], d=d)
         for i, obs in enumerate(cfg.observables):
             with _stage(clocks, "evaluate"):
-                rep = equidist_report(spec0, variant, obs, cfg.n_schedule, point_sets=sets)
+                rep = equidist_report(obs, sets)
             stem = f"equidist_{i}" if len(d_values) == 1 else f"equidist_d{d}_{i}"
             with _stage(clocks, "write"):
                 outputs.append(write_rows(
@@ -856,14 +873,13 @@ KINDS: dict[str, Kind] = {
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
         hard=True, rows=_kloosterman_rows,
-        params=(Param("m_range", _int, 2, test=lambda m: m >= 0, need=">= 0"),
+        params=(Param("m_range", _m_range, 2),
                 Param("weyl_full", bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
         hard=True, rows=_invariance_rows, once=_toral_rows,
-        params=(Param("primes", _int, [2, 3, 5], many=True, test=lambda p: p >= 2,
-                      need=">= 2"),
+        params=(Param("primes", _int, [2, 3, 5], many=True, test=is_prime, need="prime"),
                 _d_values([1]), Param("toral", _toral)),
         tables=(Table("invariance", ("n", "p", "d", "invariant")),
                 Table("toral", ("instance", "expanding", "rule_value", "match"), True))),

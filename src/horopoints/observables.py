@@ -9,7 +9,6 @@ respectively, with no spectral theory involved.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -18,9 +17,9 @@ from typing import Union
 import numpy as np
 from scipy.integrate import quad
 
-from .points import HorocycleSample, PointSet
+from .points import PointSet
 from .sl2 import reduce as sl2_reduce
-from .sl2 import FramedPoint
+from .sl2 import reduce_many
 
 __all__ = [
     "RadiusTooLarge",
@@ -86,7 +85,7 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     if hit is not None:
         return hit
 
-    zc = sl2_reduce(center).point.z
+    zc = sl2_reduce(center).z
     xc, yc = zc.real, zc.imag
     cosh_r = math.cosh(radius)
     y_top = math.exp(radius) * yc * (1.0 + 1e-9) * slack
@@ -185,10 +184,6 @@ class TorusChar:
     def _slots(self):
         return {"t1"}
 
-    def eval(self, sample: HorocycleSample) -> complex:
-        frac = (self.m * sample.torus1) % 1
-        return cmath.exp(_TWO_PI * 1j * float(frac))
-
     def eval_many(self, ps: PointSet) -> np.ndarray:
         n = ps.n
         nums = (self.m % n) * ps.torus1_numerators() % n
@@ -210,12 +205,6 @@ class TwoTorusChar:
 
     def _slots(self):
         return {"t1", "t2"}
-
-    def eval(self, sample: HorocycleSample) -> complex:
-        if sample.torus2 is None:
-            raise ValueError("sample has no second torus coordinate")
-        frac = (self.m1 * sample.torus1 + self.m2 * sample.torus2) % 1
-        return cmath.exp(_TWO_PI * 1j * float(frac))
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
         n = ps.n
@@ -254,10 +243,8 @@ class AutomorphicKernel:
     def _slots(self):
         return {"x"}
 
-    def value_at(self, z: complex | FramedPoint, slack: float = 1.0) -> float:
-        if isinstance(z, FramedPoint):
-            z = z.z
-        zf = sl2_reduce(z).point.z
+    def value_at(self, z: complex, slack: float = 1.0) -> float:
+        zf = sl2_reduce(z).z
         out = _kernel_values(np.array([zf.real]), np.array([zf.imag]),
                              self.radius, self.profile, self.center, slack)
         return float(out[0])
@@ -265,13 +252,8 @@ class AutomorphicKernel:
     def values_at(self, zs: np.ndarray) -> np.ndarray:
         """Kernel values for a batch of upper-half-plane points."""
         zs = np.asarray(zs, dtype=complex)
-        from .sl2 import reduce_many
-
         xf, yf = reduce_many(zs.real, zs.imag)
         return _kernel_values(xf, yf, self.radius, self.profile, self.center)
-
-    def eval(self, sample: HorocycleSample) -> float:
-        return self.value_at(sample.xpoint)
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
         xf, yf = ps.reduced_xy()
@@ -305,12 +287,6 @@ class HeightBand:
     def _slots(self):
         return {"x"}
 
-    def eval(self, sample: HorocycleSample) -> float:
-        from .sl2 import invariant_height
-
-        h = invariant_height(sample.xpoint)
-        return 1.0 if self.lower < h <= self.upper else 0.0
-
     def eval_many(self, ps: PointSet) -> np.ndarray:
         h = ps.heights()
         return ((h > self.lower) & (h <= self.upper)).astype(np.float64)
@@ -341,12 +317,6 @@ class Product:
         out: set[str] = set()
         for f in self.factors:
             out |= f._slots()
-        return out
-
-    def eval(self, sample: HorocycleSample) -> complex:
-        out: complex = 1.0
-        for f in self.factors:
-            out *= f.eval(sample)
         return out
 
     def eval_many(self, ps: PointSet) -> np.ndarray:

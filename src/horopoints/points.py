@@ -1,7 +1,7 @@
-"""Generators for the rational point sets, the multiplication actions on
-them, invariance verification, and finite-level projections.
+"""Generators for the rational point sets, their invariance under the
+multiplication maps r -> p^(2d) r, and finite-level projections.
 
-A sample is keyed by the residue r that generates all of its coordinates:
+A point is keyed by the residue r that generates all of its coordinates:
 torus1 = a*r/n, torus2 = b*rbar/n (triples only), and the surface point
 u_{c*r/n} a_{n^alpha}^{-1}, i.e. z = (c*r mod n)/n + i*n^(-2*alpha).  For the
 full set r runs over all residues; for monomial sets r runs over the
@@ -12,26 +12,24 @@ classes are counted once (sets, not multisets).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .arith import NotCoprime, gcd, mod_inverse, powmod, residue_array, totient
-from .sl2 import FramedPoint, reduce_many
+from .sl2 import reduce_many
 
 __all__ = [
     "PrimeDividesModulus",
     "PointSetSpec",
-    "HorocycleSample",
     "PointSet",
     "LevelProjection",
     "gen_full",
     "gen_monomial",
     "gen_triple",
     "gen_point_set",
-    "apply_M",
     "verify_invariance",
     "project_level",
     "project_level_direct",
@@ -74,41 +72,15 @@ class PointSetSpec:
             raise ValueError("need n >= 1 and d >= 1")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        if not _scale_height(self.n, self.alpha) >= sys.float_info.min:
+            raise ValueError(f"the height {self.n}^(-2*{self.alpha}) is below the "
+                             "smallest normal float")
 
 
-@dataclass(frozen=True)
-class HorocycleSample:
-    """One element of a point set, with exact torus coordinates on demand."""
+class PointSet:
+    """A point set as coordinate arrays keyed by the residues of one spec.
 
-    k: int
-    n: int
-    alpha: Fraction = Fraction(1, 2)
-    a: int = 1
-    b: int | None = None
-    c: int = 1
-
-    @property
-    def torus1(self) -> Fraction:
-        return Fraction((self.a * self.k) % self.n, self.n)
-
-    @property
-    def torus2(self) -> Fraction | None:
-        if self.b is None:
-            return None
-        rbar = mod_inverse(self.k % self.n, self.n) if self.n > 1 else 0
-        return Fraction((self.b * rbar) % self.n, self.n)
-
-    @property
-    def xpoint(self) -> FramedPoint:
-        x = ((self.c * self.k) % self.n) / self.n
-        return FramedPoint(complex(x, _scale_height(self.n, self.alpha)))
-
-
-class PointSet(Sequence):
-    """Array-backed sequence of samples sharing one spec.
-
-    Iteration and indexing yield :class:`HorocycleSample`; bulk consumers use
-    the cached coordinate arrays instead.  Generation is deterministic (keys
+    len() is the number of points.  Generation is deterministic (keys
     ascending), so averages downstream are order-stable.
     """
 
@@ -122,21 +94,6 @@ class PointSet(Sequence):
 
     def __len__(self) -> int:
         return len(self.residues)
-
-    def __getitem__(self, i: int) -> HorocycleSample:
-        s = self.spec
-        return HorocycleSample(
-            k=int(self.residues[i]),
-            n=s.n,
-            alpha=s.alpha,
-            a=s.a,
-            b=s.b if self.with_second else None,
-            c=self.x_mult,
-        )
-
-    def __iter__(self) -> Iterator[HorocycleSample]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def n(self) -> int:
@@ -226,18 +183,6 @@ def gen_point_set(spec: PointSetSpec, variant: str) -> PointSet:
 def _check_prime_action(p: int, n: int) -> None:
     if gcd(p, n) != 1:
         raise PrimeDividesModulus(f"p={p} divides n={n}")
-
-
-def apply_M(sample: HorocycleSample, p: int, d: int, sign: int = 1) -> HorocycleSample:
-    """Residue map k -> p^(+-2d) * k mod n (negative sign via the inverse);
-    on a triple sample it moves the second torus coordinate by the inverse."""
-    _check_prime_action(p, sample.n)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    factor = pow(p, 2 * d, sample.n)
-    if sign < 0:
-        factor = mod_inverse(factor, sample.n)
-    return replace(sample, k=(factor * sample.k) % sample.n)
 
 
 def verify_invariance(spec: PointSetSpec, p: int) -> bool:

@@ -4,7 +4,7 @@ the prime-averaged discrepancy operator, and decay-rate estimation."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .arith import primes_coprime
 from .observables import Observable
-from .points import PointSet, PointSetSpec, gen_point_set
+from .points import PointSet
 
 __all__ = [
     "EmptySet",
@@ -22,7 +22,6 @@ __all__ = [
     "DiscrepancyResult",
     "EquidistReport",
     "empirical_average",
-    "weyl_sum_full",
     "weyl_sums_all_residues",
     "toral_correlation",
     "discrepancy_l2",
@@ -50,38 +49,22 @@ class NotExpanding(ValueError):
     """The toral endomorphism must have all eigenvalues outside the unit circle."""
 
 
-def empirical_average(samples, obs: Observable) -> complex:
-    """Arithmetic mean of the observable over the samples.
+def empirical_average(ps: PointSet, obs: Observable) -> complex:
+    """Arithmetic mean of the observable over the point set.
 
     Accumulation goes through numpy's pairwise summation in a fixed (key
     ascending) order, so results are deterministic and permutation of the
-    input moves the value by at most O(len * eps).
+    points moves the value by at most O(len * eps).
     """
-    if isinstance(samples, PointSet):
-        if len(samples) == 0:
-            raise EmptySet("point set is empty")
-        vals = np.asarray(obs.eval_many(samples), dtype=complex)
-    else:
-        vals = np.array([obs.eval(s) for s in samples], dtype=complex)
-        if vals.size == 0:
-            raise EmptySet("no samples given")
-    return complex(vals.mean())
-
-
-def weyl_sum_full(n: int, m: int) -> complex:
-    """(1/n) * sum_{k<n} e(mk/n), which is 1 if n | m and 0 otherwise."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    ks = np.arange(n, dtype=np.int64)
-    phase = (m % n) * ks % n
-    return complex(np.exp((2j * np.pi / n) * phase).mean())
+    if len(ps) == 0:
+        raise EmptySet("point set is empty")
+    return complex(np.asarray(obs.eval_many(ps), dtype=complex).mean())
 
 
 def weyl_sums_all_residues(n: int) -> np.ndarray:
     """All n full Weyl sums at once: entry m holds (1/n) sum_k e(mk/n).
 
-    This is the DFT of the all-ones vector, i.e. the same character sums as
-    :func:`weyl_sum_full` evaluated for every residue m mod n in one pass;
+    This is the DFT of the all-ones vector, 1 at m = 0 and 0 elsewhere;
     e(mk/n) depends on m only mod n, so the residues cover every integer m.
     """
     ones = np.ones(n)
@@ -167,18 +150,11 @@ def rate_fit(n_values: Sequence[int], errors: Sequence[float]) -> tuple[float, f
     return float(-slope), float(np.sqrt(np.mean(resid ** 2)))
 
 
-def cusp_mass(samples, T: float) -> float:
-    """Fraction of samples whose invariant height exceeds T."""
-    if isinstance(samples, PointSet):
-        if len(samples) == 0:
-            raise EmptySet("point set is empty")
-        return float((samples.heights() > T).mean())
-    from .sl2 import invariant_height
-
-    heights = [invariant_height(s.xpoint) for s in samples]
-    if not heights:
-        raise EmptySet("no samples given")
-    return sum(1 for h in heights if h > T) / len(heights)
+def cusp_mass(ps: PointSet, T: float) -> float:
+    """Fraction of the points whose invariant height exceeds T."""
+    if len(ps) == 0:
+        raise EmptySet("point set is empty")
+    return float((ps.heights() > T).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +164,6 @@ def cusp_mass(samples, T: float) -> float:
 class EquidistReport:
     """Per-n empirical averages of one observable against its Haar target."""
 
-    spec: PointSetSpec
-    variant: str
     observable: str
     n_values: list[int]
     empirical: list[complex]
@@ -206,35 +180,25 @@ class EquidistReport:
         ]
 
 
-def equidist_report(spec_template: PointSetSpec, variant: str, obs: Observable,
-                    n_values: Sequence[int],
-                    point_sets: dict[int, PointSet] | None = None) -> EquidistReport:
-    """Run one observable over an n schedule and fit the error decay.
+def equidist_report(obs: Observable, point_sets: dict[int, PointSet]) -> EquidistReport:
+    """Average one observable over the point set of each n and fit the
+    error decay.
 
     n values whose error is below 10 * eps * |haar| are excluded from the fit
     (exact-cancellation cases carry no rate information).
     """
-    n_values = sorted(n_values)
+    n_values = sorted(point_sets)
     target = obs.haar()
-    empirical: list[complex] = []
-    errors: list[float] = []
-    for n in n_values:
-        ps = None if point_sets is None else point_sets.get(n)
-        if ps is None:
-            ps = gen_point_set(replace(spec_template, n=n), variant)
-        emp = empirical_average(ps, obs)
-        empirical.append(emp)
-        errors.append(abs(emp - target.value))
+    empirical = [empirical_average(point_sets[n], obs) for n in n_values]
+    errors = [abs(emp - target.value) for emp in empirical]
     cutoff = max(10.0 * np.finfo(float).eps * abs(target.value), _ERROR_FLOOR)
     usable = [(n, e) for n, e in zip(n_values, errors) if e > cutoff]
     kappa = residual = None
     if len(usable) >= 3:
         kappa, residual = rate_fit([u[0] for u in usable], [u[1] for u in usable])
     return EquidistReport(
-        spec=spec_template,
-        variant=variant,
         observable=obs.describe(),
-        n_values=list(n_values),
+        n_values=n_values,
         empirical=empirical,
         haar=target.value,
         errors=errors,

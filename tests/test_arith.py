@@ -10,6 +10,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from oracles import moebius_mu, ramanujan_sum
 
 from horopoints.arith import (
     NotCoprime,
@@ -18,11 +19,9 @@ from horopoints.arith import (
     is_prime,
     kloosterman_sum,
     mod_inverse,
-    mobius,
     next_prime,
     powmod,
     primes_coprime,
-    ramanujan_sum,
     residue_array,
     residue_count_formula,
     totient,
@@ -140,7 +139,6 @@ def test_factorize_and_divisors():
     p, q = 10_000_019, 10_000_079
     assert factorize(p * q) == {p: 1, q: 1}
     assert divisor_count(12) == 6
-    assert mobius(1) == 1 and mobius(6) == 1 and mobius(4) == 0 and mobius(30) == -1
 
 
 def test_next_prime_and_is_prime():
@@ -236,23 +234,33 @@ def test_residue_count_formula_sweep():
 
 
 def test_ramanujan_examples():
+    # c_n(m) = S(m, 0; n): the library sums it as a Kloosterman sum, the
+    # oracle takes the closed form
+    assert moebius_mu(1) == 1 and moebius_mu(6) == 1
+    assert moebius_mu(4) == 0 and moebius_mu(30) == -1
     direct = brute_ramanujan(6, 1)
     assert abs(direct - 1) < 1e-12
     assert ramanujan_sum(6, 1) == 1
+    assert abs(kloosterman_sum(1, 0, 6) - 1) < 1e-12
     for n in (1, 2, 9, 10, 36):
         assert ramanujan_sum(n, 0) == totient(n)
+        assert abs(kloosterman_sum(0, 0, n) - totient(n)) < 1e-9
     assert abs(brute_ramanujan(4, 2) - (-2)) < 1e-12
     assert ramanujan_sum(4, 2) == -2
+    assert abs(kloosterman_sum(2, 0, 4) - (-2)) < 1e-12
 
 
 def test_ramanujan_closed_form_matches_direct():
-    # full stated range, direct sums vectorized per modulus
+    # full stated range, direct sums vectorized per modulus, against the
+    # closed form and against the library's S(m, 0; n)
     ms = np.arange(-20, 21)
     for n in range(1, 501):
         u = units(n)
         direct = np.exp((2j * np.pi / n) * (ms[:, None] * u[None, :] % n)).sum(axis=1)
         closed = np.array([ramanujan_sum(n, int(m)) for m in ms], dtype=float)
+        library = np.array([kloosterman_sum(int(m), 0, n) for m in ms])
         assert np.abs(direct - closed).max() < 1e-9, n
+        assert np.abs(library - closed).max() < 1e-9, n
 
 
 def test_kloosterman_examples():

@@ -424,6 +424,17 @@ BAD_CONFIGS = {
     "prime_window_of_divisors_only": _base("discrepancy", n_schedule=[30], betas=[0.45]),
     "case_without_places": {"schema_version": 1, "kind": "projection",
                             "cases": [{"n": 5, "l": [1], "m": [0]}]},
+    # the row filter n % p means "coprime" only for a prime p
+    "acting_prime_not_prime": _base("invariance", n_schedule=[6], primes=[4]),
+    "place_not_prime": {"schema_version": 1, "kind": "projection",
+                        "cases": [{"n": 5, "places": [30], "l": [0], "m": [1]}]},
+    "seed_negative": _base("invariance", seed=-1, toral={"count": 5}),
+    "out_dir_not_a_string": _base("cardinality", out_dir=5),
+    "kernel_center_not_finite": _base("equidist", observables=[
+        {"type": "kernel", "radius": 1.0, "center": [float("nan"), 1.0]}]),
+    # 7^(-800) underflows to 0.0
+    "alpha_underflows_height": _base("cusp_mass", n_schedule=[7],
+                                     point_set={"alpha": "400"}),
 }
 
 
@@ -439,6 +450,39 @@ def test_bad_parameters_fail_closed_at_load(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# each must fail at load time as ResourceExhausted, and on the CLI exit 2
+# before any work starts
+OVERSIZED_CONFIGS = {
+    "m_range": _base("kloosterman", m_range=10 ** 4),
+    "toral_count": _base("invariance", toral={"count": 10 ** 9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_CONFIGS))
+def test_oversized_work_fails_closed_at_load(tmp_path, capsys, name):
+    cfg = OVERSIZED_CONFIGS[name]
+    with pytest.raises(ResourceExhausted):
+        load_config(cfg)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cfg["kind"], "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_work_guards_sit_at_the_schedule_guard():
+    # (2 * 157 + 1)^2 = 99225 frequency pairs load; (2 * 158 + 1)^2 = 100489 do not
+    guard = harness._SCHEDULE_GUARD
+    assert load_config(_base("kloosterman", m_range=157)).params["m_range"] == 157
+    with pytest.raises(ResourceExhausted):
+        load_config(_base("kloosterman", m_range=158))
+    assert load_config(_base("invariance", toral={"count": guard})).params["toral"]["count"] \
+        == guard
+    with pytest.raises(ResourceExhausted):
+        load_config(_base("invariance", toral={"count": guard + 1}))
 
 
 def test_cli_has_a_subcommand_per_kind(capsys):

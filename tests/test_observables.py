@@ -1,10 +1,12 @@
 """Tests for the observable families and their Haar expectations."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import mobius, torus_coordinates
 
 from horopoints.observables import (
     AutomorphicKernel,
@@ -14,8 +16,8 @@ from horopoints.observables import (
     TorusChar,
     TwoTorusChar,
 )
-from horopoints.points import HorocycleSample, PointSetSpec, gen_full, gen_triple
-from horopoints.sl2 import IntegerMatrix2, mobius
+from horopoints.points import PointSetSpec, gen_full, gen_monomial, gen_triple
+from horopoints.sl2 import IntegerMatrix2, invariant_height
 
 
 # ---------------------------------------------------------------------------
@@ -50,19 +52,33 @@ def brute_kernel(z, radius, profile="indicator", center=1j, bound=10):
     return total
 
 
+def scalar_value(obs, ps, i: int) -> complex:
+    """One observable at point i, from the exact coordinates of the oracle."""
+    t1, t2, z = torus_coordinates(ps, i)
+    if isinstance(obs, TorusChar):
+        return cmath.exp(2j * math.pi * float(obs.m * t1 % 1))
+    if isinstance(obs, TwoTorusChar):
+        return cmath.exp(2j * math.pi * float((obs.m1 * t1 + obs.m2 * t2) % 1))
+    if isinstance(obs, AutomorphicKernel):
+        return obs.value_at(z)
+    if isinstance(obs, HeightBand):
+        return 1.0 if obs.lower < invariant_height(z) <= obs.upper else 0.0
+    return math.prod(scalar_value(f, ps, i) for f in obs.factors)
+
+
 def test_torus_char_examples():
-    s = HorocycleSample(k=1, n=4)
-    assert abs(TorusChar(2).eval(s) - (-1.0)) < 1e-12
-    assert TorusChar(0).eval(s) == 1.0
+    ps = gen_full(4, Fraction(1, 2))  # k = 0, 1, 2, 3
+    assert np.abs(TorusChar(2).eval_many(ps) - np.array([1, -1, 1, -1])).max() < 1e-12
+    assert (TorusChar(0).eval_many(ps) == 1.0).all()
 
 
 def test_two_torus_char():
     ps = gen_triple(PointSetSpec(n=5, d=1))
     vals = TwoTorusChar(1, 1).eval_many(ps)
-    scalar = np.array([TwoTorusChar(1, 1).eval(s) for s in ps])
+    scalar = np.array([scalar_value(TwoTorusChar(1, 1), ps, i) for i in range(len(ps))])
     assert np.allclose(vals, scalar, atol=1e-12)
     with pytest.raises(ValueError):
-        TwoTorusChar(1, 1).eval(HorocycleSample(k=1, n=5))
+        TwoTorusChar(1, 1).eval_many(gen_monomial(PointSetSpec(n=5, d=1)))
 
 
 def test_kernel_at_center_matches_brute_enumeration():
@@ -137,9 +153,7 @@ def test_height_band_haar():
 def test_height_band_eval():
     ps = gen_full(2, Fraction(1, 2))  # heights {2, 1}
     vals = HeightBand(1.5).eval_many(ps)
-    assert sorted(vals.tolist()) == [0.0, 1.0]
-    s = ps[0]
-    assert HeightBand(1.5).eval(s) == 1.0  # k=0 reduces to 2i
+    assert vals.tolist() == [1.0, 0.0]  # k=0 reduces to 2i, k=1 to i
 
 
 def test_torus_char_haar():
@@ -168,11 +182,14 @@ def test_product():
 
 
 def test_eval_many_matches_scalar():
-    ps = gen_full(31, Fraction(1, 2))
-    for obs in (TorusChar(2), AutomorphicKernel(1.0), HeightBand(1.2, 5.0),
-                Product((TorusChar(1), HeightBand(1.1)))):
+    full = gen_full(31, Fraction(1, 2))
+    triple = gen_triple(PointSetSpec(n=45, d=2, a=2, b=7, c=4))
+    for ps, obs in ((full, TorusChar(2)), (full, AutomorphicKernel(1.0)),
+                    (full, HeightBand(1.2, 5.0)),
+                    (full, Product((TorusChar(1), HeightBand(1.1)))),
+                    (triple, Product((TwoTorusChar(1, -2), AutomorphicKernel(1.0))))):
         bulk = np.asarray(obs.eval_many(ps), dtype=complex)
-        scalar = np.array([obs.eval(s) for s in ps], dtype=complex)
+        scalar = np.array([scalar_value(obs, ps, i) for i in range(len(ps))], dtype=complex)
         assert np.allclose(bulk, scalar, atol=1e-9), obs
 
 

@@ -1,17 +1,17 @@
-"""Tests for point-set generation, the multiplication actions, and the
-finite-level projections."""
+"""Tests for point-set generation, invariance under the multiplication
+maps, and the finite-level projections."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from horopoints.arith import NotCoprime, mod_inverse, residue_count_formula, totient
+from oracles import torus_coordinates
+
+from horopoints.arith import NotCoprime, mod_inverse, residue_count_formula
 from horopoints.points import (
-    HorocycleSample,
     PointSetSpec,
     PrimeDividesModulus,
-    apply_M,
     gen_full,
     gen_monomial,
     gen_point_set,
@@ -24,24 +24,36 @@ from horopoints.points import (
 from horopoints.sl2 import invariant_height
 
 
+def _surface_points(ps) -> np.ndarray:
+    return ps.x_reals() + 1j * ps.scale_height
+
+
+def _torus1(ps) -> list[Fraction]:
+    return [Fraction(int(t), ps.n) for t in ps.torus1_numerators()]
+
+
+def _torus2(ps) -> list[Fraction]:
+    return [Fraction(int(t), ps.n) for t in ps.torus2_numerators()]
+
+
 def test_gen_full_examples():
     ps = gen_full(1, Fraction(1, 2))
-    assert len(ps) == 1 and ps[0].xpoint.z == 1j
+    assert len(ps) == 1 and _surface_points(ps)[0] == 1j
 
     ps = gen_full(5, Fraction(1, 2))
-    assert [s.k for s in ps] == [0, 1, 2, 3, 4]
-    for s in ps:
-        assert abs(s.xpoint.z - (s.k + 1j) / 5) < 1e-15
-        assert s.torus1 == Fraction(s.k, 5)
+    assert ps.residues.tolist() == [0, 1, 2, 3, 4]
+    ks = np.arange(5)
+    assert np.abs(_surface_points(ps) - (ks + 1j) / 5).max() < 1e-15
+    assert _torus1(ps) == [Fraction(k, 5) for k in range(5)]
 
     ps = gen_full(4, Fraction(1))
-    for s in ps:
-        assert abs(s.xpoint.z - (s.k / 4 + 1j / 16)) < 1e-16
+    assert np.abs(_surface_points(ps) - (np.arange(4) / 4 + 1j / 16)).max() < 1e-16
+    assert ps.scale_height == 1 / 16
 
 
 def test_gen_monomial_examples():
     ps = gen_monomial(PointSetSpec(n=5, d=2))
-    assert sorted(str(s.torus1) for s in ps) == ["1/5", "4/5"]
+    assert sorted(str(t) for t in _torus1(ps)) == ["1/5", "4/5"]
     assert len(ps) == 2
 
     assert len(gen_monomial(PointSetSpec(n=5, d=1))) == 4
@@ -58,10 +70,12 @@ def test_gen_monomial_count_matches_formula():
 
 def test_gen_monomial_pair_puts_b_on_surface():
     ps = gen_monomial(PointSetSpec(n=7, d=1, a=1, b=3))
-    for s in ps:
-        assert abs(s.xpoint.z.real - (3 * s.k % 7) / 7) < 1e-15
-        assert s.torus1 == Fraction(s.k % 7, 7)
-        assert s.torus2 is None
+    ks = ps.residues
+    assert np.abs(ps.x_reals() - (3 * ks % 7) / 7).max() < 1e-15
+    assert _torus1(ps) == [Fraction(int(k) % 7, 7) for k in ks]
+    assert not ps.with_second
+    with pytest.raises(ValueError):
+        ps.torus2_numerators()
 
 
 def test_gen_point_set_dispatches_on_variant():
@@ -77,55 +91,35 @@ def test_gen_point_set_dispatches_on_variant():
 
 def test_gen_triple_examples():
     ps = gen_triple(PointSetSpec(n=5, d=1))
-    pairs = {(str(s.torus1), str(s.torus2)) for s in ps}
+    pairs = {(str(t1), str(t2)) for t1, t2 in zip(_torus1(ps), _torus2(ps))}
     assert pairs == {("1/5", "1/5"), ("2/5", "3/5"), ("3/5", "2/5"), ("4/5", "4/5")}
 
     ps = gen_triple(PointSetSpec(n=2, d=1))
     assert len(ps) == 1
-    s = ps[0]
-    assert (s.torus1, s.torus2) == (Fraction(1, 2), Fraction(1, 2))
-    assert abs(s.xpoint.z - (1 + 1j) / 2) < 1e-15
+    assert (_torus1(ps)[0], _torus2(ps)[0]) == (Fraction(1, 2), Fraction(1, 2))
+    assert abs(_surface_points(ps)[0] - (1 + 1j) / 2) < 1e-15
 
     ps = gen_triple(PointSetSpec(n=7, d=3))
-    assert sorted(s.k for s in ps) == [1, 6]
+    assert sorted(ps.residues.tolist()) == [1, 6]
 
     with pytest.raises(NotCoprime):
         gen_triple(PointSetSpec(n=6, d=1, c=2))
 
 
 def test_triple_inverse_structure():
-    # reconstructing the residue from torus1 and inverting reproduces torus2
+    # reconstructing the residue from torus1 and inverting reproduces torus2,
+    # and every coordinate matches the oracle built from the residue alone
     for n in (7, 12, 45):
         for spec in (PointSetSpec(n=n, d=1, a=2 if n % 2 else 1, b=5 if n % 5 else 1),
-                     PointSetSpec(n=n, d=2)):
-            for s in gen_triple(spec):
-                r = mod_inverse(spec.a, n) * (s.torus1 * n) % n
-                assert r == s.k % n
-                assert s.torus2 == Fraction(spec.b * mod_inverse(int(r), n) % n, n)
-
-
-def test_apply_M_examples():
-    s = HorocycleSample(k=1, n=7)
-    assert apply_M(s, 3, 1, +1).k == 2  # 9 mod 7
-    assert apply_M(apply_M(s, 3, 1, +1), 3, 1, -1).k == s.k
-    with pytest.raises(PrimeDividesModulus):
-        apply_M(HorocycleSample(k=1, n=9), 3, 1)
-    # on a triple sample: first torus coordinate times p^(2d), second by its inverse
-    t = apply_M(HorocycleSample(k=1, n=5, b=1), 2, 1)
-    assert t.k == 4
-    assert (t.torus1, t.torus2) == (Fraction(4, 5), Fraction(4, 5))
-    with pytest.raises(PrimeDividesModulus):
-        apply_M(HorocycleSample(k=1, n=4, b=1), 2, 1)
-
-
-def test_apply_M_totient_cycle():
-    # phi(n)-fold composition is the identity on every sample
-    for n, p, d in [(5, 2, 1), (7, 3, 2), (9, 2, 1)]:
-        s = HorocycleSample(k=1, n=n, b=1)
-        t = s
-        for _ in range(totient(n)):
-            t = apply_M(t, p, d)
-        assert t.k == s.k
+                     PointSetSpec(n=n, d=2, c=7 if n % 7 else 1)):
+            ps = gen_triple(spec)
+            zs = _surface_points(ps)
+            for i, (k, t1, t2) in enumerate(zip(ps.residues, _torus1(ps), _torus2(ps))):
+                r = mod_inverse(spec.a, n) * (t1 * n) % n
+                assert r == k % n
+                assert t2 == Fraction(spec.b * mod_inverse(int(r), n) % n, n)
+                o1, o2, oz = torus_coordinates(ps, i)
+                assert (o1, o2) == (t1, t2) and abs(oz - zs[i]) < 1e-15
 
 
 def test_verify_invariance_examples():
@@ -153,7 +147,7 @@ def test_high_alpha_heights():
             ps = gen_monomial(spec)
             floor = float(n) ** exponent * (1 - 1e-6)
             assert (ps.heights() >= floor).all()
-            assert invariant_height(ps[0].xpoint) >= floor
+            assert invariant_height(_surface_points(ps)[0]) >= floor
 
 
 def test_generation_deterministic():

@@ -1,5 +1,5 @@
-"""Tests for the SL2 geometry layer: generators, reduction, heights,
-and the intersection witness."""
+"""Tests for the SL2 geometry layer: reduction, heights, and the
+intersection witness."""
 
 import math
 from fractions import Fraction
@@ -8,21 +8,15 @@ from math import gcd
 import numpy as np
 import pytest
 
+from oracles import mobius
+
 from horopoints.arith import NotCoprime, mod_inverse
 from horopoints.sl2 import (
-    FramedPoint,
     IntegerMatrix2,
-    NonPositiveDiagonal,
-    adjoint_height,
     intersection_witness,
     invariant_height,
-    make_a,
-    make_u,
-    make_v,
-    mobius,
     reduce,
     reduce_many,
-    to_point,
     verify_intersection,
 )
 
@@ -46,24 +40,8 @@ def _random_gamma(rng, max_entry=50):
 
 # ---------------------------------------------------------------------------
 
-def test_generators():
-    assert make_u(0.0).entries() == (1.0, 0.0, 0.0, 1.0)
-    prod = make_a(2.0) @ make_a(0.5)
-    assert np.allclose(prod.entries(), (1, 0, 0, 1))
-    with pytest.raises(NonPositiveDiagonal):
-        make_a(0.0)
-    assert make_v(1.5).entries() == (1.0, 0.0, 1.5, 1.0)
-
-
-def test_conjugation_scales_unipotent():
-    # a_y u_t a_y^{-1} = u_{y^2 t}
-    for y, t in [(3.0, 1.0), (2.0, -0.7), (0.5, 4.0)]:
-        g = make_a(y) @ make_u(t) @ make_a(1.0 / y)
-        assert np.allclose(g.entries(), (1.0, y * y * t, 0.0, 1.0), atol=1e-12)
-
-
 def test_mobius_examples():
-    ident = make_u(0.0)
+    ident = IntegerMatrix2(1, 0, 0, 1)
     assert mobius(ident, 0.3 + 2j) == 0.3 + 2j
     S = IntegerMatrix2(0, -1, 1, 0)
     assert _close(mobius(S, 1j), 1j)
@@ -71,42 +49,33 @@ def test_mobius_examples():
     assert mobius(T, 1j) == 1 + 1j
 
 
-def test_to_point():
-    for k, n in [(1, 2), (2, 5), (3, 7)]:
-        g = make_u(k / n) @ make_a(n ** -0.5)
-        assert _close(to_point(g).z, (k + 1j) / n, 1e-12)
-    assert _close(to_point(make_a(3.0)).z, 9j, 1e-12)
-    p = to_point(make_u(0.0))
-    assert p.z == 1j and p.theta == 0.0
-
-
 def test_reduce_examples():
     r = reduce(0.7 + 1j)
-    assert _close(r.point.z, -0.3 + 1j, 1e-12)
-    assert abs(r.point.z) >= 1.0
+    assert _close(r.z, -0.3 + 1j, 1e-12)
+    assert abs(r.z) >= 1.0
 
     r = reduce(0.5j)
-    assert _close(r.point.z, 2j, 1e-12) and r.height == 2.0
+    assert _close(r.z, 2j, 1e-12) and r.height == 2.0
 
     r = reduce(0.25j)
-    assert _close(r.point.z, 4j, 1e-12) and _close(r.height, 4.0)
+    assert _close(r.z, 4j, 1e-12) and _close(r.height, 4.0)
 
     # hand reduction (1+i)/2 -> invert -> translate -> i
     r = reduce((1 + 1j) / 2)
-    assert _close(r.point.z, 1j, 1e-12) and _close(r.height, 1.0)
+    assert _close(r.z, 1j, 1e-12) and _close(r.height, 1.0)
 
 
 def test_reduce_boundary_conventions():
     # |z| = 1 with positive real part flips to the left boundary
     z = complex(math.cos(1.2), math.sin(1.2))
     r = reduce(z)
-    assert r.point.z.real <= 0 and _close(abs(r.point.z), 1.0)
+    assert r.z.real <= 0 and _close(abs(r.z), 1.0)
     # Re = +1/2 maps to -1/2
     r = reduce(0.5 + 2j)
-    assert _close(r.point.z, -0.5 + 2j, 1e-12)
+    assert _close(r.z, -0.5 + 2j, 1e-12)
     # corner: the |z|=1, Re=1/2 point lands on the left corner
     r = reduce(complex(0.5, math.sqrt(3) / 2))
-    assert _close(r.point.z, complex(-0.5, math.sqrt(3) / 2), 1e-9)
+    assert _close(r.z, complex(-0.5, math.sqrt(3) / 2), 1e-9)
 
 
 def _exact_mobius(g, z: complex) -> tuple[Fraction, Fraction]:
@@ -127,43 +96,45 @@ def test_reduce_roundtrip_small():
         z = complex(rng.uniform(-5, 5), 10 ** rng.uniform(-5, 3))
         r = reduce(z)
         wr, wi = _exact_mobius(r.reducer, z)
-        scale = max(1.0, abs(r.point.z))
-        assert abs(float(wr) - r.point.z.real) <= 1e-9 * scale
-        assert abs(float(wi) - r.point.z.imag) <= 1e-9 * scale
-        assert abs(r.point.z.real) <= 0.5 + 1e-12
-        assert abs(r.point.z) >= 1.0 - 1e-12
+        scale = max(1.0, abs(r.z))
+        assert abs(float(wr) - r.z.real) <= 1e-9 * scale
+        assert abs(float(wi) - r.z.imag) <= 1e-9 * scale
+        assert abs(r.z.real) <= 0.5 + 1e-12
+        assert abs(r.z) >= 1.0 - 1e-12
 
 
 def test_reduce_roundtrip_bulk():
-    # 1e5 points, Im from 1e-8 to 1e8.  The equivalent backward identity
+    # 1e5 points, Im from 1e-8 to 1e8.  The scalar path's reducer of each z
+    # carries the bulk representative back to z; that backward identity
     # reducer^{-1} * z_F = z is contracting, so an absolute 1e-9 is meaningful
     # at every height; extended precision covers the matrix products.
     rng = np.random.default_rng(17)
     x = rng.uniform(-2.0, 2.0, 100_000)
     y = 10 ** rng.uniform(-8.0, 8.0, 100_000)
-    xf, yf, (a, b, c, d) = reduce_many(x, y, with_matrices=True)
-    w = xf.astype(np.clongdouble) + 1j * yf.astype(np.clongdouble)
-    num = d.astype(np.clongdouble) * w - b.astype(np.clongdouble)
-    den = -c.astype(np.clongdouble) * w + a.astype(np.clongdouble)
-    back = num / den
-    err = np.abs(back - (x.astype(np.clongdouble) + 1j * y.astype(np.clongdouble)))
-    assert float(err.max()) < 1e-9
+    xf, yf = reduce_many(x, y)
     assert (np.abs(xf) <= 0.5 + 1e-12).all()
     assert (xf * xf + yf * yf >= 1.0 - 1e-9).all()
+    entries = np.array([reduce(complex(xi, yi)).reducer.entries()
+                        for xi, yi in zip(x.tolist(), y.tolist())], dtype=np.int64)
+    a, b, c, d = (entries[:, i].astype(np.clongdouble) for i in range(4))
+    w = xf.astype(np.clongdouble) + 1j * yf.astype(np.clongdouble)
+    back = (d * w - b) / (-c * w + a)
+    err = np.abs(back - (x.astype(np.clongdouble) + 1j * y.astype(np.clongdouble)))
+    assert float(err.max()) < 1e-9
     # exact-rational forward spot checks across the same sweep
     for i in range(0, 100_000, 9973):
         r = reduce(complex(x[i], y[i]))
         wr, wi = _exact_mobius(r.reducer, complex(x[i], y[i]))
-        scale = max(1.0, abs(r.point.z))
-        assert abs(float(wr) - r.point.z.real) <= 1e-9 * scale
-        assert abs(float(wi) - r.point.z.imag) <= 1e-9 * scale
+        scale = max(1.0, abs(r.z))
+        assert abs(float(wr) - r.z.real) <= 1e-9 * scale
+        assert abs(float(wi) - r.z.imag) <= 1e-9 * scale
 
 
 def test_reduce_idempotent():
     rng = np.random.default_rng(9)
     for _ in range(200):
         z = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-4, 2))
-        zf = reduce(z).point.z
+        zf = reduce(z).z
         if abs(abs(zf) - 1.0) < 1e-9 or abs(abs(zf.real) - 0.5) < 1e-9:
             continue  # boundary points may re-reduce through the convention
         again = reduce(zf)
@@ -171,10 +142,10 @@ def test_reduce_idempotent():
 
 
 def test_invariant_height_examples():
-    assert _close(invariant_height(to_point(make_a(3.0))), 9.0)
+    assert _close(invariant_height(9j), 9.0)  # a_3 . i
     assert _close(invariant_height(1j), 1.0)
-    # z = (1+i)/2 reduces to i
-    assert _close(invariant_height(to_point(make_u(0.5) @ make_a(2 ** -0.5))), 1.0)
+    # z = u_{1/2} a_{2^(-1/2)} . i = (1+i)/2 reduces to i
+    assert _close(invariant_height(0.5 + 0.5j), 1.0)
 
 
 def test_invariant_height_gamma_invariance():
@@ -194,49 +165,12 @@ def test_reduce_many_heights_match_scalar():
         assert _close(hs[i], invariant_height(complex(x[i], y[i])), 1e-9 * max(1, hs[i]))
 
 
-def _assert_matrices_leave_xy_alone(x, y):
-    xf, yf = reduce_many(x, y)
-    xm, ym, _ = reduce_many(x, y, with_matrices=True)
-    assert xf.tobytes() == xm.tobytes()
-    assert yf.tobytes() == ym.tobytes()
-
-
-def test_reduce_many_xy_independent_of_matrices():
-    # tracking the matrix entries must not touch the float path
-    rng = np.random.default_rng(41)
-    _assert_matrices_leave_xy_alone(rng.uniform(-3.0, 3.0, 20_000),
-                                    10 ** rng.uniform(-8.0, 4.0, 20_000))
-    t = rng.uniform(0.0, math.pi, 2_000)
-    _assert_matrices_leave_xy_alone(np.cos(t), np.sin(t))  # |z| = 1
-    edge = np.array([-0.5, 0.5, -0.5 + 1e-13, 0.5 - 1e-13, 0.5 + 1e-13])
-    for y in (0.5, math.sqrt(3) / 2, 1.0, 3.0):
-        _assert_matrices_leave_xy_alone(edge, y)  # Re z = +-1/2
-    # the alpha = 5/4 horocycle at n near 1e5: z = k/n + i n^(-5/2)
-    n = 100003
-    _assert_matrices_leave_xy_alone(np.arange(1, n) / n, math.exp(-2.5 * math.log(n)))
-
-
-def test_adjoint_height():
-    assert _close(adjoint_height(make_u(0.0)), 1.0)
-    for y in (2.0, 3.0, 10.0):
-        ah = adjoint_height(make_a(y))
-        assert _close(ah, y * y, 1e-9 * y * y)
-        assert _close(ah, invariant_height(to_point(make_a(y))), 1e-9 * y * y)
-    # invariance under left multiplication by lattice elements
-    rng = np.random.default_rng(2)
-    g = make_u(0.3) @ make_a(1.7)
-    base = adjoint_height(g)
-    for _ in range(5):
-        gm = _random_gamma(rng, max_entry=20)
-        prod = gm.to_real() @ g
-        assert _close(adjoint_height(prod), base, 1e-6 * base)
-
-
-def test_framed_point_validation():
+def test_reduce_rejects_lower_half_plane():
+    for z in (1.0 - 1j, 0.3, -2.0 + 0j):
+        with pytest.raises(ValueError):
+            reduce(z)
     with pytest.raises(ValueError):
-        FramedPoint(1.0 - 1j)
-    p = FramedPoint(1j, theta=4.0)
-    assert 0 <= p.theta < math.pi
+        reduce_many(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
 
 
 def test_intersection_witness_examples():
@@ -259,6 +193,8 @@ def test_intersection_witness_sweep():
 def test_witness_maps_horocycle_exactly():
     # gamma * u_{k/n} * a_n^{-1} lands on the opposite unipotent numerically too
     for k, n in [(2, 5), (3, 7), (5, 12)]:
-        g = intersection_witness(k, n).to_real() @ make_u(k / n) @ make_a(1.0 / n)
-        kbar = mod_inverse(k, n)
-        assert np.allclose(g.entries(), make_v(kbar / n).entries(), atol=1e-9)
+        gamma = np.array(intersection_witness(k, n).entries(), dtype=float).reshape(2, 2)
+        u = np.array([[1.0, k / n], [0.0, 1.0]])
+        a_inv = np.array([[1.0 / n, 0.0], [0.0, float(n)]])
+        v = np.array([[1.0, 0.0], [mod_inverse(k, n) / n, 1.0]])
+        assert np.allclose(gamma @ u @ a_inv, v, atol=1e-9)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import ramanujan_sum, weyl_sum_full
 
 from horopoints.arith import kloosterman_sum, totient, weil_bound
 from horopoints.observables import TorusChar, TwoTorusChar
-from horopoints.points import PointSetSpec, gen_full, gen_triple
+from horopoints.points import PointSet, PointSetSpec, gen_full, gen_monomial, gen_triple
 from horopoints.stats import (
     EmptySet,
     InsufficientData,
@@ -24,9 +25,13 @@ from horopoints.stats import (
     equidist_report,
     rate_fit,
     toral_correlation,
-    weyl_sum_full,
     weyl_sums_all_residues,
 )
+
+
+def _empty_set() -> PointSet:
+    return PointSet(PointSetSpec(n=5), np.empty(0, dtype=np.int64),
+                    with_second=False, x_mult=1)
 
 
 def test_empirical_average_examples():
@@ -42,18 +47,19 @@ def test_empirical_average_examples():
     assert abs(emp - 0.09549150281252627) < 1e-9
 
     with pytest.raises(EmptySet):
-        empirical_average([], TorusChar(1))
+        empirical_average(_empty_set(), TorusChar(1))
 
 
 def test_empirical_average_permutation_stable():
     ps = gen_triple(PointSetSpec(n=997, d=1))
     obs = TwoTorusChar(1, 2)
     base = empirical_average(ps, obs)
-    samples = list(ps)
+    residues = ps.residues.copy()
     rng = np.random.default_rng(3)
     for _ in range(3):
-        rng.shuffle(samples)
-        assert abs(empirical_average(samples, obs) - base) < 1e-12
+        rng.shuffle(residues)
+        shuffled = PointSet(ps.spec, residues.copy(), ps.with_second, ps.x_mult)
+        assert abs(empirical_average(shuffled, obs) - base) < 1e-12
 
 
 def brute_kloosterman(m1, m2, n):
@@ -102,14 +108,13 @@ def test_kloosterman_average_examples():
 
 
 def test_weyl_sum_closed_form():
-    assert abs(weyl_sum_full(6, 2)) < 1e-12
-    assert abs(weyl_sum_full(6, 6) - 1.0) < 1e-12
-    assert abs(weyl_sum_full(6, 0) - 1.0) < 1e-12
+    assert abs(weyl_sums_all_residues(6)[2]) < 1e-12
+    assert abs(weyl_sums_all_residues(6)[0] - 1.0) < 1e-12
     rng = np.random.default_rng(13)
     for _ in range(300):
         n = int(rng.integers(1, 2000))
         m = int(rng.integers(-2 * n, 2 * n + 1))
-        val = weyl_sum_full(n, m)
+        val = weyl_sums_all_residues(n)[m % n]
         expected = 1.0 if m % n == 0 else 0.0
         assert abs(val - expected) <= 1e-10, (n, m)
 
@@ -210,27 +215,23 @@ def test_cusp_mass_examples():
     ps = gen_full(2, Fraction(1, 2))  # heights {2, 1}
     assert cusp_mass(ps, 1.5) == 0.5
     assert cusp_mass(ps, 0.5) == 1.0
-    assert cusp_mass(list(ps), 1.5) == 0.5  # sample-list path agrees
     with pytest.raises(EmptySet):
-        cusp_mass([], 1.0)
+        cusp_mass(_empty_set(), 1.0)
 
 
 def test_cusp_mass_high_alpha():
-    ps_spec = PointSetSpec(n=401, alpha=Fraction(5, 4), d=1)
-    from horopoints.points import gen_monomial
-
-    ps = gen_monomial(ps_spec)
+    ps = gen_monomial(PointSetSpec(n=401, alpha=Fraction(5, 4), d=1))
     assert cusp_mass(ps, 10.0) == 1.0
 
 
 def test_equidist_report_structure():
-    rep = equidist_report(PointSetSpec(n=1, d=1), "monomial", TorusChar(1),
-                          [101, 401, 1009, 4001])
+    # the primitive (monomial d = 1) sets of a schedule, in any key order
+    sets = {n: gen_monomial(PointSetSpec(n=n, d=1)) for n in (4001, 101, 1009, 401)}
+    rep = equidist_report(TorusChar(1), sets)
     assert rep.n_values == [101, 401, 1009, 4001]
+    assert rep.observable == "torus_char(m=1)"
     assert all(e >= 0 for e in rep.errors)
-    assert rep.haar == 0.0
-    # primitive full points: the character sum is a Ramanujan sum / phi
-    from horopoints.arith import ramanujan_sum
-
+    assert rep.haar == 0.0 and rep.haar_exact
+    # the character sum over the units is a Ramanujan sum / phi
     for n, emp in zip(rep.n_values, rep.empirical):
         assert abs(emp - ramanujan_sum(n, 1) / totient(n)) < 1e-12
