@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "NotCoprime",
-    "PrimeSet",
     "gcd",
     "is_prime",
     "next_prime",
@@ -87,31 +84,14 @@ def primes_upto(x: float) -> np.ndarray:
     return _prime_list[_prime_list < x]
 
 
-@dataclass(frozen=True)
-class PrimeSet:
-    """Primes p with 1 < p < cutoff and gcd(p, modulus) = 1, ascending."""
+def primes_coprime(n: int, x: float) -> tuple[int, ...]:
+    """The prime set P(n, x): primes below x that do not divide n, ascending.
 
-    modulus: int
-    cutoff: float
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.primes)
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-
-def primes_coprime(n: int, x: float) -> PrimeSet:
-    """The prime set P(n, x): primes below x that do not divide n."""
+    Python ints, so that powers such as p^(2d) do not overflow.
+    """
     if x <= 0:
         raise ValueError("cutoff must be positive")
-    ps = primes_upto(x)
-    keep = tuple(int(p) for p in ps if n % int(p) != 0)
-    return PrimeSet(modulus=n, cutoff=float(x), primes=keep)
+    return tuple(int(p) for p in primes_upto(x) if n % int(p) != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every experiment runs from a JSON config (``--config``); ``generate`` also
 accepts direct flags for quick sample dumps.  Output goes to ``--out``, the
 config's ``out_dir``, or the HOROPOINTS_OUT environment variable, in that
-order of precedence.  The exit status is nonzero exactly when an experiment
-in the exact-equality class reports a failed check.
+order of precedence.  The exit status is 1 when an experiment in the
+exact-equality class reports a failed check, and 2 with one line when the
+config is invalid, exceeds a guard, or leaves the float reduction's range.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .harness import (
     load_config,
     run,
 )
+from .sl2 import NumericalDegeneracy
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -118,6 +120,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceExhausted as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalDegeneracy as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -307,10 +307,12 @@ def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
     ps = {**_POINT_SET_DEFAULTS, **raw}
     if ps["variant"] not in ("full", "monomial", "triple"):
         raise ConfigInvalid(f"unknown point set variant {ps['variant']!r}")
+    if ps["primitive"] is not True:
+        raise ConfigInvalid(f"primitive must be true, got {ps['primitive']!r}; "
+                            'variant "full" gives every residue')
     with _invalid("point_set"):
         spec = PointSetSpec(n=1, alpha=_parse_fraction(ps["alpha"]), d=_int(ps["d"]),
-                            a=_int(ps["a"]), b=_int(ps["b"]), c=_int(ps["c"]),
-                            primitive=bool(ps["primitive"]))
+                            a=_int(ps["a"]), b=_int(ps["b"]), c=_int(ps["c"]))
     return ps, spec
 
 
@@ -853,11 +855,7 @@ def _projection_rows(cfg: ExperimentConfig, case):
 
 
 def _intersection_rows(cfg: ExperimentConfig, n: int):
-    checked = passed = 0
-    for k in range(1, max(n, 2)):
-        if gcd(k, n) == 1:
-            checked += 1
-            passed += verify_intersection(k, n)
+    checked, passed = verify_intersection(n)
     return ([(n, checked, passed, checked == passed)],)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .points import PointSet
-from .sl2 import reduce as sl2_reduce
 from .sl2 import reduce_many
 
 __all__ = [
@@ -85,8 +84,9 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     if hit is not None:
         return hit
 
-    zc = sl2_reduce(center).z
-    xc, yc = zc.real, zc.imag
+    xf, yf = reduce_many([center.real], center.imag)
+    xc, yc = float(xf[0]), float(yf[0])
+    zc = complex(xc, yc)
     cosh_r = math.cosh(radius)
     y_top = math.exp(radius) * yc * (1.0 + 1e-9) * slack
     y_bot = _FLOOR_IM / (math.exp(radius) * slack) / (1.0 + 1e-9)
@@ -243,17 +243,12 @@ class AutomorphicKernel:
     def _slots(self):
         return {"x"}
 
-    def value_at(self, z: complex, slack: float = 1.0) -> float:
-        zf = sl2_reduce(z).z
-        out = _kernel_values(np.array([zf.real]), np.array([zf.imag]),
-                             self.radius, self.profile, self.center, slack)
-        return float(out[0])
-
-    def values_at(self, zs: np.ndarray) -> np.ndarray:
-        """Kernel values for a batch of upper-half-plane points."""
+    def values_at(self, zs: np.ndarray, slack: float = 1.0) -> np.ndarray:
+        """Kernel values at upper-half-plane points; slack scales the orbit
+        enumeration's search bounds."""
         zs = np.asarray(zs, dtype=complex)
         xf, yf = reduce_many(zs.real, zs.imag)
-        return _kernel_values(xf, yf, self.radius, self.profile, self.center)
+        return _kernel_values(xf, yf, self.radius, self.profile, self.center, slack)
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
         xf, yf = ps.reduced_xy()
@@ -274,8 +269,8 @@ class AutomorphicKernel:
 
 @dataclass(frozen=True)
 class HeightBand:
-    """Indicator of invariant_height in (lower, upper]; lower >= 1 keeps the
-    cusp-strip area formula exact."""
+    """Indicator of the height Im z_F of the reduced point in (lower, upper];
+    lower >= 1 keeps the cusp-strip area formula exact."""
 
     lower: float
     upper: float = math.inf

@@ -56,7 +56,8 @@ class PointSetSpec:
 
     alpha is the horocycle expansion exponent (height n^(-2*alpha)); d the
     monomial degree; a, b, c the unit multipliers on the first torus, second
-    torus, and surface coordinates; primitive restricts to gcd(k, n) = 1.
+    torus, and surface coordinates.  Monomial and triple sets run over
+    the units k, gcd(k, n) = 1.
     """
 
     n: int
@@ -65,7 +66,6 @@ class PointSetSpec:
     a: int = 1
     b: int = 1
     c: int = 1
-    primitive: bool = True
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -128,7 +128,7 @@ class PointSet:
 
 def gen_full(n: int, alpha: Fraction | float) -> PointSet:
     """All n rational points k/n, k = 0..n-1, at height n^(-2*alpha)."""
-    spec = PointSetSpec(n=n, alpha=Fraction(alpha), d=1, primitive=False)
+    spec = PointSetSpec(n=n, alpha=Fraction(alpha), d=1)
     if n >= _INT64_MOD_LIMIT:
         raise ValueError("bulk generation requires n < 2^31")
     return PointSet(spec, np.arange(n, dtype=np.int64), with_second=False, x_mult=1)
@@ -142,11 +142,7 @@ def gen_monomial(spec: PointSetSpec) -> PointSet:
     """
     if gcd(spec.a * spec.b, spec.n) != 1:
         raise NotCoprime(f"a*b={spec.a * spec.b} shares a factor with n={spec.n}")
-    if not spec.primitive and spec.d == 1:
-        res = np.arange(spec.n, dtype=np.int64)
-    else:
-        res = residue_array(spec.n, spec.d)
-    return PointSet(spec, res, with_second=False, x_mult=spec.b)
+    return PointSet(spec, residue_array(spec.n, spec.d), with_second=False, x_mult=spec.b)
 
 
 def gen_triple(spec: PointSetSpec) -> PointSet:
@@ -193,10 +189,7 @@ def verify_invariance(spec: PointSetSpec, p: int) -> bool:
     so set equality of sorted residue arrays is set equality of the samples.
     """
     _check_prime_action(p, spec.n)
-    if not spec.primitive and spec.d == 1:
-        res = np.arange(spec.n, dtype=np.int64)
-    else:
-        res = residue_array(spec.n, spec.d)
+    res = residue_array(spec.n, spec.d)
     factor = pow(p, 2 * spec.d, spec.n)
     mapped = np.sort(res * (factor % spec.n) % spec.n)
     return bool(np.array_equal(mapped, res))

@@ -5,10 +5,13 @@ computes the same quantities through its bulk paths only.
 """
 
 import cmath
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from horopoints.arith import factorize, totient
+from horopoints.arith import NotCoprime, factorize, mod_inverse, totient
+from horopoints.sl2 import NumericalDegeneracy
 
 
 def mobius(g, z: complex) -> complex:
@@ -47,3 +50,102 @@ def torus_coordinates(ps, i: int) -> tuple[Fraction, Fraction | None, complex]:
     t2 = Fraction(spec.b * pow(r, -1, n) % n, n) if ps.with_second else None
     x = (ps.x_mult * r % n) / n
     return t1, t2, complex(x, float(n) ** (-2 * float(spec.alpha)))
+
+
+@dataclass(frozen=True)
+class IntegerMatrix2:
+    """An SL2(Z) element (determinant exactly one)."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __post_init__(self):
+        det = self.a * self.d - self.b * self.c
+        if det != 1:
+            raise ValueError(f"determinant {det} != 1")
+
+    def __matmul__(self, other: "IntegerMatrix2") -> "IntegerMatrix2":
+        return IntegerMatrix2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def entries(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+
+@dataclass(frozen=True)
+class ReducedPoint:
+    """Fundamental-domain representative z with its reducing lattice element."""
+
+    z: complex
+    reducer: IntegerMatrix2
+    height: float
+
+
+def reduce(z: complex) -> ReducedPoint:
+    """Gauss-reduce one point into |Re z| <= 1/2, |z| >= 1, accumulating gamma.
+
+    Alternates z -> z - round(Re z) with z -> -1/z, in complex arithmetic.
+    Boundary convention: on |z| = 1 pick Re z <= 0, and Re z = 1/2 maps
+    to -1/2 (tolerance 1e-12), as in reduce_many.
+    """
+    tol = 1e-12
+    z = complex(z)
+    if not z.imag > 0:
+        raise ValueError("point must lie in the upper half plane")
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(5000):
+        m = round(z.real)
+        if m:
+            z -= m
+            a -= m * c
+            b -= m * d
+        r2 = z.real * z.real + z.imag * z.imag
+        if r2 < 1.0 - tol or (abs(r2 - 1.0) <= tol and z.real > tol):
+            z = -1.0 / z
+            a, b, c, d = -c, -d, a, b
+            if not (z.imag > 0 and math.isfinite(z.imag)):
+                raise NumericalDegeneracy("Im z underflowed during reduction")
+        else:
+            break
+    else:
+        raise NumericalDegeneracy("reduction did not terminate")
+    if z.real > 0.5 - tol:
+        z -= 1
+        a -= c
+        b -= d
+    return ReducedPoint(z, IntegerMatrix2(a, b, c, d), z.imag)
+
+
+def intersection_witness(k: int, n: int) -> IntegerMatrix2:
+    """gamma = (n, -k; kbar, (1 - k*kbar)/n) for a unit k mod n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if gcd(k, n) != 1:
+        raise NotCoprime(f"k={k} is not a unit mod {n}")
+    kbar = mod_inverse(k % n, n)
+    return IntegerMatrix2(n, -k, kbar, (1 - k * kbar) // n)
+
+
+def witness_holds(k: int, n: int) -> bool:
+    """gamma * u_{k/n} * a_n^-1 == v_{kbar/n}, as a product of Fraction matrices."""
+    gamma = intersection_witness(k, n)
+    kbar = mod_inverse(k % n, n)
+    u = ((Fraction(1), Fraction(k, n)), (Fraction(0), Fraction(1)))
+    a_inv = ((Fraction(1, n), Fraction(0)), (Fraction(0), Fraction(n)))
+    ga, gb, gc, gd = gamma.entries()
+    gm = ((Fraction(ga), Fraction(gb)), (Fraction(gc), Fraction(gd)))
+
+    def mul(p, q):
+        return (
+            (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
+            (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
+        )
+
+    v = ((Fraction(1), Fraction(0)), (Fraction(kbar, n), Fraction(1)))
+    return mul(mul(gm, u), a_inv) == v

@@ -13,7 +13,7 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
-from oracles import weyl_sum_full
+from oracles import weyl_sum_full, witness_holds
 
 from horopoints.arith import (
     divisor_count,
@@ -99,14 +99,16 @@ def test_criterion_02_kloosterman_decay(capsys):
 
 
 def test_criterion_03_intersection_witness(capsys):
+    # every unit through the Fraction-matrix oracle, and the library's integer
+    # check over the units of each n must give the same counts
     checked = 0
     ok = True
     for n in range(1, 1001):
-        for k in range(n if n > 1 else 1):
-            if gcd(k, n) == 1:
-                checked += 1
-                if not verify_intersection(k, n):
-                    ok = False
+        units_n = [k for k in range(n if n > 1 else 1) if gcd(k, n) == 1]
+        passed = sum(witness_holds(k, n) for k in units_n)
+        checked += len(units_n)
+        ok &= passed == len(units_n)
+        ok &= verify_intersection(n) == (len(units_n), passed)
     _criterion(capsys, 3, ok, f"{checked} exact witness verifications, n<=1000")
 
 

@@ -147,11 +147,13 @@ def test_next_prime_and_is_prime():
 
 
 def test_primes_coprime_examples():
-    assert primes_coprime(6, 10).primes == (5, 7)
-    assert primes_coprime(1, 10).primes == (2, 3, 5, 7)
-    assert len(primes_coprime(30, 2)) == 0
-    ps = primes_coprime(100, 6.31)
-    assert ps.primes == (3,)
+    assert primes_coprime(6, 10) == (5, 7)
+    assert primes_coprime(1, 10) == (2, 3, 5, 7)
+    assert primes_coprime(30, 2) == ()
+    assert primes_coprime(100, 6.31) == (3,)
+    # Python ints, so p^(2d) is exact beyond int64
+    p = primes_coprime(1, 100)[-1]
+    assert type(p) is int and p ** 12 == 97 ** 12 > 2 ** 63
 
 
 def test_units_and_inverses():

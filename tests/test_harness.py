@@ -435,6 +435,9 @@ BAD_CONFIGS = {
     # 7^(-800) underflows to 0.0
     "alpha_underflows_height": _base("cusp_mass", n_schedule=[7],
                                      point_set={"alpha": "400"}),
+    # every residue is variant "full"; primitive takes no other value
+    "primitive_false": _base("generate", n_schedule=[15],
+                             point_set={"primitive": False, "d": 2}),
 }
 
 
@@ -450,6 +453,28 @@ def test_bad_parameters_fail_closed_at_load(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_primitive_accepts_only_true():
+    assert load_config(_base("generate", point_set={"primitive": True})).point_set["primitive"]
+    for value in (False, 1, "true", None):
+        with pytest.raises(ConfigInvalid, match='variant "full"'):
+            load_config(_base("generate", point_set={"primitive": value}))
+
+
+def test_degenerate_reduction_fails_closed(tmp_path, capsys):
+    # alpha = 30 loads at n = 10007 (height ~1e-240), but reducing its points
+    # underflows |z|^2 to 0; the run ends in one line and exit 2, no payload
+    cfg = _base("cusp_mass", n_schedule=[101, 10007], point_set={"alpha": "30"},
+                thresholds=[10])
+    load_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["cusp-mass", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and len(err.strip().splitlines()) == 1
+    assert not list(out.glob("*"))
 
 
 # each must fail at load time as ResourceExhausted, and on the CLI exit 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import torus_coordinates
+from oracles import reduce, torus_coordinates
 
 from horopoints.arith import NotCoprime, mod_inverse, residue_count_formula
 from horopoints.points import (
@@ -21,7 +21,6 @@ from horopoints.points import (
     project_level_stated,
     verify_invariance,
 )
-from horopoints.sl2 import invariant_height
 
 
 def _surface_points(ps) -> np.ndarray:
@@ -124,7 +123,6 @@ def test_triple_inverse_structure():
 
 def test_verify_invariance_examples():
     assert verify_invariance(PointSetSpec(n=7, d=1), 2)
-    assert verify_invariance(PointSetSpec(n=7, d=1, primitive=False), 2)
     with pytest.raises(PrimeDividesModulus):
         verify_invariance(PointSetSpec(n=9, d=1), 3)
 
@@ -147,7 +145,7 @@ def test_high_alpha_heights():
             ps = gen_monomial(spec)
             floor = float(n) ** exponent * (1 - 1e-6)
             assert (ps.heights() >= floor).all()
-            assert invariant_height(_surface_points(ps)[0]) >= floor
+            assert reduce(_surface_points(ps)[0]).height >= floor
 
 
 def test_generation_deterministic():

@@ -2,23 +2,18 @@
 intersection witness."""
 
 import math
+import warnings
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 
-from oracles import mobius
+from oracles import IntegerMatrix2, intersection_witness, mobius, reduce, witness_holds
 
-from horopoints.arith import NotCoprime, mod_inverse
-from horopoints.sl2 import (
-    IntegerMatrix2,
-    intersection_witness,
-    invariant_height,
-    reduce,
-    reduce_many,
-    verify_intersection,
-)
+from horopoints import sl2
+from horopoints.arith import NotCoprime, mod_inverse, totient
+from horopoints.sl2 import NumericalDegeneracy, reduce_many, verify_intersection
 
 
 def _close(a, b, tol=1e-9):
@@ -49,33 +44,32 @@ def test_mobius_examples():
     assert mobius(T, 1j) == 1 + 1j
 
 
+def _reduce1(z: complex) -> complex:
+    xf, yf = reduce_many([z.real], z.imag)
+    return complex(xf[0], yf[0])
+
+
 def test_reduce_examples():
-    r = reduce(0.7 + 1j)
-    assert _close(r.z, -0.3 + 1j, 1e-12)
-    assert abs(r.z) >= 1.0
+    zf = _reduce1(0.7 + 1j)
+    assert _close(zf, -0.3 + 1j, 1e-12)
+    assert abs(zf) >= 1.0
 
-    r = reduce(0.5j)
-    assert _close(r.z, 2j, 1e-12) and r.height == 2.0
-
-    r = reduce(0.25j)
-    assert _close(r.z, 4j, 1e-12) and _close(r.height, 4.0)
+    assert _reduce1(0.5j) == 2j
+    assert _close(_reduce1(0.25j), 4j, 1e-12)
 
     # hand reduction (1+i)/2 -> invert -> translate -> i
-    r = reduce((1 + 1j) / 2)
-    assert _close(r.z, 1j, 1e-12) and _close(r.height, 1.0)
+    assert _close(_reduce1((1 + 1j) / 2), 1j, 1e-12)
 
 
 def test_reduce_boundary_conventions():
     # |z| = 1 with positive real part flips to the left boundary
-    z = complex(math.cos(1.2), math.sin(1.2))
-    r = reduce(z)
-    assert r.z.real <= 0 and _close(abs(r.z), 1.0)
+    zf = _reduce1(complex(math.cos(1.2), math.sin(1.2)))
+    assert zf.real <= 0 and _close(abs(zf), 1.0)
     # Re = +1/2 maps to -1/2
-    r = reduce(0.5 + 2j)
-    assert _close(r.z, -0.5 + 2j, 1e-12)
+    assert _close(_reduce1(0.5 + 2j), -0.5 + 2j, 1e-12)
     # corner: the |z|=1, Re=1/2 point lands on the left corner
-    r = reduce(complex(0.5, math.sqrt(3) / 2))
-    assert _close(r.z, complex(-0.5, math.sqrt(3) / 2), 1e-9)
+    assert _close(_reduce1(complex(0.5, math.sqrt(3) / 2)),
+                  complex(-0.5, math.sqrt(3) / 2), 1e-9)
 
 
 def _exact_mobius(g, z: complex) -> tuple[Fraction, Fraction]:
@@ -89,22 +83,25 @@ def _exact_mobius(g, z: complex) -> tuple[Fraction, Fraction]:
 
 
 def test_reduce_roundtrip_small():
-    # forward check in exact rational arithmetic: mobius(reducer, z) = z_F,
-    # up to the float rounding of z_F itself (relative at large heights)
+    # forward check in exact rational arithmetic: the oracle's reducer carries
+    # z onto the reduce_many representative, up to the float rounding of z_F
+    # itself (relative at large heights)
     rng = np.random.default_rng(5)
-    for _ in range(500):
-        z = complex(rng.uniform(-5, 5), 10 ** rng.uniform(-5, 3))
-        r = reduce(z)
-        wr, wi = _exact_mobius(r.reducer, z)
-        scale = max(1.0, abs(r.z))
-        assert abs(float(wr) - r.z.real) <= 1e-9 * scale
-        assert abs(float(wi) - r.z.imag) <= 1e-9 * scale
-        assert abs(r.z.real) <= 0.5 + 1e-12
-        assert abs(r.z) >= 1.0 - 1e-12
+    x = rng.uniform(-5, 5, 500)
+    y = 10 ** rng.uniform(-5, 3, 500)
+    xf, yf = reduce_many(x, y)
+    for i in range(500):
+        z, zf = complex(x[i], y[i]), complex(xf[i], yf[i])
+        wr, wi = _exact_mobius(reduce(z).reducer, z)
+        scale = max(1.0, abs(zf))
+        assert abs(float(wr) - zf.real) <= 1e-9 * scale
+        assert abs(float(wi) - zf.imag) <= 1e-9 * scale
+        assert abs(zf.real) <= 0.5 + 1e-12
+        assert abs(zf) >= 1.0 - 1e-12
 
 
 def test_reduce_roundtrip_bulk():
-    # 1e5 points, Im from 1e-8 to 1e8.  The scalar path's reducer of each z
+    # 1e5 points, Im from 1e-8 to 1e8.  The oracle's reducer of each z
     # carries the bulk representative back to z; that backward identity
     # reducer^{-1} * z_F = z is contracting, so an absolute 1e-9 is meaningful
     # at every height; extended precision covers the matrix products.
@@ -121,39 +118,36 @@ def test_reduce_roundtrip_bulk():
     back = (d * w - b) / (-c * w + a)
     err = np.abs(back - (x.astype(np.clongdouble) + 1j * y.astype(np.clongdouble)))
     assert float(err.max()) < 1e-9
-    # exact-rational forward spot checks across the same sweep
-    for i in range(0, 100_000, 9973):
-        r = reduce(complex(x[i], y[i]))
-        wr, wi = _exact_mobius(r.reducer, complex(x[i], y[i]))
-        scale = max(1.0, abs(r.z))
-        assert abs(float(wr) - r.z.real) <= 1e-9 * scale
-        assert abs(float(wi) - r.z.imag) <= 1e-9 * scale
 
 
 def test_reduce_idempotent():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        z = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-4, 2))
-        zf = reduce(z).z
-        if abs(abs(zf) - 1.0) < 1e-9 or abs(abs(zf.real) - 0.5) < 1e-9:
-            continue  # boundary points may re-reduce through the convention
-        again = reduce(zf)
-        assert again.reducer.entries() == (1, 0, 0, 1)
+    x = rng.uniform(-3, 3, 200)
+    y = 10 ** rng.uniform(-4, 2, 200)
+    xf, yf = reduce_many(x, y)
+    # boundary points may re-reduce through the convention
+    inner = (np.abs(np.hypot(xf, yf) - 1.0) >= 1e-9) & (np.abs(np.abs(xf) - 0.5) >= 1e-9)
+    assert inner.sum() > 150
+    again = reduce_many(xf[inner], yf[inner])
+    assert np.array_equal(again[0], xf[inner]) and np.array_equal(again[1], yf[inner])
 
 
 def test_invariant_height_examples():
-    assert _close(invariant_height(9j), 9.0)  # a_3 . i
-    assert _close(invariant_height(1j), 1.0)
+    hs = reduce_many([0.0, 0.0, 0.5], [9.0, 1.0, 0.5])[1]
+    assert _close(hs[0], 9.0)  # a_3 . i
+    assert _close(hs[1], 1.0)
     # z = u_{1/2} a_{2^(-1/2)} . i = (1+i)/2 reduces to i
-    assert _close(invariant_height(0.5 + 0.5j), 1.0)
+    assert _close(hs[2], 1.0)
 
 
 def test_invariant_height_gamma_invariance():
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        z = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-2, 1))
-        g = _random_gamma(rng)
-        assert _close(invariant_height(z), invariant_height(mobius(g, z)), 1e-9)
+    zs = [complex(rng.uniform(-1, 1), 10 ** rng.uniform(-2, 1)) for _ in range(200)]
+    gzs = np.array([mobius(_random_gamma(rng), z) for z in zs])
+    zs = np.array(zs)
+    hs = reduce_many(zs.real, zs.imag)[1]
+    ghs = reduce_many(gzs.real, gzs.imag)[1]
+    assert np.abs(hs - ghs).max() <= 1e-9
 
 
 def test_reduce_many_heights_match_scalar():
@@ -162,15 +156,29 @@ def test_reduce_many_heights_match_scalar():
     y = 10 ** rng.uniform(-6, 2, 400)
     hs = reduce_many(x, y)[1]
     for i in range(0, 400, 7):
-        assert _close(hs[i], invariant_height(complex(x[i], y[i])), 1e-9 * max(1, hs[i]))
+        assert _close(hs[i], reduce(complex(x[i], y[i])).height, 1e-9 * max(1, hs[i]))
 
 
 def test_reduce_rejects_lower_half_plane():
-    for z in (1.0 - 1j, 0.3, -2.0 + 0j):
+    for x, y in ((1.0, -1.0), (0.3, 0.0), (-2.0, 0.0)):
         with pytest.raises(ValueError):
-            reduce(z)
+            reduce_many([x], y)
     with pytest.raises(ValueError):
         reduce_many(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
+
+
+def test_reduce_many_fails_closed_when_height_underflows():
+    # at n = 10007, alpha = 30 some points reach x = 0 with y^2 below the
+    # smallest float, so |z|^2 = 0; the reduction raises, with no numpy warning
+    n = 10007
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDegeneracy):
+            reduce_many(np.arange(1, n) / n, n ** -60.0)
+        with pytest.raises(NumericalDegeneracy):
+            reduce_many([0.0], 1e-170)
+    # the same points one level up reduce to finite heights
+    assert np.isfinite(reduce_many(np.arange(1, n) / n, n ** -2.0)[1]).all()
 
 
 def test_intersection_witness_examples():
@@ -179,15 +187,37 @@ def test_intersection_witness_examples():
     assert intersection_witness(1, 2).entries() == (2, -1, 1, 0)
     with pytest.raises(NotCoprime):
         intersection_witness(2, 4)
-    assert verify_intersection(2, 5)
-    assert verify_intersection(1, 2)
+    assert witness_holds(2, 5) and witness_holds(1, 2)
+    # the unit 0 of Z/1 is the one witness at n = 1
+    assert verify_intersection(1) == (1, 1)
+    assert verify_intersection(2) == (1, 1)
+    assert verify_intersection(5) == (4, 4)
+    assert verify_intersection(12) == (4, 4)
 
 
 def test_intersection_witness_sweep():
     for n in range(1, 80):
+        phi = totient(n)
+        assert verify_intersection(n) == (phi, phi), n
         for k in range(n if n > 1 else 1):
             if gcd(k, n) == 1:
-                assert verify_intersection(k, n), (k, n)
+                assert witness_holds(k, n), (k, n)
+
+
+def test_verify_intersection_catches_a_wrong_inverse(monkeypatch):
+    # one inverse off by one makes exactly one unit fail, at every position
+    true_inverses = sl2.unit_inverses
+    for n in (7, 12, 101):
+        phi = totient(n)
+        for i in range(phi):
+            def mutant(m, i=i):
+                kbar = true_inverses(m).copy()
+                kbar[i] = (kbar[i] + 1) % m
+                return kbar
+            monkeypatch.setattr(sl2, "unit_inverses", mutant)
+            assert verify_intersection(n) == (phi, phi - 1), (n, i)
+    monkeypatch.undo()
+    assert verify_intersection(101) == (100, 100)
 
 
 def test_witness_maps_horocycle_exactly():
