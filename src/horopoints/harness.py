@@ -502,13 +502,15 @@ def write_rows(out: Path, stem: str, header: list[str], rows, fmt: str) -> str:
 
 
 @contextmanager
-def _stage(clocks: dict, name: str):
-    """Add the wall time of the block to clocks[name]."""
+def _stage(clocks: dict, *names: str):
+    """Add the wall time of the block to clocks[name] for each name."""
     t0 = time.monotonic()
     try:
         yield
     finally:
-        clocks[name] = clocks.get(name, 0.0) + time.monotonic() - t0
+        seconds = time.monotonic() - t0
+        for name in names:
+            clocks[name] = clocks.get(name, 0.0) + seconds
 
 
 def _merge_clocks(clocks: dict, part: dict) -> None:
@@ -684,7 +686,7 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
             sets[n] = ps
             _merge_clocks(clocks, part)
         for i, obs in enumerate(cfg.observables):
-            with _stage(clocks, "evaluate"):
+            with _stage(clocks, "evaluate", f"evaluate:{obs.describe()}"):
                 rep = equidist_report(obs, sets)
             stem = f"equidist_{i}" if len(d_values) == 1 else f"equidist_d{d}_{i}"
             with _stage(clocks, "write"):

@@ -10,7 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from horopoints.arith import NotCoprime, factorize, mod_inverse, totient
+from horopoints.observables import (
+    _kernel_profile_indicator,
+    _kernel_profile_smooth,
+    _orbit_points,
+)
 from horopoints.sl2 import NumericalDegeneracy
 
 
@@ -149,3 +156,18 @@ def witness_holds(k: int, n: int) -> bool:
 
     v = ((Fraction(1), Fraction(0)), (Fraction(kbar, n), Fraction(1)))
     return mul(mul(gm, u), a_inv) == v
+
+
+def kernel_values_reference(xf, yf, radius: float, profile: str, center: complex,
+                            slack: float = 1.0) -> np.ndarray:
+    """Kernel values by one full sweep per orbit point: the profile sees every
+    point, also those outside its support."""
+    orbit, stab = _orbit_points(radius, center, slack)
+    prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
+    total = np.zeros_like(xf)
+    for w in orbit:
+        dx = xf - w.real
+        dy = yf - w.imag
+        cosh_d = 1.0 + (dx * dx + dy * dy) / (2.0 * yf * w.imag)
+        total += prof(cosh_d, radius)
+    return stab * total

@@ -2,6 +2,7 @@
 payloads, the CLI surface, and plot emission."""
 
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -366,16 +367,25 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
         "cusp": (_base("cusp_mass", n_schedule=[101, 103]),
                  {"generate", "reduce", "evaluate", "write", "total"}),
         "surface": (_base("equidist", n_schedule=[101, 103], observables=[kernel]),
-                    {"generate", "reduce", "evaluate", "write", "total"}),
+                    {"generate", "reduce", "evaluate", "evaluate:kernel(R=1.0,smooth)",
+                     "write", "total"}),
         "torus": (_base("equidist", n_schedule=[101, 103],
                         observables=[{"type": "torus_char", "m": 1}]),
-                  {"generate", "evaluate", "write", "total"}),
+                  {"generate", "evaluate", "evaluate:torus_char(m=1)", "write", "total"}),
+        "both": (_base("equidist", n_schedule=[101, 103],
+                       observables=[kernel, {"type": "torus_char", "m": 1}]),
+                 {"generate", "reduce", "evaluate", "evaluate:kernel(R=1.0,smooth)",
+                  "evaluate:torus_char(m=1)", "write", "total"}),
     }
     for name, (cfg, stages) in cases.items():
         run(cfg, out_dir=tmp_path / name)
         clocks = json.loads((tmp_path / name / "manifest.json").read_text())["wall_clock_s"]
         assert set(clocks) == stages, name
         assert all(v >= 0 for v in clocks.values())
+        # equidist's per-observable clocks split its evaluate stage
+        per_obs = [v for k, v in clocks.items() if k.startswith("evaluate:")]
+        if per_obs:
+            assert abs(sum(per_obs) - clocks["evaluate"]) <= 2e-6, name
 
 
 def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
@@ -402,6 +412,7 @@ def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
     m = len(schedule)
     assert [cusp[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, m, 1]
     assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == [2 * m, 2 * m, 2, 3]
+    assert eq["evaluate:height_band(2.0,inf)"] == 2
     run(_base("cusp_mass", n_schedule=schedule), out_dir=tmp_path / "serial")
     assert ((tmp_path / "serial" / "cusp_mass.csv").read_bytes()
             == (tmp_path / "cusp" / "cusp_mass.csv").read_bytes())
@@ -432,6 +443,9 @@ BAD_CONFIGS = {
     "out_dir_not_a_string": _base("cardinality", out_dir=5),
     "kernel_center_not_finite": _base("equidist", observables=[
         {"type": "kernel", "radius": 1.0, "center": [float("nan"), 1.0]}]),
+    # reduces to 1e20j, whose orbit row spans ~3.8e21 translations at R = 3
+    "kernel_center_high_in_the_cusp": _base("equidist", observables=[
+        {"type": "kernel", "radius": 3.0, "center": [0, 1e-20]}]),
     # 7^(-800) underflows to 0.0
     "alpha_underflows_height": _base("cusp_mass", n_schedule=[7],
                                      point_set={"alpha": "400"}),
@@ -453,6 +467,15 @@ def test_bad_parameters_fail_closed_at_load(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_kernel_center_below_the_guard_loads_and_evaluates(tmp_path):
+    cfg = _base("equidist", n_schedule=[101, 103], observables=[
+        {"type": "kernel", "radius": 3.0, "center": [0, 0.01]}])
+    assert load_config(cfg).observables[0].center == 0.01j
+    manifest = run(cfg, out_dir=tmp_path)
+    errors = json.loads((tmp_path / "equidist.json").read_text())["observables"][0]["errors"]
+    assert manifest.outputs and len(errors) == 2 and all(math.isfinite(e) for e in errors)
 
 
 def test_primitive_accepts_only_true():

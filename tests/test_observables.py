@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import IntegerMatrix2, mobius, reduce, torus_coordinates
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import IntegerMatrix2, kernel_values_reference, mobius, reduce, torus_coordinates
 
+from horopoints import observables
 from horopoints.observables import (
     AutomorphicKernel,
     HeightBand,
@@ -126,6 +129,38 @@ def test_kernel_enumeration_complete_under_widening():
             assert np.abs(ker.values_at(grid) - ker.values_at(grid, slack=2.0)).max() <= 1e-12
 
 
+_B = observables._KERNEL_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 7]),
+       profile=st.sampled_from(["indicator", "smooth"]),
+       radius=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+       slack=st.sampled_from([1.0, 2.0]),
+       center=st.sampled_from([1j, 0.3 + 1.2j, -0.5 + math.sqrt(3.0) / 2.0 * 1j, 0.1 + 4.0j]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_kernel_is_bit_identical_to_the_full_sweep(count, profile, radius, slack,
+                                                           center, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, count)
+    y = 10 ** rng.uniform(math.log10(math.sqrt(3.0) / 2.0), 1.5, count)
+    # half the points sit on hyperbolic circles around orbit points, at cosh
+    # distance cosh(R) * (1 + delta): on both sides of the indicator's 1e-12
+    # and the candidates' 1e-9 cut, and at distance R itself
+    orbit, _ = observables._orbit_points(radius, center, slack)
+    ring = rng.random(count) < 0.5
+    w = orbit[rng.integers(0, len(orbit), count)][ring]
+    delta = rng.choice([0.0, -1e-12, 1e-12, 2e-12, -1e-9, 1e-9, 2e-9], w.size)
+    cosh_r = math.cosh(radius) * (1.0 + delta)
+    theta = rng.uniform(0.0, 2.0 * math.pi, w.size)
+    rad = w.imag * np.sqrt(np.maximum(cosh_r * cosh_r - 1.0, 0.0))
+    x[ring] = w.real + rad * np.cos(theta)
+    y[ring] = w.imag * cosh_r + rad * np.sin(theta)
+    got = observables._kernel_values(x, y, radius, profile, center, slack)
+    want = kernel_values_reference(x, y, radius, profile, center, slack)
+    assert np.array_equal(got, want)
+
+
 def test_kernel_haar_examples():
     t = AutomorphicKernel(radius=1.0, profile="indicator").haar()
     # ball area 4*pi*sinh^2(R/2) over the surface volume pi/3
@@ -167,6 +202,19 @@ def test_torus_char_haar():
 def test_radius_cap():
     with pytest.raises(RadiusTooLarge):
         AutomorphicKernel(radius=3.5)
+
+
+def test_center_high_in_the_cusp_fails_closed():
+    # 1e-20j reduces to 1e20j: the c = 0 orbit row alone spans ~3.8e21 translations
+    with pytest.raises(ValueError, match="guard"):
+        AutomorphicKernel(radius=3.0, center=1e-20j)
+    for center in (complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            AutomorphicKernel(radius=1.0, center=center)
+    # 0.01j reduces to 100j, whose orbit at R = 3 has 2005 points
+    ker = AutomorphicKernel(radius=3.0, center=0.01j)
+    assert len(observables._orbit_points(3.0, 0.01j)[0]) == 2005
+    assert ker.values_at([100j])[0] == ker.values_at([0.01j])[0] > 0
 
 
 def test_product():
