@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -23,14 +24,12 @@ __all__ = [
     "next_prime",
     "factorize",
     "totient",
-    "divisor_count",
     "mod_inverse",
     "primes_upto",
     "primes_coprime",
     "units",
-    "unit_inverses",
     "powmod",
-    "residue_array",
+    "Modulus",
     "residue_count_formula",
     "kloosterman_sum",
     "weil_bound",
@@ -188,18 +187,14 @@ def totient(n: int) -> int:
     """Euler's phi via factorization."""
     if n < 1:
         raise ValueError("totient requires n >= 1")
+    return _totient_of(factorize(n))
+
+
+def _totient_of(factors: dict[int, int]) -> int:
     phi = 1
-    for p, e in factorize(n).items():
+    for p, e in factors.items():
         phi *= p ** (e - 1) * (p - 1)
     return phi
-
-
-def divisor_count(n: int) -> int:
-    """tau(n), the number of divisors."""
-    tau = 1
-    for e in factorize(n).values():
-        tau *= e + 1
-    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -243,46 +238,82 @@ def powmod(base: np.ndarray, exp: int, n: int) -> np.ndarray:
     return result
 
 
-def unit_inverses(n: int) -> np.ndarray:
-    """Inverses of units(n), aligned elementwise (k * kbar = 1 mod n)."""
-    u = units(n)
-    return powmod(u, totient(n) - 1, n)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # the arrays of a Modulus are shared by every reader of the table
+    a.flags.writeable = False
+    return a
 
 
-def residue_array(n: int, d: int, a: int = 1) -> np.ndarray:
-    """Sorted unique int64 array of a * k^d mod n over units k (n < 2^31).
+class Modulus:
+    """The arithmetic of one modulus n (1 <= n < 2^31), built once per n.
 
-    The powers come from :func:`powmod`; they are deduplicated and sorted in
-    one pass by marking each value in a boolean "seen" mask over [0, n)
-    (n bytes) and reading the marks back in ascending order, which is
-    linear in n where a sort-based unique is O(phi(n) log phi(n)).
+    Holds the factorization, phi, tau and the ascending int64 units, read by
+    every per-n check; the aligned unit inverses, the root table e(j/n) and
+    the d-th power residue sets are built on first use and kept.  The arrays
+    are read-only, since every reader of the table shares them.  A table
+    lives as long as the work on its n: nothing caches it across moduli.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if gcd(a, n) != 1:
-        raise NotCoprime(f"a={a} shares a factor with n={n}")
-    if n >= _INT64_MOD_LIMIT:
-        raise ValueError("residue_array is an int64 bulk path; need n < 2^31")
-    r = powmod(units(n), d, n)
-    if a % n != 1:
-        r = (r * (a % n)) % n
-    seen = np.zeros(n, dtype=bool)
-    seen[r] = True
-    return np.flatnonzero(seen).astype(np.int64, copy=False)
+
+    def __init__(self, n: int):
+        self.n = n
+        self.units = _read_only(units(n))   # raises ValueError outside [1, 2^31)
+        self.factors = factorize(n)
+        self.phi = _totient_of(self.factors)
+        self.tau = math.prod(e + 1 for e in self.factors.values())
+        self._residues: dict[int, np.ndarray] = {}
+
+    def invert(self, keys: np.ndarray) -> np.ndarray:
+        """Inverses mod n of an int64 array of units, aligned elementwise;
+        for the units array itself, the kept `inverses`."""
+        if keys is self.units:
+            return self.inverses
+        return powmod(keys, self.phi - 1, self.n)
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """Inverses of the units, aligned elementwise (k * kbar = 1 mod n)."""
+        return _read_only(powmod(self.units, self.phi - 1, self.n))
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """e(j/n) = exp(2 pi i j / n) for j in [0, n), indexed by j."""
+        return _read_only(np.exp((2j * np.pi / self.n) * np.arange(self.n)))
+
+    def residues(self, d: int) -> np.ndarray:
+        """Sorted unique int64 array of k^d mod n over the units k.
+
+        The d = 1 set is the units array itself.  Otherwise the powers come
+        from :func:`powmod`; they are deduplicated and sorted in one pass by
+        marking each value in a boolean "seen" mask over [0, n) (n bytes) and
+        reading the marks back in ascending order, which is linear in n where
+        a sort-based unique is O(phi(n) log phi(n)).
+        """
+        if d < 1:
+            raise ValueError("need d >= 1")
+        if d == 1:
+            return self.units
+        res = self._residues.get(d)
+        if res is None:
+            seen = np.zeros(self.n, dtype=bool)
+            seen[powmod(self.units, d, self.n)] = True
+            res = self._residues[d] = _read_only(
+                np.flatnonzero(seen).astype(np.int64, copy=False))
+        return res
 
 
-def residue_count_formula(n: int, d: int) -> int:
-    """Predicted size of {k^d mod n : gcd(k, n) = 1}, multiplicatively.
+def residue_count_formula(mod: Modulus, d: int) -> int:
+    """Predicted size of {k^d mod n : gcd(k, n) = 1}, multiplicatively from
+    the factorization in the table of n.
 
     Odd prime powers contribute phi(p^r) / gcd(phi(p^r), d) (the unit group
     is cyclic).  At p = 2 the unit group of Z/2^r is Z/2 x Z/2^(r-2) for
     r >= 2, so the image of the d-th power map has size
     (2 / gcd(2, d)) * (2^(r-2) / gcd(2^(r-2), d)); 2^1 contributes 1.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    if d < 1:
+        raise ValueError("need d >= 1")
     count = 1
-    for p, r in factorize(n).items():
+    for p, r in mod.factors.items():
         if p == 2:
             if r == 1:
                 block = 1
@@ -299,27 +330,24 @@ def residue_count_formula(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # exponential sums
 
-def kloosterman_sum(m1: int, m2: int, n: int) -> complex:
+def kloosterman_sum(m1: int, m2: int, mod: Modulus) -> complex:
     """S(m1, m2; n) = sum over units k of e((m1*k + m2*kbar)/n).
 
     The value is real (k <-> n-k pairs terms into conjugates); the complex
-    return type keeps the roundoff in the imaginary part visible.  Summed
-    over int64 unit arrays, so n < 2^31.
+    return type keeps the roundoff in the imaginary part visible.  Each term
+    is gathered from the root table of n, which holds e(j/n) exactly as a
+    direct exp of the phase j would give it.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return complex(1.0)
-    u = units(n)
-    phase = (m1 % n) * u % n
+    n = mod.n
+    phase = (m1 % n) * mod.units % n
     if m2 % n:
-        phase = (phase + (m2 % n) * unit_inverses(n)) % n
-    return complex(np.exp((2j * np.pi / n) * phase).sum())
+        phase = (phase + (m2 % n) * mod.inverses) % n
+    return complex(mod.roots[phase].sum())
 
 
-def weil_bound(m1: int, m2: int, n: int) -> float:
+def weil_bound(m1: int, m2: int, mod: Modulus) -> float:
     """tau(n) * sqrt(gcd(m1, m2, n)) * sqrt(n), valid for (m1, m2) != (0, 0)."""
     if m1 == 0 and m2 == 0:
         raise ValueError("bound requires (m1, m2) != (0, 0)")
-    g = gcd(gcd(abs(m1), abs(m2)), n)
-    return divisor_count(n) * math.sqrt(g) * math.sqrt(n)
+    g = gcd(gcd(abs(m1), abs(m2)), mod.n)
+    return mod.tau * math.sqrt(g) * math.sqrt(mod.n)

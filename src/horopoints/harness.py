@@ -27,12 +27,12 @@ import numpy as np
 
 from . import __version__
 from .arith import (
+    Modulus,
     gcd,
     is_prime,
     kloosterman_sum,
     next_prime,
     residue_count_formula,
-    totient,
     weil_bound,
 )
 from .observables import (
@@ -560,13 +560,14 @@ class Kind:
     """An experiment kind, declared once in KINDS.
 
     The driver maps rows(cfg, item), one row list per table, over the items:
-    the n schedule, the param named by items, or with on_point_set the point
-    set of each n, generated and reduced.  once(cfg) makes the last table's
-    rows once per run; check(cfg, tables) is a whole-table check beside the
-    verdict columns.  A hard kind checks exact identities, so a failure flips
-    the CLI status.  A kind with a body runs body(cfg, out) instead.
-    admit(n_schedule, params) raises ConfigInvalid at load time for an item
-    that cannot run.
+    the n schedule, the param named by items, with on_point_set the point
+    set of each n, generated and reduced, or, where on_modulus(cfg) holds,
+    the arithmetic table (arith.Modulus) of each n, dropped with its rows.
+    once(cfg) makes the last table's rows once per run; check(cfg, tables)
+    is a whole-table check beside the verdict columns.  A hard kind checks
+    exact identities, so a failure flips the CLI status.  A kind with a body
+    runs body(cfg, out) instead.  admit(n_schedule, params) raises
+    ConfigInvalid at load time for an item that cannot run.
     """
 
     params: tuple[Param, ...] = ()
@@ -577,6 +578,7 @@ class Kind:
     once: Callable | None = None
     items: str = "n_schedule"
     on_point_set: bool = False
+    on_modulus: Callable | None = None
     body: Callable | None = None
     admit: Callable | None = None
 
@@ -607,6 +609,9 @@ def _run_tables(cfg: ExperimentConfig, out: Path):
         part: dict = {}
         if kind.on_point_set:
             item = _staged_point_set(cfg, replace(cfg.spec, n=item), part)
+        elif kind.on_modulus is not None and kind.on_modulus(cfg):
+            with _stage(part, "table"):
+                item = Modulus(item)
         with _stage(part, "evaluate"):
             rows = kind.rows(cfg, item)
         return rows, part
@@ -730,10 +735,12 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     return outputs, ok, clocks
 
 
-def _kloosterman_rows(cfg: ExperimentConfig, n: int):
+def _kloosterman_rows(cfg: ExperimentConfig, item):
+    # item is n under weyl_full, which reads no table, else the table of n
     if cfg.params["weyl_full"]:
         # full-set character sums for every residue frequency at once must match
         # the 0/1 closed form; periodicity in m covers |m| <= 2n
+        n = item
         vals = weyl_sums_all_residues(n)
         dev = float(abs(vals[0] - 1.0))
         if n > 1:
@@ -742,20 +749,22 @@ def _kloosterman_rows(cfg: ExperimentConfig, n: int):
     # the triple set's two-torus averages against S(m1, m2; n) / phi(n), and
     # the Weil bound off the trivial frequency
     m_range, tol = cfg.params["m_range"], 1e-9
-    phi = totient(n)
-    ps = gen_triple(PointSetSpec(n=n))
+    mod = item
+    n, phi = mod.n, mod.phi
+    ps = gen_triple(PointSetSpec(n=n), mod)
     rows = []
     for m1, m2 in product(range(-m_range, m_range + 1), repeat=2):
         avg = empirical_average(ps, TwoTorusChar(m1, m2))
-        good = abs(avg - kloosterman_sum(m1, m2, n) / phi) <= tol
+        good = abs(avg - kloosterman_sum(m1, m2, mod) / phi) <= tol
         if (m1, m2) != (0, 0):
-            good &= abs(avg) <= weil_bound(m1, m2, n) / phi + tol
+            good &= abs(avg) <= weil_bound(m1, m2, mod) / phi + tol
         rows.append((n, m1, m2, avg.real, avg.imag, good))
     return rows, []
 
 
-def _invariance_rows(cfg: ExperimentConfig, n: int):
-    return ([(n, p, d, verify_invariance(replace(cfg.spec, n=n, d=d), p))
+def _invariance_rows(cfg: ExperimentConfig, mod: Modulus):
+    n = mod.n
+    return ([(n, p, d, verify_invariance(replace(cfg.spec, n=n, d=d), p, mod))
              for d in cfg.params["d_values"] for p in cfg.params["primes"]
              if n % p],)
 
@@ -786,11 +795,12 @@ def _toral_rows(cfg: ExperimentConfig):
     return rows
 
 
-def _cardinality_rows(cfg: ExperimentConfig, n: int):
+def _cardinality_rows(cfg: ExperimentConfig, mod: Modulus):
+    n = mod.n
     rows = []
     for d in cfg.params["d_values"]:
-        generated = len(gen_monomial(PointSetSpec(n=n, d=d)))
-        formula = residue_count_formula(n, d)
+        generated = len(gen_monomial(PointSetSpec(n=n, d=d), mod))
+        formula = residue_count_formula(mod, d)
         rows.append((n, d, generated, formula, generated == formula))
     return (rows,)
 
@@ -856,9 +866,13 @@ def _projection_rows(cfg: ExperimentConfig, case):
               "|".join(map(str, m)), count, agree)],)
 
 
-def _intersection_rows(cfg: ExperimentConfig, n: int):
-    checked, passed = verify_intersection(n)
-    return ([(n, checked, passed, checked == passed)],)
+def _intersection_rows(cfg: ExperimentConfig, mod: Modulus):
+    checked, passed = verify_intersection(mod)
+    return ([(mod.n, checked, passed, checked == passed)],)
+
+
+def _always(cfg: ExperimentConfig) -> bool:
+    return True
 
 
 def _d_values(default) -> Param:
@@ -873,18 +887,20 @@ KINDS: dict[str, Kind] = {
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
         hard=True, rows=_kloosterman_rows,
+        on_modulus=lambda cfg: not cfg.params["weyl_full"],
         params=(Param("m_range", _m_range, 2),
                 Param("weyl_full", bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
-        hard=True, rows=_invariance_rows, once=_toral_rows,
+        hard=True, rows=_invariance_rows, once=_toral_rows, on_modulus=_always,
         params=(Param("primes", _int, [2, 3, 5], many=True, test=is_prime, need="prime"),
                 _d_values([1]), Param("toral", _toral)),
         tables=(Table("invariance", ("n", "p", "d", "invariant")),
                 Table("toral", ("instance", "expanding", "rule_value", "match"), True))),
     "cardinality": Kind(
-        hard=True, rows=_cardinality_rows, params=(_d_values(list(range(1, 13))),),
+        hard=True, rows=_cardinality_rows, on_modulus=_always,
+        params=(_d_values(list(range(1, 13))),),
         tables=(Table("cardinality", ("n", "d", "generated", "formula", "match")),)),
     "discrepancy": Kind(
         hard=True, rows=_discrepancy_rows, check=_discrepancy_falls, admit=_prime_windows,
@@ -910,7 +926,7 @@ KINDS: dict[str, Kind] = {
         params=(Param("cases", _case, many=True, required=True),),
         tables=(Table("projection", ("n", "places", "l", "m", "pairs", "agree")),)),
     "intersection": Kind(
-        hard=True, rows=_intersection_rows,
+        hard=True, rows=_intersection_rows, on_modulus=_always,
         tables=(Table("intersection", ("n", "units_checked", "verified", "ok")),)),
     "generate": Kind(body=_run_generate),
 }

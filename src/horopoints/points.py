@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import NotCoprime, gcd, mod_inverse, powmod, residue_array, totient
+from .arith import Modulus, NotCoprime, gcd, mod_inverse
 from .sl2 import reduce_many
 
 __all__ = [
@@ -81,14 +81,18 @@ class PointSet:
     """A point set as coordinate arrays keyed by the residues of one spec.
 
     len() is the number of points.  Generation is deterministic (keys
-    ascending), so averages downstream are order-stable.
+    ascending), so averages downstream are order-stable.  modulus, the
+    arithmetic table of n, inverts the keys for the second torus; without
+    one, the first read of that torus builds it.
     """
 
-    def __init__(self, spec: PointSetSpec, residues: np.ndarray, with_second: bool, x_mult: int):
+    def __init__(self, spec: PointSetSpec, residues: np.ndarray, with_second: bool, x_mult: int,
+                 modulus: Modulus | None = None):
         self.spec = spec
         self.residues = residues
         self.with_second = with_second
         self.x_mult = x_mult
+        self._modulus = modulus
         self._inv: np.ndarray | None = None
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -110,7 +114,8 @@ class PointSet:
         if not self.with_second:
             raise ValueError("point set has no second torus coordinate")
         if self._inv is None:
-            self._inv = powmod(self.residues, totient(self.n) - 1, self.n)
+            mod = self._modulus if self._modulus is not None else Modulus(self.n)
+            self._inv = mod.invert(self.residues)
         return (self.spec.b % self.n) * self._inv % self.n
 
     def x_reals(self) -> np.ndarray:
@@ -134,29 +139,41 @@ def gen_full(n: int, alpha: Fraction | float) -> PointSet:
     return PointSet(spec, np.arange(n, dtype=np.int64), with_second=False, x_mult=1)
 
 
-def gen_monomial(spec: PointSetSpec) -> PointSet:
+def _modulus_of(spec: PointSetSpec, modulus: Modulus | None) -> Modulus:
+    """The arithmetic table of spec.n: the one given, else a new one."""
+    if modulus is None:
+        return Modulus(spec.n)
+    if modulus.n != spec.n:
+        raise ValueError(f"the table of n={modulus.n} was given for n={spec.n}")
+    return modulus
+
+
+def gen_monomial(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
     """Deduplicated pairs (a*k^d/n, u_{b*k^d/n} a_{n^alpha}^{-1}) over units k.
 
     The second coefficient of a pair set rides on the surface coordinate.
-    len equals residue_count_formula(n, d).
+    len equals residue_count_formula(Modulus(n), d).  The residues come from modulus,
+    the arithmetic table of n, when one is given.
     """
     if gcd(spec.a * spec.b, spec.n) != 1:
         raise NotCoprime(f"a*b={spec.a * spec.b} shares a factor with n={spec.n}")
-    return PointSet(spec, residue_array(spec.n, spec.d), with_second=False, x_mult=spec.b)
+    res = _modulus_of(spec, modulus).residues(spec.d)
+    return PointSet(spec, res, with_second=False, x_mult=spec.b)
 
 
-def gen_triple(spec: PointSetSpec) -> PointSet:
+def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
     """Triples (a*k^d/n, b*inv(k^d)/n, u_{c*k^d/n} a_{n^alpha}^{-1}) over units.
 
     The canonical family fixes alpha = 1/2; other alphas are accepted for
-    exploration only.
+    exploration only.  The residues and their inverses come from modulus,
+    the arithmetic table of n, when one is given.
     """
     if gcd(spec.a * spec.b * spec.c, spec.n) != 1:
         raise NotCoprime(
             f"a*b*c={spec.a * spec.b * spec.c} shares a factor with n={spec.n}"
         )
-    res = residue_array(spec.n, spec.d)
-    return PointSet(spec, res, with_second=True, x_mult=spec.c)
+    mod = _modulus_of(spec, modulus)
+    return PointSet(spec, mod.residues(spec.d), with_second=True, x_mult=spec.c, modulus=mod)
 
 
 def gen_point_set(spec: PointSetSpec, variant: str) -> PointSet:
@@ -181,15 +198,17 @@ def _check_prime_action(p: int, n: int) -> None:
         raise PrimeDividesModulus(f"p={p} divides n={n}")
 
 
-def verify_invariance(spec: PointSetSpec, p: int) -> bool:
+def verify_invariance(spec: PointSetSpec, p: int, modulus: Modulus | None = None) -> bool:
     """True iff multiplication by p^(2d) permutes the generated set exactly.
 
     Equality is checked on exact coordinates: with unit multipliers the
     coordinate tuple of a sample is a bijective function of its residue key,
     so set equality of sorted residue arrays is set equality of the samples.
+    The residues come from modulus, the arithmetic table of n, when one is
+    given.
     """
     _check_prime_action(p, spec.n)
-    res = residue_array(spec.n, spec.d)
+    res = _modulus_of(spec, modulus).residues(spec.d)
     factor = pow(p, 2 * spec.d, spec.n)
     mapped = np.sort(res * (factor % spec.n) % spec.n)
     return bool(np.array_equal(mapped, res))

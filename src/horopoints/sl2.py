@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import unit_inverses, units
+from .arith import Modulus
 
 __all__ = [
     "NumericalDegeneracy",
@@ -65,8 +65,9 @@ def reduce_many(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def verify_intersection(n: int) -> tuple[int, int]:
-    """Check the intersection witness of every unit k mod n; (checked, passed).
+def verify_intersection(mod: Modulus) -> tuple[int, int]:
+    """Check the intersection witness of every unit k mod n, read with its
+    inverse kbar from the arithmetic table of n; (checked, passed).
 
     The witness gamma = (n, -k; kbar, e) satisfies
     gamma * u_{k/n} * a_n^-1 = (1, 0; kbar/n, n*e + k*kbar), so it carries
@@ -74,8 +75,7 @@ def verify_intersection(n: int) -> tuple[int, int]:
     integer, i.e. n*e + k*kbar = 1.  Evaluated in int64 over the units, which
     is exact: k, kbar < n < 2^31.
     """
-    k = units(n)
-    kbar = unit_inverses(n)
+    n, k, kbar = mod.n, mod.units, mod.inverses
     kk = k * kbar
     e = (1 - kk) // n
     return len(k), int(np.count_nonzero(n * e + kk == 1))

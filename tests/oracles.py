@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from horopoints.arith import NotCoprime, factorize, mod_inverse, totient
+from horopoints.arith import NotCoprime, factorize, mod_inverse, powmod, totient, units
 from horopoints.observables import (
     _kernel_profile_indicator,
     _kernel_profile_smooth,
@@ -44,6 +44,20 @@ def ramanujan_sum(n: int, m: int) -> int:
 def weyl_sum_full(n: int, m: int) -> complex:
     """(1/n) * sum_{k<n} e(mk/n), summed term by term."""
     return sum(cmath.exp(2j * cmath.pi * (m * k % n) / n) for k in range(n)) / n
+
+
+def kloosterman_sum_reference(m1: int, m2: int, n: int) -> complex:
+    """S(m1, m2; n) with one direct exp per unit, over freshly built units and
+    inverses (no table)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n == 1:
+        return complex(1.0)
+    u = units(n)
+    phase = (m1 % n) * u % n
+    if m2 % n:
+        phase = (phase + (m2 % n) * powmod(u, totient(n) - 1, n)) % n
+    return complex(np.exp((2j * np.pi / n) * phase).sum())
 
 
 def torus_coordinates(ps, i: int) -> tuple[Fraction, Fraction | None, complex]:

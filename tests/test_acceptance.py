@@ -16,7 +16,7 @@ import numpy as np
 from oracles import weyl_sum_full, witness_holds
 
 from horopoints.arith import (
-    divisor_count,
+    Modulus,
     kloosterman_sum,
     residue_count_formula,
     totient,
@@ -66,13 +66,14 @@ def test_criterion_01_kloosterman_identity(capsys):
     worst = 0.0
     ok = True
     for n in range(1, 2001):
-        ps = gen_triple(PointSetSpec(n=n, d=1))
-        phi = totient(n)
-        tau = divisor_count(n)
+        mod = Modulus(n)
+        ps = gen_triple(PointSetSpec(n=n, d=1), mod)
+        phi = mod.phi
+        tau = mod.tau
         for m1 in range(-2, 3):
             for m2 in range(-2, 3):
                 emp = empirical_average(ps, TwoTorusChar(m1, m2))
-                closed = kloosterman_sum(m1, m2, n) / phi
+                closed = kloosterman_sum(m1, m2, mod) / phi
                 dev = abs(emp - closed)
                 worst = max(worst, dev)
                 if dev > 1e-9:
@@ -108,7 +109,7 @@ def test_criterion_03_intersection_witness(capsys):
         passed = sum(witness_holds(k, n) for k in units_n)
         checked += len(units_n)
         ok &= passed == len(units_n)
-        ok &= verify_intersection(n) == (len(units_n), passed)
+        ok &= verify_intersection(Modulus(n)) == (len(units_n), passed)
     _criterion(capsys, 3, ok, f"{checked} exact witness verifications, n<=1000")
 
 
@@ -116,8 +117,9 @@ def test_criterion_04_cardinalities(capsys):
     ok = True
     # generated set size against the multiplicative formula, full grid
     for n in range(1, 2001):
+        mod = Modulus(n)
         for d in range(1, 13):
-            if len(_primitive_set(n, d, 1, 2)) != residue_count_formula(n, d):
+            if len(_primitive_set(n, d, 1, 2)) != residue_count_formula(mod, d):
                 ok = False
     # independent brute force on a dense low range plus a seeded sample above
     rng = np.random.default_rng(101)
@@ -125,7 +127,7 @@ def test_criterion_04_cardinalities(capsys):
     pairs += [(int(rng.integers(401, 2001)), int(rng.integers(1, 13))) for _ in range(200)]
     for n, d in pairs:
         brute = len({pow(k, d, n) for k in range(n) if gcd(k, n) == 1})
-        if brute != residue_count_formula(n, d):
+        if brute != residue_count_formula(Modulus(n), d):
             ok = False
     # prime-power branch formulas, exact up to 3000
     pp_checked = 0
@@ -143,7 +145,7 @@ def test_criterion_04_cardinalities(capsys):
                         expected = (2 // gcd(2, d)) * (half // gcd(half, d))
                 else:
                     expected = phi_q // gcd(phi_q, d)
-                if residue_count_formula(q, d) != expected:
+                if residue_count_formula(Modulus(q), d) != expected:
                     ok = False
                 if len({pow(k, d, q) for k in range(q) if k % p}) != expected:
                     ok = False
@@ -156,12 +158,13 @@ def test_criterion_05_invariance(capsys):
     ok = True
     checked = 0
     for n in range(1, 5001):
+        mod = Modulus(n)
         for p in (2, 3, 5):
             if n % p == 0:
                 continue
             for d in (1, 2, 3, 4):
                 checked += 1
-                if not verify_invariance(PointSetSpec(n=n, d=d), p):
+                if not verify_invariance(PointSetSpec(n=n, d=d), p, mod):
                     ok = False
     _criterion(capsys, 5, ok, f"{checked} multiplication-invariance checks, n<=5000")
 

@@ -10,11 +10,13 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import moebius_mu, ramanujan_sum
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import kloosterman_sum_reference, moebius_mu, ramanujan_sum
 
 from horopoints.arith import (
+    Modulus,
     NotCoprime,
-    divisor_count,
     factorize,
     is_prime,
     kloosterman_sum,
@@ -22,11 +24,9 @@ from horopoints.arith import (
     next_prime,
     powmod,
     primes_coprime,
-    residue_array,
     residue_count_formula,
     totient,
     units,
-    unit_inverses,
     weil_bound,
 )
 
@@ -48,8 +48,8 @@ def brute_totient(n):
     return sum(1 for k in range(n) if gcd(k, n) == 1) if n > 1 else 1
 
 
-def brute_residues(n, d, a=1):
-    return {a * pow(k, d, n) % n for k in range(n) if gcd(k, n) == 1}
+def brute_residues(n, d):
+    return {pow(k, d, n) for k in range(n) if gcd(k, n) == 1}
 
 
 def brute_ramanujan(n, m):
@@ -71,12 +71,9 @@ def gcd_scan_units(n):
     return ks[np.gcd(ks, n) == 1]
 
 
-def unique_residue_array(n, d, a=1):
-    # the earlier bulk residue_array(): powers of the gcd-scan units, np.unique
-    r = powmod(gcd_scan_units(n), d, n)
-    if a % n != 1:
-        r = (r * (a % n)) % n
-    return np.unique(r)
+def unique_residue_array(n, d):
+    # the earlier bulk residue set: powers of the gcd-scan units, np.unique
+    return np.unique(powmod(gcd_scan_units(n), d, n))
 
 
 def _assert_same_sorted_int64(got, want, key):
@@ -138,7 +135,7 @@ def test_factorize_and_divisors():
     # beyond the sieve: 10^7-scale semiprime
     p, q = 10_000_019, 10_000_079
     assert factorize(p * q) == {p: 1, q: 1}
-    assert divisor_count(12) == 6
+    assert Modulus(12).tau == 6
 
 
 def test_next_prime_and_is_prime():
@@ -158,10 +155,17 @@ def test_primes_coprime_examples():
 
 def test_units_and_inverses():
     for n in (1, 2, 7, 12, 360):
-        u = units(n)
-        assert len(u) == totient(n)
-        ub = unit_inverses(n)
+        mod = Modulus(n)
+        u = mod.units
+        assert len(u) == totient(n) == mod.phi
+        ub = mod.inverses
         assert (u * ub % n == (1 % n)).all()
+        # the inverses of the units array are built once; other keys are inverted
+        assert mod.invert(u) is ub
+        assert np.array_equal(mod.invert(u.copy()), ub)
+        # the table's arrays are shared by its readers, so nobody may write them
+        assert not (u.flags.writeable or ub.flags.writeable or mod.roots.flags.writeable
+                    or mod.residues(2).flags.writeable)
 
 
 def test_units_match_gcd_scan_oracle():
@@ -171,39 +175,69 @@ def test_units_match_gcd_scan_oracle():
 
 def test_residue_array_matches_unique_oracle():
     for n in range(1, 2001):
+        mod = Modulus(n)
         for d in (1, 2, 3, 4, 6, 12):
-            for a in (1, 5):
-                if gcd(a, n) != 1:
-                    continue
-                _assert_same_sorted_int64(residue_array(n, d, a),
-                                          unique_residue_array(n, d, a), (n, d, a))
+            _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
 
 
 @pytest.mark.parametrize("n", [10007, 100003, 1000003])
 def test_unit_and_residue_sets_match_oracle_at_large_primes(n):
     _assert_same_sorted_int64(units(n), gcd_scan_units(n), n)
+    mod = Modulus(n)
     for d in (1, 2):
-        _assert_same_sorted_int64(residue_array(n, d), unique_residue_array(n, d), (n, d))
+        _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
 
 
 def test_bulk_paths_reject_moduli_beyond_int64():
-    n = (1 << 31) + 11
+    for n in ((1 << 31) + 11, 1 << 31, 0, -5):
+        with pytest.raises(ValueError):
+            units(n)
+        with pytest.raises(ValueError):
+            Modulus(n)
     with pytest.raises(ValueError):
-        residue_array(n, 2)
-    with pytest.raises(ValueError):
-        kloosterman_sum(1, 1, n)
+        powmod(np.arange(3), 2, 1 << 31)
 
 
-def _residue_set(n, d, a=1):
-    return set(residue_array(n, d, a).tolist())
+# prime powers and powers of two, where the unit group and the d-th power map
+# take their special shapes
+_PRIME_POWERS = sorted({p ** e for p in (3, 5, 7, 11, 13, 31, 101, 1009)
+                        for e in range(1, 12) if p ** e <= 200_000})
+_POWERS_OF_TWO = [2 ** e for e in range(18)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.one_of(st.integers(1, 3000), st.sampled_from(_PRIME_POWERS),
+                   st.sampled_from(_POWERS_OF_TWO)),
+       d=st.integers(1, 12), m1=st.integers(-10 ** 4, 10 ** 4), m2=st.integers(-10 ** 4, 10 ** 4))
+@example(n=999983, d=2, m1=1, m2=-3)
+@example(n=1, d=1, m1=0, m2=0)
+@example(n=2, d=5, m1=1, m2=1)
+@example(n=2 ** 17, d=12, m1=7, m2=0)
+def test_modulus_table_matches_brute_oracles(n, d, m1, m2):
+    mod = Modulus(n)
+    coprime = gcd_scan_units(n)
+    _assert_same_sorted_int64(mod.units, coprime, n)
+    assert mod.phi == len(coprime) == sum(1 for k in range(n) if gcd(k, n) == 1)
+    assert mod.tau == int(np.count_nonzero(n % np.arange(1, n + 1) == 0))
+    assert mod.factors == factorize(n)
+    assert mod.inverses.tolist() == [pow(k, -1, n) for k in coprime.tolist()]
+    want = sorted({pow(k, d, n) for k in coprime.tolist()})
+    assert mod.residues(d).tolist() == want
+    assert mod.residues(d) is mod.residues(d)
+    # the root-table gather sums the same terms as the direct exp
+    assert kloosterman_sum(m1, m2, mod) == kloosterman_sum_reference(m1, m2, n)
+
+
+def _residue_set(n, d):
+    return set(Modulus(n).residues(d).tolist())
 
 
 def test_residue_set_examples():
     assert _residue_set(5, 1) == {1, 2, 3, 4} == brute_residues(5, 1)
     assert _residue_set(7, 2) == {1, 2, 4} == brute_residues(7, 2)
     assert _residue_set(15, 2) == {1, 4} == brute_residues(15, 2)
-    with pytest.raises(NotCoprime):
-        residue_array(6, 1, a=3)
+    with pytest.raises(ValueError):
+        Modulus(6).residues(0)
 
 
 def test_residue_set_random_against_brute():
@@ -211,28 +245,26 @@ def test_residue_set_random_against_brute():
     for _ in range(150):
         n = int(rng.integers(1, 400))
         d = int(rng.integers(1, 13))
-        a = int(rng.integers(1, n + 1))
-        if gcd(a, n) != 1:
-            continue
-        assert _residue_set(n, d, a) == brute_residues(n, d, a), (n, d, a)
+        assert _residue_set(n, d) == brute_residues(n, d), (n, d)
 
 
 def test_residue_count_formula_examples():
     # odd prime power: phi(7)/gcd(phi(7), 2) = 6/2
-    assert residue_count_formula(7, 2) == 3 == len(brute_residues(7, 2))
+    assert residue_count_formula(Modulus(7), 2) == 3 == len(brute_residues(7, 2))
     # 2-power with even d: phi(8)/(2*gcd(2^(3-2), 2)) = 4/4
-    assert residue_count_formula(8, 2) == 1 == len(brute_residues(8, 2))
-    assert residue_count_formula(15, 2) == 2 == len(brute_residues(15, 2))
+    assert residue_count_formula(Modulus(8), 2) == 1 == len(brute_residues(8, 2))
+    assert residue_count_formula(Modulus(15), 2) == 2 == len(brute_residues(15, 2))
     # odd d at 2-powers: the d-th power map is onto the units
     for r in range(1, 8):
         for d in (1, 3, 5, 7, 9, 11):
-            assert residue_count_formula(2 ** r, d) == len(brute_residues(2 ** r, d))
+            assert residue_count_formula(Modulus(2 ** r), d) == len(brute_residues(2 ** r, d))
 
 
 def test_residue_count_formula_sweep():
     for n in range(1, 301):
+        mod = Modulus(n)
         for d in range(1, 9):
-            assert residue_count_formula(n, d) == len(residue_array(n, d)), (n, d)
+            assert residue_count_formula(mod, d) == len(mod.residues(d)), (n, d)
 
 
 def test_ramanujan_examples():
@@ -243,13 +275,13 @@ def test_ramanujan_examples():
     direct = brute_ramanujan(6, 1)
     assert abs(direct - 1) < 1e-12
     assert ramanujan_sum(6, 1) == 1
-    assert abs(kloosterman_sum(1, 0, 6) - 1) < 1e-12
+    assert abs(kloosterman_sum(1, 0, Modulus(6)) - 1) < 1e-12
     for n in (1, 2, 9, 10, 36):
         assert ramanujan_sum(n, 0) == totient(n)
-        assert abs(kloosterman_sum(0, 0, n) - totient(n)) < 1e-9
+        assert abs(kloosterman_sum(0, 0, Modulus(n)) - totient(n)) < 1e-9
     assert abs(brute_ramanujan(4, 2) - (-2)) < 1e-12
     assert ramanujan_sum(4, 2) == -2
-    assert abs(kloosterman_sum(2, 0, 4) - (-2)) < 1e-12
+    assert abs(kloosterman_sum(2, 0, Modulus(4)) - (-2)) < 1e-12
 
 
 def test_ramanujan_closed_form_matches_direct():
@@ -257,53 +289,58 @@ def test_ramanujan_closed_form_matches_direct():
     # closed form and against the library's S(m, 0; n)
     ms = np.arange(-20, 21)
     for n in range(1, 501):
+        mod = Modulus(n)
         u = units(n)
         direct = np.exp((2j * np.pi / n) * (ms[:, None] * u[None, :] % n)).sum(axis=1)
         closed = np.array([ramanujan_sum(n, int(m)) for m in ms], dtype=float)
-        library = np.array([kloosterman_sum(int(m), 0, n) for m in ms])
+        library = np.array([kloosterman_sum(int(m), 0, mod) for m in ms])
         assert np.abs(direct - closed).max() < 1e-9, n
         assert np.abs(library - closed).max() < 1e-9, n
 
 
 def test_kloosterman_examples():
-    assert kloosterman_sum(0, 0, 11) == totient(11)
-    s = kloosterman_sum(1, 1, 5)
+    assert kloosterman_sum(0, 0, Modulus(11)) == totient(11)
+    s = kloosterman_sum(1, 1, Modulus(5))
     assert abs(s - brute_kloosterman(1, 1, 5)) < 1e-12
     assert abs(s.real - 0.3819660112501051) < 1e-12
-    assert abs(kloosterman_sum(1, 0, 6) - ramanujan_sum(6, 1)) < 1e-9
+    assert abs(kloosterman_sum(1, 0, Modulus(6)) - ramanujan_sum(6, 1)) < 1e-9
 
 
-def _kloosterman_table(n, m_max):
-    """All S(m1, m2; n) for |m_i| <= m_max via cumulative power ladders."""
-    u = units(n)
-    ub = unit_inverses(n)
+def _kloosterman_table(mod, m_max):
+    """All S(m1, m2; n) for |m_i| <= m_max via cumulative power ladders, as a
+    matrix whose entry (m1 + m_max, m2 + m_max) is S(m1, m2; n)."""
+    n, u, ub = mod.n, mod.units, mod.inverses
     e1 = np.exp((2j * np.pi / n) * u)
     e2 = np.exp((2j * np.pi / n) * ub)
 
     def ladder(base):
-        powers = {0: np.ones_like(base)}
+        # row m_max + m holds base^m
+        powers = np.empty((2 * m_max + 1, len(base)), dtype=complex)
+        powers[m_max] = 1.0
         for m in range(1, m_max + 1):
-            powers[m] = powers[m - 1] * base
-            powers[-m] = np.conj(powers[m])
+            powers[m_max + m] = powers[m_max + m - 1] * base
+            powers[m_max - m] = np.conj(powers[m_max + m])
         return powers
 
-    p1, p2 = ladder(e1), ladder(e2)
-    return {(m1, m2): (p1[m1] * p2[m2]).sum()
-            for m1 in range(-m_max, m_max + 1) for m2 in range(-m_max, m_max + 1)}
+    return ladder(e1) @ ladder(e2).T
 
 
 def test_kloosterman_real_symmetric_weil():
     # the Weil bound and symmetry over the full stated sweep: every n up to
     # 5000 and every |m1|, |m2| <= 5
     rng = np.random.default_rng(3)
+    ms = range(-5, 6)
     for n in range(1, 5001):
-        table = _kloosterman_table(n, 5)
-        for (m1, m2), s in table.items():
-            assert abs(s.imag) <= 1e-9, (n, m1, m2)
-            assert abs(s - table[m2, m1]) <= 1e-9
-            if (m1, m2) != (0, 0):
-                assert abs(s) <= weil_bound(m1, m2, n) + 1e-9, (n, m1, m2)
-        # the ladder agrees with the library's direct summation
+        mod = Modulus(n)
+        table = _kloosterman_table(mod, 5)
+        assert (np.abs(table.imag) <= 1e-9).all(), (n, np.argwhere(np.abs(table.imag) > 1e-9))
+        assert (np.abs(table - table.T) <= 1e-9).all(), n
+        # no bound at the trivial frequency (0, 0)
+        weil = np.array([[weil_bound(m1, m2, mod) if (m1, m2) != (0, 0) else np.inf
+                          for m2 in ms] for m1 in ms])
+        over = np.abs(table) > weil + 1e-9
+        assert not over.any(), (n, np.argwhere(over) - 5)
+        # the ladder agrees with the library's root-table summation
         if n % 257 == 0 or n < 4:
             m1, m2 = int(rng.integers(-5, 6)), int(rng.integers(-5, 6))
-            assert abs(table[m1, m2] - kloosterman_sum(m1, m2, n)) <= 1e-9
+            assert abs(table[m1 + 5, m2 + 5] - kloosterman_sum(m1, m2, mod)) <= 1e-9

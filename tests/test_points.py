@@ -8,7 +8,7 @@ import pytest
 
 from oracles import reduce, torus_coordinates
 
-from horopoints.arith import NotCoprime, mod_inverse, residue_count_formula
+from horopoints.arith import Modulus, NotCoprime, mod_inverse, residue_count_formula
 from horopoints.points import (
     PointSetSpec,
     PrimeDividesModulus,
@@ -63,8 +63,9 @@ def test_gen_monomial_examples():
 
 def test_gen_monomial_count_matches_formula():
     for n in range(1, 200):
+        mod = Modulus(n)
         for d in (1, 2, 3, 4, 6, 12):
-            assert len(gen_monomial(PointSetSpec(n=n, d=d))) == residue_count_formula(n, d)
+            assert len(gen_monomial(PointSetSpec(n=n, d=d))) == residue_count_formula(mod, d)
 
 
 def test_gen_monomial_pair_puts_b_on_surface():
@@ -125,6 +126,25 @@ def test_verify_invariance_examples():
     assert verify_invariance(PointSetSpec(n=7, d=1), 2)
     with pytest.raises(PrimeDividesModulus):
         verify_invariance(PointSetSpec(n=9, d=1), 3)
+
+
+def test_generators_read_a_given_table():
+    # with the table of n, the sets and the verdicts are those built without
+    # one; a table of another n is refused
+    for n, d in ((1, 1), (12, 1), (45, 2), (101, 3)):
+        mod = Modulus(n)
+        spec = PointSetSpec(n=n, d=d)
+        for gen in (gen_monomial, gen_triple):
+            assert np.array_equal(gen(spec, mod).residues, gen(spec).residues)
+        triple = gen_triple(spec, mod)
+        assert np.array_equal(triple.torus2_numerators(), gen_triple(spec).torus2_numerators())
+        assert verify_invariance(spec, 7, mod) == verify_invariance(spec, 7)
+    other = Modulus(13)
+    for call in (lambda: gen_monomial(PointSetSpec(n=12), other),
+                 lambda: gen_triple(PointSetSpec(n=12), other),
+                 lambda: verify_invariance(PointSetSpec(n=12), 5, other)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_verify_invariance_sweep():

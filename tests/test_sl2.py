@@ -11,8 +11,7 @@ import pytest
 
 from oracles import IntegerMatrix2, intersection_witness, mobius, reduce, witness_holds
 
-from horopoints import sl2
-from horopoints.arith import NotCoprime, mod_inverse, totient
+from horopoints.arith import Modulus, NotCoprime, mod_inverse, totient
 from horopoints.sl2 import NumericalDegeneracy, reduce_many, verify_intersection
 
 
@@ -189,35 +188,35 @@ def test_intersection_witness_examples():
         intersection_witness(2, 4)
     assert witness_holds(2, 5) and witness_holds(1, 2)
     # the unit 0 of Z/1 is the one witness at n = 1
-    assert verify_intersection(1) == (1, 1)
-    assert verify_intersection(2) == (1, 1)
-    assert verify_intersection(5) == (4, 4)
-    assert verify_intersection(12) == (4, 4)
+    assert verify_intersection(Modulus(1)) == (1, 1)
+    assert verify_intersection(Modulus(2)) == (1, 1)
+    assert verify_intersection(Modulus(5)) == (4, 4)
+    assert verify_intersection(Modulus(12)) == (4, 4)
 
 
 def test_intersection_witness_sweep():
     for n in range(1, 80):
         phi = totient(n)
-        assert verify_intersection(n) == (phi, phi), n
+        assert verify_intersection(Modulus(n)) == (phi, phi), n
         for k in range(n if n > 1 else 1):
             if gcd(k, n) == 1:
                 assert witness_holds(k, n), (k, n)
 
 
 def test_verify_intersection_catches_a_wrong_inverse(monkeypatch):
-    # one inverse off by one makes exactly one unit fail, at every position
-    true_inverses = sl2.unit_inverses
+    # one inverse off by one in the table makes exactly one unit fail, at
+    # every position
     for n in (7, 12, 101):
+        mod = Modulus(n)
+        true_inverses = mod.inverses
         phi = totient(n)
         for i in range(phi):
-            def mutant(m, i=i):
-                kbar = true_inverses(m).copy()
-                kbar[i] = (kbar[i] + 1) % m
-                return kbar
-            monkeypatch.setattr(sl2, "unit_inverses", mutant)
-            assert verify_intersection(n) == (phi, phi - 1), (n, i)
-    monkeypatch.undo()
-    assert verify_intersection(101) == (100, 100)
+            kbar = true_inverses.copy()
+            kbar[i] = (kbar[i] + 1) % n
+            monkeypatch.setattr(mod, "inverses", kbar)
+            assert verify_intersection(mod) == (phi, phi - 1), (n, i)
+        monkeypatch.undo()
+        assert verify_intersection(mod) == (phi, phi)
 
 
 def test_witness_maps_horocycle_exactly():

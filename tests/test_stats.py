@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ramanujan_sum, weyl_sum_full
 
-from horopoints.arith import kloosterman_sum, totient, weil_bound
+from horopoints.arith import Modulus, kloosterman_sum, totient, weil_bound
 from horopoints.observables import TorusChar, TwoTorusChar
 from horopoints.points import PointSet, PointSetSpec, gen_full, gen_monomial, gen_triple
 from horopoints.stats import (
@@ -43,7 +43,7 @@ def test_empirical_average_examples():
 
     ps = gen_triple(PointSetSpec(n=5, d=1))
     emp = empirical_average(ps, TwoTorusChar(1, 1))
-    assert abs(emp - kloosterman_sum(1, 1, 5) / 4) < 1e-12
+    assert abs(emp - kloosterman_sum(1, 1, Modulus(5)) / 4) < 1e-12
     assert abs(emp - 0.09549150281252627) < 1e-9
 
     with pytest.raises(EmptySet):
@@ -92,13 +92,14 @@ def _modulus_and_frequencies(draw):
 def test_kloosterman_average_two_paths(case):
     # the triple-set average against the exponential-sum definition
     n, m1, m2 = case
-    phi = totient(n)
+    mod = Modulus(n)
+    phi = mod.phi
     avg = _kloosterman_average(n, m1, m2)
-    assert abs(avg * phi - kloosterman_sum(m1, m2, n)) <= 1e-9
+    assert abs(avg * phi - kloosterman_sum(m1, m2, mod)) <= 1e-9
     if n <= 200:
         assert abs(avg * phi - brute_kloosterman(m1, m2, n)) <= 1e-9
     if (m1, m2) != (0, 0):
-        assert abs(avg) <= weil_bound(m1, m2, n) / phi + 1e-9
+        assert abs(avg) <= weil_bound(m1, m2, mod) / phi + 1e-9
 
 
 def test_kloosterman_average_examples():
