@@ -27,7 +27,6 @@ __all__ = [
     "mod_inverse",
     "primes_upto",
     "primes_coprime",
-    "units",
     "powmod",
     "Modulus",
     "residue_count_formula",
@@ -208,21 +207,6 @@ def mod_inverse(k: int, n: int) -> int:
         raise NotCoprime(f"{k} is not invertible mod {n}") from exc
 
 
-def units(n: int) -> np.ndarray:
-    """Residues in [0, n) coprime to n, ascending int64 (requires n < 2^31).
-
-    Sieves a boolean mask of length n (n bytes): for each prime p of n the
-    n/p multiples of p are cleared, and the survivors are the units.  Costs
-    one factorization of n and O(n) work, with no gcd per residue.
-    """
-    if not 1 <= n < _INT64_MOD_LIMIT:
-        raise ValueError("units() is an int64 bulk path; need 1 <= n < 2^31")
-    keep = np.ones(n, dtype=bool)
-    for p in factorize(n):
-        keep[::p] = False
-    return np.flatnonzero(keep).astype(np.int64, copy=False)
-
-
 def powmod(base: np.ndarray, exp: int, n: int) -> np.ndarray:
     """Vectorized base**exp mod n by square-and-multiply (n < 2^31, exp >= 0)."""
     if n >= _INT64_MOD_LIMIT:
@@ -255,9 +239,16 @@ class Modulus:
     """
 
     def __init__(self, n: int):
+        if not 1 <= n < _INT64_MOD_LIMIT:
+            raise ValueError("Modulus is an int64 bulk path; need 1 <= n < 2^31")
         self.n = n
-        self.units = _read_only(units(n))   # raises ValueError outside [1, 2^31)
         self.factors = factorize(n)
+        # a bool mask of length n (n bytes): for each prime p of n the n/p
+        # multiples of p are cleared, and the survivors are the units
+        keep = np.ones(n, dtype=bool)
+        for p in self.factors:
+            keep[::p] = False
+        self.units = _read_only(np.flatnonzero(keep).astype(np.int64, copy=False))
         self.phi = _totient_of(self.factors)
         self.tau = math.prod(e + 1 for e in self.factors.values())
         self._residues: dict[int, np.ndarray] = {}

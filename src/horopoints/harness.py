@@ -58,7 +58,6 @@ from .stats import (
     cusp_mass,
     discrepancy_l2,
     empirical_average,
-    equidist_report,
     rate_fit,
     toral_correlation,
     weyl_sums_all_residues,
@@ -673,10 +672,14 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
 
 
 def _run_equidist(cfg: ExperimentConfig, out: Path):
+    """Each worker generates the set of one (d, n), averages every observable
+    over it and drops it, so at most one set per thread is alive."""
     variant = cfg.point_set["variant"]
     d_values = cfg.params["d_values"] or [cfg.spec.d]
     # the surface points are reduced up front only if an observable reads them
     on_surface = any("x" in obs._slots() for obs in cfg.observables)
+    targets = [obs.haar() for obs in cfg.observables]
+    n_values = cfg.n_schedule
     outputs = []
     obs_payload = []
     clocks: dict = {}
@@ -684,31 +687,45 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
         def work(n):
             part: dict = {}
             ps = _staged_point_set(cfg, replace(cfg.spec, n=n, d=d), part, on_surface)
-            return n, ps, part
+            averages = []
+            for obs in cfg.observables:
+                with _stage(part, "evaluate", f"evaluate:{obs.describe()}"):
+                    averages.append(empirical_average(ps, obs))
+            return averages, part
 
-        sets = {}
-        for n, ps, part in _map_schedule(cfg, work, cfg.n_schedule):
-            sets[n] = ps
+        per_n = []
+        for averages, part in _map_schedule(cfg, work, n_values):
+            per_n.append(averages)
             _merge_clocks(clocks, part)
-        for i, obs in enumerate(cfg.observables):
-            with _stage(clocks, "evaluate", f"evaluate:{obs.describe()}"):
-                rep = equidist_report(obs, sets)
+        for i, (obs, target, empirical) in enumerate(zip(cfg.observables, targets, zip(*per_n))):
+            haar = target.value
+            errors = [abs(z - haar) for z in empirical]
+            # errors at or below 10 eps |haar| (and rate_fit's floor) are exact
+            # cancellations with no rate information; the fit needs three others
+            usable = [(n, e) for n, e in zip(n_values, errors)
+                      if e > 10.0 * np.finfo(float).eps * abs(haar)]
+            try:
+                kappa, residual = rate_fit([n for n, _ in usable], [e for _, e in usable])
+            except InsufficientData:
+                kappa = residual = None
             stem = f"equidist_{i}" if len(d_values) == 1 else f"equidist_d{d}_{i}"
             with _stage(clocks, "write"):
                 outputs.append(write_rows(
                     out, stem, ["n", "empirical_re", "empirical_im", "haar", "abs_error"],
-                    rep.rows(), cfg.format))
+                    [(n, z.real, z.imag, haar, e)
+                     for n, z, e in zip(n_values, empirical, errors)],
+                    cfg.format))
             obs_payload.append({
                 "d": d,
-                "observable": rep.observable,
-                "n_values": rep.n_values,
-                "empirical_re": [z.real for z in rep.empirical],
-                "empirical_im": [z.imag for z in rep.empirical],
-                "haar": rep.haar,
-                "haar_exact": rep.haar_exact,
-                "errors": rep.errors,
-                "fitted_kappa": rep.fitted_kappa,
-                "fit_residual": rep.fit_residual,
+                "observable": obs.describe(),
+                "n_values": n_values,
+                "empirical_re": [z.real for z in empirical],
+                "empirical_im": [z.imag for z in empirical],
+                "haar": haar,
+                "haar_exact": target.exact,
+                "errors": errors,
+                "fitted_kappa": kappa,
+                "fit_residual": residual,
             })
     ok = True
     if cfg.params["require_decay"]:
@@ -859,7 +876,7 @@ def _cusp_mass_rows(cfg: ExperimentConfig, ps):
 def _projection_rows(cfg: ExperimentConfig, case):
     n, places, l, m = case
     try:
-        count, agree = len(project_level(n, places, l, m).pairs), True
+        count, agree = len(project_level(n, places, l, m)), True
     except ArithmeticError:
         count, agree = -1, False
     return ([(n, "|".join(map(str, places)), "|".join(map(str, l)),

@@ -56,7 +56,6 @@ class HaarTarget:
 
     value: float
     exact: bool
-    tolerance: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ class AutomorphicKernel:
         integral, _ = quad(lambda r: prof(r) * math.sinh(r), 0.0, self.radius,
                            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
         # unfolding: (3/pi) * 2*pi * int k(r) sinh(r) dr
-        return HaarTarget(6.0 * integral, exact=False, tolerance=1e-10)
+        return HaarTarget(6.0 * integral, exact=False)
 
     def describe(self) -> str:
         extra = "" if self.center == 1j else f",center={self.center}"
@@ -355,13 +354,12 @@ class Product:
         return out
 
     def haar(self) -> HaarTarget:
-        value, exact, tol = 1.0, True, 0.0
+        value, exact = 1.0, True
         for f in self.factors:
             t = f.haar()
             value *= t.value
             exact = exact and t.exact
-            tol = max(tol, t.tolerance)
-        return HaarTarget(value, exact=exact, tolerance=0.0 if exact else tol)
+        return HaarTarget(value, exact=exact)
 
     def describe(self) -> str:
         return "*".join(f.describe() for f in self.factors)

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import Modulus, NotCoprime, gcd, mod_inverse
+from .arith import _INT64_MOD_LIMIT, Modulus, NotCoprime, gcd, mod_inverse
 from .sl2 import reduce_many
 
 __all__ = [
     "PrimeDividesModulus",
     "PointSetSpec",
     "PointSet",
-    "LevelProjection",
     "gen_full",
     "gen_monomial",
     "gen_triple",
@@ -35,8 +34,6 @@ __all__ = [
     "project_level_direct",
     "project_level_stated",
 ]
-
-_INT64_MOD_LIMIT = 1 << 31
 
 
 class PrimeDividesModulus(ValueError):
@@ -217,20 +214,6 @@ def verify_invariance(spec: PointSetSpec, p: int, modulus: Modulus | None = None
 # ---------------------------------------------------------------------------
 # finite-level projections
 
-@dataclass(frozen=True)
-class LevelProjection:
-    """Projection of the full rational point set to a finite level.
-
-    pairs holds (t mod S^l, t mod S^m) with t = S^(l v m) * k / n, as exact
-    rationals with representatives in [0, S^l) x [0, S^m).
-    """
-
-    finite_places: tuple[int, ...]
-    l: tuple[int, ...]
-    m: tuple[int, ...]
-    pairs: frozenset = field(repr=False)
-
-
 def _prod_power(places, exps) -> int:
     out = 1
     for p, e in zip(places, exps):
@@ -288,14 +271,15 @@ def project_level_direct(n: int, finite_places, l, m) -> frozenset:
     return frozenset(pairs)
 
 
-def project_level(n: int, finite_places, l, m) -> LevelProjection:
-    """Project the rational points to level (S^l, S^m); both computation
-    paths are evaluated and must agree exactly."""
+def project_level(n: int, finite_places, l, m) -> frozenset:
+    """Project the rational points to level (S^l, S^m): the set of pairs
+    (t mod S^l, t mod S^m), t = S^(l v m) * k / n, as exact rationals with
+    representatives in [0, S^l) x [0, S^m).  Both computation paths are
+    evaluated and must agree exactly."""
     stated = project_level_stated(n, finite_places, l, m)
     direct = project_level_direct(n, finite_places, l, m)
     if stated != direct:
         raise ArithmeticError(
             f"projection paths disagree for n={n}, places={finite_places}, l={l}, m={m}"
         )
-    places, l, m = _validate_projection_args(n, finite_places, l, m)
-    return LevelProjection(places, l, m, stated)
+    return stated

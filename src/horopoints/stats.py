@@ -20,14 +20,12 @@ __all__ = [
     "NoPrimesAvailable",
     "NotExpanding",
     "DiscrepancyResult",
-    "EquidistReport",
     "empirical_average",
     "weyl_sums_all_residues",
     "toral_correlation",
     "discrepancy_l2",
     "rate_fit",
     "cusp_mass",
-    "equidist_report",
 ]
 
 _ERROR_FLOOR = 1e-15
@@ -155,54 +153,3 @@ def cusp_mass(ps: PointSet, T: float) -> float:
     if len(ps) == 0:
         raise EmptySet("point set is empty")
     return float((ps.heights() > T).mean())
-
-
-# ---------------------------------------------------------------------------
-# experiment reports
-
-@dataclass
-class EquidistReport:
-    """Per-n empirical averages of one observable against its Haar target."""
-
-    observable: str
-    n_values: list[int]
-    empirical: list[complex]
-    haar: float
-    errors: list[float]
-    fitted_kappa: float | None
-    fit_residual: float | None
-    haar_exact: bool = True
-
-    def rows(self) -> list[tuple]:
-        return [
-            (n, emp.real, emp.imag, self.haar, err)
-            for n, emp, err in zip(self.n_values, self.empirical, self.errors)
-        ]
-
-
-def equidist_report(obs: Observable, point_sets: dict[int, PointSet]) -> EquidistReport:
-    """Average one observable over the point set of each n and fit the
-    error decay.
-
-    n values whose error is below 10 * eps * |haar| are excluded from the fit
-    (exact-cancellation cases carry no rate information).
-    """
-    n_values = sorted(point_sets)
-    target = obs.haar()
-    empirical = [empirical_average(point_sets[n], obs) for n in n_values]
-    errors = [abs(emp - target.value) for emp in empirical]
-    cutoff = max(10.0 * np.finfo(float).eps * abs(target.value), _ERROR_FLOOR)
-    usable = [(n, e) for n, e in zip(n_values, errors) if e > cutoff]
-    kappa = residual = None
-    if len(usable) >= 3:
-        kappa, residual = rate_fit([u[0] for u in usable], [u[1] for u in usable])
-    return EquidistReport(
-        observable=obs.describe(),
-        n_values=n_values,
-        empirical=empirical,
-        haar=target.value,
-        errors=errors,
-        fitted_kappa=kappa,
-        fit_residual=residual,
-        haar_exact=target.exact,
-    )

@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from horopoints.arith import NotCoprime, factorize, mod_inverse, powmod, totient, units
+from horopoints.arith import NotCoprime, factorize, mod_inverse, powmod, totient
 from horopoints.observables import (
     _kernel_profile_indicator,
     _kernel_profile_smooth,
@@ -47,13 +47,14 @@ def weyl_sum_full(n: int, m: int) -> complex:
 
 
 def kloosterman_sum_reference(m1: int, m2: int, n: int) -> complex:
-    """S(m1, m2; n) with one direct exp per unit, over freshly built units and
-    inverses (no table)."""
+    """S(m1, m2; n) with one direct exp per unit, over units found by a gcd
+    scan and their inverses by powmod (no table)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return complex(1.0)
-    u = units(n)
+    ks = np.arange(n, dtype=np.int64)
+    u = ks[np.gcd(ks, n) == 1]
     phase = (m1 % n) * u % n
     if m2 % n:
         phase = (phase + (m2 % n) * powmod(u, totient(n) - 1, n)) % n

@@ -26,7 +26,6 @@ from horopoints.arith import (
     primes_coprime,
     residue_count_formula,
     totient,
-    units,
     weil_bound,
 )
 
@@ -66,7 +65,7 @@ def brute_kloosterman(m1, m2, n):
 
 
 def gcd_scan_units(n):
-    # the earlier bulk units(): one np.gcd per residue
+    # one np.gcd per residue
     ks = np.arange(n, dtype=np.int64)
     return ks[np.gcd(ks, n) == 1]
 
@@ -170,7 +169,7 @@ def test_units_and_inverses():
 
 def test_units_match_gcd_scan_oracle():
     for n in range(1, 2001):
-        _assert_same_sorted_int64(units(n), gcd_scan_units(n), n)
+        _assert_same_sorted_int64(Modulus(n).units, gcd_scan_units(n), n)
 
 
 def test_residue_array_matches_unique_oracle():
@@ -182,16 +181,14 @@ def test_residue_array_matches_unique_oracle():
 
 @pytest.mark.parametrize("n", [10007, 100003, 1000003])
 def test_unit_and_residue_sets_match_oracle_at_large_primes(n):
-    _assert_same_sorted_int64(units(n), gcd_scan_units(n), n)
     mod = Modulus(n)
+    _assert_same_sorted_int64(mod.units, gcd_scan_units(n), n)
     for d in (1, 2):
         _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
 
 
 def test_bulk_paths_reject_moduli_beyond_int64():
     for n in ((1 << 31) + 11, 1 << 31, 0, -5):
-        with pytest.raises(ValueError):
-            units(n)
         with pytest.raises(ValueError):
             Modulus(n)
     with pytest.raises(ValueError):
@@ -290,7 +287,7 @@ def test_ramanujan_closed_form_matches_direct():
     ms = np.arange(-20, 21)
     for n in range(1, 501):
         mod = Modulus(n)
-        u = units(n)
+        u = mod.units
         direct = np.exp((2j * np.pi / n) * (ms[:, None] * u[None, :] % n)).sum(axis=1)
         closed = np.array([ramanujan_sum(n, int(m)) for m in ms], dtype=float)
         library = np.array([kloosterman_sum(int(m), 0, mod) for m in ms])

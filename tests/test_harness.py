@@ -5,12 +5,15 @@ import json
 import math
 import sys
 import threading
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from oracles import ramanujan_sum
 
 from horopoints import harness
+from horopoints.arith import totient
 from horopoints.cli import main
 from horopoints.harness import (
     ConfigInvalid,
@@ -88,6 +91,39 @@ def test_equidist_thread_count_does_not_change_bytes(tmp_path):
         (tmp_path / "t3" / "equidist_0.csv").read_bytes()
     assert (tmp_path / "t1" / "equidist.json").read_bytes() == \
         (tmp_path / "t3" / "equidist.json").read_bytes()
+
+
+def test_equidist_report_structure(tmp_path):
+    # the primitive (monomial d = 1) sets of a schedule given in any order
+    run(_base("equidist", n_schedule=[4001, 101, 1009, 401],
+              observables=[{"type": "torus_char", "m": 1}]), out_dir=tmp_path)
+    (rec,) = json.loads((tmp_path / "equidist.json").read_text())["observables"]
+    assert rec["n_values"] == [101, 401, 1009, 4001]
+    assert rec["observable"] == "torus_char(m=1)"
+    assert all(e >= 0 for e in rec["errors"])
+    assert rec["haar"] == 0.0 and rec["haar_exact"]
+    # the character sum over the units is a Ramanujan sum / phi
+    for n, re_part in zip(rec["n_values"], rec["empirical_re"]):
+        assert abs(re_part - ramanujan_sum(n, 1) / totient(n)) < 1e-12
+
+
+def test_equidist_holds_one_point_set_at_a_time(tmp_path, monkeypatch):
+    # each set must be dead by the time the next one is generated
+    alive = []
+    generate = harness.gen_point_set
+
+    def spy(spec, variant):
+        assert all(ref() is None for ref in alive), f"a set is alive at n={spec.n}"
+        ps = generate(spec, variant)
+        alive.append(weakref.ref(ps))
+        return ps
+
+    monkeypatch.setattr(harness, "gen_point_set", spy)
+    man = run(_base("equidist", n_schedule=[53, 101, 199, 401], d_values=[1, 2],
+                    observables=[{"type": "kernel", "radius": 1.0},
+                                 {"type": "torus_char", "m": 1}]),
+              out_dir=tmp_path)
+    assert man.all_passed and len(alive) == 8
 
 
 # one small config per kind mapped over items, both kloosterman modes
@@ -418,8 +454,10 @@ def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     m = len(schedule)
     assert [cusp[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, m, 1]
-    assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == [2 * m, 2 * m, 2, 3]
-    assert eq["evaluate:height_band(2.0,inf)"] == 2
+    # one evaluate span per (d, n), timed in the workers as for cusp_mass
+    assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == \
+        [2 * m, 2 * m, 2 * m, 3]
+    assert eq["evaluate:height_band(2.0,inf)"] == 2 * m
     run(_base("cusp_mass", n_schedule=schedule), out_dir=tmp_path / "serial")
     assert ((tmp_path / "serial" / "cusp_mass.csv").read_bytes()
             == (tmp_path / "cusp" / "cusp_mass.csv").read_bytes())

@@ -165,7 +165,7 @@ def test_kernel_haar_examples():
     t = AutomorphicKernel(radius=1.0, profile="indicator").haar()
     # ball area 4*pi*sinh^2(R/2) over the surface volume pi/3
     assert abs(t.value - 12.0 * math.sinh(0.5) ** 2) < 1e-10
-    assert not t.exact and t.tolerance <= 1e-8
+    assert not t.exact
 
     smooth = AutomorphicKernel(radius=1.0, profile="smooth").haar()
     # trapezoid oracle for 6 * int (1-r^2)^2 sinh r dr

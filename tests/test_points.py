@@ -176,16 +176,16 @@ def test_generation_deterministic():
 
 
 def test_project_level_examples():
-    lp = project_level(5, (2,), (0,), (0,))
-    assert lp.pairs == frozenset(
+    pairs = project_level(5, (2,), (0,), (0,))
+    assert pairs == frozenset(
         (Fraction(k, 5), Fraction(k, 5)) for k in range(5)
     )
 
-    lp = project_level(5, (2,), (1,), (0,))
-    firsts = {p[0] for p in lp.pairs}
+    pairs = project_level(5, (2,), (1,), (0,))
+    firsts = {p[0] for p in pairs}
     # the set is generated by 2/5 mod 2, giving exactly five pairs
     assert firsts == {Fraction(0), Fraction(2, 5), Fraction(4, 5), Fraction(6, 5), Fraction(8, 5)}
-    assert len(lp.pairs) == 5
+    assert len(pairs) == 5
 
     with pytest.raises(NotCoprime):
         project_level(4, (2,), (1,), (0,))
@@ -206,5 +206,4 @@ def test_project_level_pair_counts():
     # the pair set always has exactly n elements (period n in k)
     for n in (5, 7, 11):
         for l, m in [((1,), (0,)), ((2,), (1,)), ((0,), (2,))]:
-            lp = project_level(n, (2,), l, m)
-            assert len(lp.pairs) == n
+            assert len(project_level(n, (2,), l, m)) == n

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ramanujan_sum, weyl_sum_full
+from oracles import weyl_sum_full
 
-from horopoints.arith import Modulus, kloosterman_sum, totient, weil_bound
+from horopoints.arith import Modulus, kloosterman_sum, weil_bound
 from horopoints.observables import TorusChar, TwoTorusChar
 from horopoints.points import PointSet, PointSetSpec, gen_full, gen_monomial, gen_triple
 from horopoints.stats import (
@@ -22,7 +22,6 @@ from horopoints.stats import (
     cusp_mass,
     discrepancy_l2,
     empirical_average,
-    equidist_report,
     rate_fit,
     toral_correlation,
     weyl_sums_all_residues,
@@ -223,16 +222,3 @@ def test_cusp_mass_examples():
 def test_cusp_mass_high_alpha():
     ps = gen_monomial(PointSetSpec(n=401, alpha=Fraction(5, 4), d=1))
     assert cusp_mass(ps, 10.0) == 1.0
-
-
-def test_equidist_report_structure():
-    # the primitive (monomial d = 1) sets of a schedule, in any key order
-    sets = {n: gen_monomial(PointSetSpec(n=n, d=1)) for n in (4001, 101, 1009, 401)}
-    rep = equidist_report(TorusChar(1), sets)
-    assert rep.n_values == [101, 401, 1009, 4001]
-    assert rep.observable == "torus_char(m=1)"
-    assert all(e >= 0 for e in rep.errors)
-    assert rep.haar == 0.0 and rep.haar_exact
-    # the character sum over the units is a Ramanujan sum / phi
-    for n, emp in zip(rep.n_values, rep.empirical):
-        assert abs(emp - ramanujan_sum(n, 1) / totient(n)) < 1e-12
