@@ -144,6 +144,13 @@ def _float(value) -> float:
     return float(value)
 
 
+def _bool(value) -> bool:
+    """A JSON boolean; the string "false" or the number 0 is not one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
 def _parse_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10 ** 6)
@@ -191,20 +198,20 @@ def parse_observable(rec: dict) -> Observable:
     t = rec["type"]
     with _invalid(f"bad observable record {rec!r}"):
         if t == "torus_char":
-            return TorusChar(m=int(rec["m"]))
+            return TorusChar(m=_int(rec["m"]))
         if t == "two_torus_char":
-            return TwoTorusChar(m1=int(rec["m1"]), m2=int(rec["m2"]))
+            return TwoTorusChar(m1=_int(rec["m1"]), m2=_int(rec["m2"]))
         if t == "kernel":
             center = rec.get("center")
             return AutomorphicKernel(
-                radius=float(rec["radius"]),
+                radius=_float(rec["radius"]),
                 profile=rec.get("profile", "smooth"),
                 center=complex(_float(center[0]), _float(center[1])) if center else 1j,
             )
         if t == "height_band":
             upper = rec.get("upper")
-            return HeightBand(lower=float(rec["lower"]),
-                              upper=math.inf if upper is None else float(upper))
+            return HeightBand(lower=_float(rec["lower"]),
+                              upper=math.inf if upper is None else _float(upper))
         if t == "product":
             return Product(tuple(parse_observable(f) for f in rec["factors"]))
     raise ConfigInvalid(f"unknown observable type {t!r}")
@@ -269,7 +276,7 @@ def _parse_schedule(raw) -> list[int]:
         if start < 1 or factor <= 0:
             raise ValueError("a ramp needs start >= 1 and factor > 0")
         _check_length(count)
-        snap = bool(raw.get("snap_to_prime", False))
+        snap = _bool(raw.get("snap_to_prime", False))
         sched = []
         val = float(start)
         for _ in range(count):
@@ -900,13 +907,13 @@ def _d_values(default) -> Param:
 KINDS: dict[str, Kind] = {
     "equidist": Kind(body=_run_equidist, params=(
         Param("observables", parse_observable, many=True, required=True),
-        _d_values(None), Param("require_decay", bool, False))),
+        _d_values(None), Param("require_decay", _bool, False))),
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
         hard=True, rows=_kloosterman_rows,
         on_modulus=lambda cfg: not cfg.params["weyl_full"],
         params=(Param("m_range", _m_range, 2),
-                Param("weyl_full", bool, False)),
+                Param("weyl_full", _bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
@@ -934,8 +941,8 @@ KINDS: dict[str, Kind] = {
         params=(Param("thresholds", _float, [2.0, 4.0, 8.0], many=True,
                       test=lambda t: t > 0, need="> 0"),
                 Param("rel_tol", _float, test=lambda t: t >= 0, need=">= 0"),
-                Param("expect_full_mass", bool, False),
-                Param("min_height_sqrt_n", bool, False)),
+                Param("expect_full_mass", _bool, False),
+                Param("min_height_sqrt_n", _bool, False)),
         tables=(Table("cusp_mass", ("n", "T", "mass", "expected", "rel_err", "ok")),
                 Table("heights", ("n", "min_height", "sqrt_n", "ok"), True))),
     "projection": Kind(

@@ -173,6 +173,15 @@ def witness_holds(k: int, n: int) -> bool:
     return mul(mul(gm, u), a_inv) == v
 
 
+def haar_kernel_reference(radius: float, profile: str) -> float:
+    """6 * int_0^R k(r) sinh r dr by 40-node Gauss-Legendre on [0, R], with
+    k = 1 (indicator) or the bump (1 - (r/R)^2)^2 (smooth)."""
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    r = 0.5 * radius * (nodes + 1.0)
+    k = np.ones_like(r) if profile == "indicator" else (1.0 - (r / radius) ** 2) ** 2
+    return 6.0 * 0.5 * radius * float(np.dot(weights, k * np.sinh(r)))
+
+
 def kernel_values_reference(xf, yf, radius: float, profile: str, center: complex,
                             slack: float = 1.0) -> np.ndarray:
     """Kernel values by one full sweep per orbit point: the profile sees every

@@ -23,6 +23,7 @@ from horopoints.harness import (
     parse_observable,
     run,
 )
+from horopoints.observables import HeightBand, TorusChar
 from horopoints.svg import NoData
 
 
@@ -497,6 +498,27 @@ BAD_CONFIGS = {
     # every residue is variant "full"; primitive takes no other value
     "primitive_false": _base("generate", n_schedule=[15],
                              point_set={"primitive": False, "d": 2}),
+    # a flag is a JSON boolean: the string "false" would read as true
+    "require_decay_string": _base("equidist", require_decay="false", observables=[
+        {"type": "height_band", "lower": 2.0}]),
+    "weyl_full_number": _base("kloosterman", weyl_full=1),
+    "expect_full_mass_string": _base("cusp_mass", expect_full_mass="true"),
+    "min_height_sqrt_n_number": _base("cusp_mass", min_height_sqrt_n=0),
+    "ramp_snap_to_prime_string": _base("generate", n_schedule={
+        "start": 10, "count": 3, "snap_to_prime": "false"}),
+    # observable fields are not truncated or read from a boolean
+    "torus_char_m_fractional": _base("equidist", observables=[
+        {"type": "torus_char", "m": 1.5}]),
+    "two_torus_char_m1_fractional": _base("equidist", observables=[
+        {"type": "two_torus_char", "m1": 0.5, "m2": 1}]),
+    "two_torus_char_m2_boolean": _base("equidist", observables=[
+        {"type": "two_torus_char", "m1": 1, "m2": True}]),
+    "kernel_radius_boolean": _base("equidist", observables=[
+        {"type": "kernel", "radius": True}]),
+    "height_band_lower_boolean": _base("equidist", observables=[
+        {"type": "height_band", "lower": True}]),
+    "height_band_upper_string": _base("equidist", observables=[
+        {"type": "height_band", "lower": 2.0, "upper": "inf"}]),
 }
 
 
@@ -521,6 +543,16 @@ def test_kernel_center_below_the_guard_loads_and_evaluates(tmp_path):
     manifest = run(cfg, out_dir=tmp_path)
     errors = json.loads((tmp_path / "equidist.json").read_text())["observables"][0]["errors"]
     assert manifest.outputs and len(errors) == 2 and all(math.isfinite(e) for e in errors)
+
+
+def test_flags_and_observable_fields_load_from_json_types():
+    cfg = load_config(_base("equidist", require_decay=False, observables=[
+        {"type": "torus_char", "m": 2.0},
+        {"type": "height_band", "lower": 2, "upper": None}]))
+    assert cfg.params["require_decay"] is False
+    assert cfg.observables == [TorusChar(2), HeightBand(2.0, math.inf)]
+    ramp = {"start": 10, "count": 2, "snap_to_prime": False}
+    assert load_config(_base("generate", n_schedule=ramp)).n_schedule == [10, 100]
 
 
 def test_primitive_accepts_only_true():

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import IntegerMatrix2, kernel_values_reference, mobius, reduce, torus_coordinates
+from oracles import (
+    IntegerMatrix2,
+    haar_kernel_reference,
+    kernel_values_reference,
+    mobius,
+    reduce,
+    torus_coordinates,
+)
 
 from horopoints import observables
 from horopoints.observables import (
@@ -166,12 +173,15 @@ def test_kernel_haar_examples():
     # ball area 4*pi*sinh^2(R/2) over the surface volume pi/3
     assert abs(t.value - 12.0 * math.sinh(0.5) ** 2) < 1e-10
     assert not t.exact
+    # the smooth-kernel targets of c08 (R = 1) and of the R = 3 benchmark kernel
+    assert AutomorphicKernel(radius=1.0).haar().value == 1.0425099998193956
+    assert AutomorphicKernel(radius=3.0).haar().value == 13.052485690455743
 
-    smooth = AutomorphicKernel(radius=1.0, profile="smooth").haar()
-    # trapezoid oracle for 6 * int (1-r^2)^2 sinh r dr
-    rs = np.linspace(0.0, 1.0, 200_001)
-    vals = (1 - rs ** 2) ** 2 * np.sinh(rs)
-    assert abs(smooth.value - 6.0 * np.trapezoid(vals, rs)) < 1e-8
+    for radius in np.geomspace(1e-6, 3.0, 41):
+        for profile in ("indicator", "smooth"):
+            got = AutomorphicKernel(radius=float(radius), profile=profile).haar().value
+            want = haar_kernel_reference(float(radius), profile)
+            assert abs(got - want) <= 1e-13 * want, (radius, profile, got, want)
 
 
 def test_height_band_haar():
