@@ -5,7 +5,8 @@ accepts direct flags for quick sample dumps.  Output goes to ``--out``, the
 config's ``out_dir``, or the HOROPOINTS_OUT environment variable, in that
 order of precedence.  The exit status is 1 when an experiment in the
 exact-equality class reports a failed check, and 2 with one line when the
-config is invalid, exceeds a guard, or leaves the float reduction's range.
+config is invalid, exceeds a guard, or leaves the float reduction's range,
+or when ``plot`` cannot read an equidist report from its inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .sl2 import NumericalDegeneracy
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="experiment config (JSON)")
     p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--threads", type=int, help="worker threads across the n schedule")
     p.add_argument("--format", choices=("csv", "json"), help="payload format")
 
 
@@ -61,13 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_flags(cfg, args) -> None:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigInvalid("--threads must be >= 1")
-        cfg.threads = args.threads
+def _apply_flags(cfg, args):
+    """The config with --format in its raw keys, so the manifest hash covers it."""
     if args.format:
-        cfg.format = args.format
+        return load_config({**cfg.raw, "format": args.format})
+    return cfg
 
 
 def _run_config_command(args, kind: str) -> int:
@@ -77,8 +75,7 @@ def _run_config_command(args, kind: str) -> int:
     cfg = load_config(args.config)
     if cfg.kind != kind:
         raise ConfigInvalid(f"config kind {cfg.kind!r} does not match command {kind!r}")
-    _apply_flags(cfg, args)
-    manifest = run(cfg, out_dir=args.out)
+    manifest = run(_apply_flags(cfg, args), out_dir=args.out)
     status = "pass" if manifest.all_passed else "FAIL"
     print(f"{kind}: {status} -> {manifest.out_dir}")
     if not manifest.all_passed and KINDS[kind].hard:
@@ -91,7 +88,13 @@ def main(argv=None) -> int:
     command = args.command
     try:
         if command == "plot":
-            out = emit_plot(args.reports, args.out)
+            try:
+                out = emit_plot(args.reports, args.out)
+            except (OSError, ValueError, KeyError) as exc:
+                # a missing or non-JSON report, a record without its series,
+                # or no observables at all (NoData)
+                print(f"plot error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return 2
             print(f"plot -> {out}")
             return 0
         if command == "generate":
@@ -110,8 +113,7 @@ def main(argv=None) -> int:
                         "b": args.b, "c": args.c, "variant": args.variant,
                     },
                 })
-            _apply_flags(cfg, args)
-            manifest = run(cfg, out_dir=args.out)
+            manifest = run(_apply_flags(cfg, args), out_dir=args.out)
             print(f"generate -> {manifest.out_dir}")
             return 0
         return _run_config_command(args, command.replace("-", "_"))

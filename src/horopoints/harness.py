@@ -2,9 +2,7 @@
 manifests, and SVG plot emission.
 
 Re-running an identical config reproduces bit-identical CSV/JSON payloads;
-wall-clock timings live only in the manifest.  Experiments parallelize over
-the n schedule, with results merged in ascending n order regardless of the
-thread count.
+wall-clock timings live only in the manifest.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import operator
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -94,7 +91,7 @@ class ResourceExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # config
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
     raw: dict
@@ -102,7 +99,6 @@ class ExperimentConfig:
     point_set: dict
     observables: list[Observable]
     out_dir: Path | None
-    threads: int
     seed: int
     format: str
     spec: PointSetSpec
@@ -297,8 +293,7 @@ def _parse_schedule(raw) -> list[int]:
 
 
 _SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
-_RUN_PARAMS = (Param("threads", _int, 1, test=lambda t: t >= 1, need=">= 1"),
-               Param("seed", _int, 0, test=lambda s: s >= 0, need=">= 0"),
+_RUN_PARAMS = (Param("seed", _int, 0, test=lambda s: s >= 0, need=">= 0"),
                Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
                      need="csv or json"))
 _POINT_SET_DEFAULTS = {"alpha": "1/2", "d": 1, "a": 1, "b": 1, "c": 1,
@@ -376,7 +371,7 @@ def load_config(source) -> ExperimentConfig:
     if KINDS[kind].admit is not None:
         KINDS[kind].admit(n_schedule, params)
 
-    threads, seed, fmt = (p.read(raw) for p in _RUN_PARAMS)
+    seed, fmt = (p.read(raw) for p in _RUN_PARAMS)
     out_dir = raw.get("out_dir") or os.environ.get(ENV_OUT_DIR)
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigInvalid(f"out_dir must be a path string, got {out_dir!r}")
@@ -387,7 +382,6 @@ def load_config(source) -> ExperimentConfig:
         point_set=point_set,
         observables=params.get("observables", []),
         out_dir=Path(out_dir) if out_dir else None,
-        threads=threads,
         seed=seed,
         format=fmt,
         spec=spec,
@@ -519,12 +513,6 @@ def _stage(clocks: dict, *names: str):
             clocks[name] = clocks.get(name, 0.0) + seconds
 
 
-def _merge_clocks(clocks: dict, part: dict) -> None:
-    """Add the stage times of one n (timed on any thread) into clocks."""
-    for name, seconds in part.items():
-        clocks[name] = clocks.get(name, 0.0) + seconds
-
-
 @dataclass
 class RunManifest:
     kind: str
@@ -589,20 +577,12 @@ class Kind:
     admit: Callable | None = None
 
 
-def _map_schedule(cfg: ExperimentConfig, fn, items):
-    """Apply fn over the items, merged back in item order."""
-    if cfg.threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _staged_point_set(cfg: ExperimentConfig, spec, part: dict, reduce=True):
-    """The point set of spec, generated and, if asked, reduced; timed into part."""
-    with _stage(part, "generate"):
+def _staged_point_set(cfg: ExperimentConfig, spec, clocks: dict, reduce=True):
+    """The point set of spec, generated and, if asked, reduced; timed into clocks."""
+    with _stage(clocks, "generate"):
         ps = gen_point_set(spec, cfg.point_set["variant"])
     if reduce:
-        with _stage(part, "reduce"):
+        with _stage(clocks, "reduce"):
             ps.reduced_xy()
     return ps
 
@@ -610,25 +590,20 @@ def _staged_point_set(cfg: ExperimentConfig, spec, part: dict, reduce=True):
 def _run_tables(cfg: ExperimentConfig, out: Path):
     """The driver of every kind without a body."""
     kind = KINDS[cfg.kind]
-
-    def work(item):
-        part: dict = {}
-        if kind.on_point_set:
-            item = _staged_point_set(cfg, replace(cfg.spec, n=item), part)
-        elif kind.on_modulus is not None and kind.on_modulus(cfg):
-            with _stage(part, "table"):
-                item = Modulus(item)
-        with _stage(part, "evaluate"):
-            rows = kind.rows(cfg, item)
-        return rows, part
-
     items = cfg.n_schedule if kind.items == "n_schedule" else cfg.params[kind.items]
     tables: list[list] = [[] for _ in kind.tables]
     clocks: dict = {}
-    for rows, part in _map_schedule(cfg, work, items):
+    # rebinding item drops the previous point set or table before the next
+    for item in items:
+        if kind.on_point_set:
+            item = _staged_point_set(cfg, replace(cfg.spec, n=item), clocks)
+        elif kind.on_modulus is not None and kind.on_modulus(cfg):
+            with _stage(clocks, "table"):
+                item = Modulus(item)
+        with _stage(clocks, "evaluate"):
+            rows = kind.rows(cfg, item)
         for table, chunk in zip(tables, rows):
             table.extend(chunk)
-        _merge_clocks(clocks, part)
     if kind.once is not None:
         with _stage(clocks, "evaluate"):
             tables[-1] = kind.once(cfg)
@@ -679,8 +654,8 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
 
 
 def _run_equidist(cfg: ExperimentConfig, out: Path):
-    """Each worker generates the set of one (d, n), averages every observable
-    over it and drops it, so at most one set per thread is alive."""
+    """Generates the set of one (d, n) at a time and averages every observable
+    over it; the set dies when averages returns, before the next is generated."""
     variant = cfg.point_set["variant"]
     d_values = cfg.params["d_values"] or [cfg.spec.d]
     # the surface points are reduced up front only if an observable reads them
@@ -691,19 +666,15 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     obs_payload = []
     clocks: dict = {}
     for d in d_values:
-        def work(n):
-            part: dict = {}
-            ps = _staged_point_set(cfg, replace(cfg.spec, n=n, d=d), part, on_surface)
-            averages = []
+        def averages(n):
+            ps = _staged_point_set(cfg, replace(cfg.spec, n=n, d=d), clocks, on_surface)
+            values = []
             for obs in cfg.observables:
-                with _stage(part, "evaluate", f"evaluate:{obs.describe()}"):
-                    averages.append(empirical_average(ps, obs))
-            return averages, part
+                with _stage(clocks, "evaluate", f"evaluate:{obs.describe()}"):
+                    values.append(empirical_average(ps, obs))
+            return values
 
-        per_n = []
-        for averages, part in _map_schedule(cfg, work, n_values):
-            per_n.append(averages)
-            _merge_clocks(clocks, part)
+        per_n = [averages(n) for n in n_values]
         for i, (obs, target, empirical) in enumerate(zip(cfg.observables, targets, zip(*per_n))):
             haar = target.value
             errors = [abs(z - haar) for z in empirical]
@@ -963,7 +934,6 @@ def run(config, out_dir=None) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     outputs, ok, clocks = (KINDS[cfg.kind].body or _run_tables)(cfg, out)
-    clocks = dict(clocks)
     clocks["total"] = time.monotonic() - t0
     manifest = RunManifest(
         kind=cfg.kind,
@@ -987,7 +957,7 @@ def emit_plot(report_paths, out_path) -> Path:
     curves = []
     for p in paths:
         payload = json.loads(p.read_text())
-        records = payload.get("observables", [])
+        records = payload.get("observables", []) if isinstance(payload, dict) else []
         many_d = len({rec.get("d") for rec in records}) > 1
         for rec in records:
             label = rec["observable"]

@@ -155,22 +155,12 @@ def intersection_witness(k: int, n: int) -> IntegerMatrix2:
 
 
 def witness_holds(k: int, n: int) -> bool:
-    """gamma * u_{k/n} * a_n^-1 == v_{kbar/n}, as a product of Fraction matrices."""
-    gamma = intersection_witness(k, n)
+    """gamma * u_{k/n} * a_n^-1 == v_{kbar/n}, compared in integers after
+    scaling by n: n * gamma * u * a^-1 = (ga, ga k n + gb n^2; gc, gc k n + gd n^2)
+    must equal n * v = (n, 0; kbar, n)."""
+    ga, gb, gc, gd = intersection_witness(k, n).entries()
     kbar = mod_inverse(k % n, n)
-    u = ((Fraction(1), Fraction(k, n)), (Fraction(0), Fraction(1)))
-    a_inv = ((Fraction(1, n), Fraction(0)), (Fraction(0), Fraction(n)))
-    ga, gb, gc, gd = gamma.entries()
-    gm = ((Fraction(ga), Fraction(gb)), (Fraction(gc), Fraction(gd)))
-
-    def mul(p, q):
-        return (
-            (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
-            (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
-        )
-
-    v = ((Fraction(1), Fraction(0)), (Fraction(kbar, n), Fraction(1)))
-    return mul(mul(gm, u), a_inv) == v
+    return (ga, ga * k * n + gb * n * n, gc, gc * k * n + gd * n * n) == (n, 0, kbar, n)
 
 
 def haar_kernel_reference(radius: float, profile: str) -> float:

@@ -99,7 +99,7 @@ def test_criterion_02_kloosterman_decay(capsys):
 
 
 def test_criterion_03_intersection_witness(capsys):
-    # every unit through the Fraction-matrix oracle, and the library's integer
+    # every unit through the scaled integer-matrix oracle, and the library's int64
     # check over the units of each n must give the same counts
     checked = 0
     ok = True

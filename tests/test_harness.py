@@ -1,10 +1,9 @@
 """Tests for the experiment harness: config validation, deterministic
 payloads, the CLI surface, and plot emission."""
 
+import dataclasses
 import json
 import math
-import sys
-import threading
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -81,19 +80,6 @@ def test_run_kloosterman_and_determinism(tmp_path):
     assert ma == mb
 
 
-def test_equidist_thread_count_does_not_change_bytes(tmp_path):
-    cfg = _base("equidist",
-                n_schedule=[53, 101, 199],
-                observables=[{"type": "kernel", "radius": 1.0}],
-                point_set={"variant": "monomial", "d": 1})
-    run({**cfg, "threads": 1}, out_dir=tmp_path / "t1")
-    run({**cfg, "threads": 3}, out_dir=tmp_path / "t3")
-    assert (tmp_path / "t1" / "equidist_0.csv").read_bytes() == \
-        (tmp_path / "t3" / "equidist_0.csv").read_bytes()
-    assert (tmp_path / "t1" / "equidist.json").read_bytes() == \
-        (tmp_path / "t3" / "equidist.json").read_bytes()
-
-
 def test_equidist_report_structure(tmp_path):
     # the primitive (monomial d = 1) sets of a schedule given in any order
     run(_base("equidist", n_schedule=[4001, 101, 1009, 401],
@@ -148,15 +134,17 @@ PER_ITEM_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(PER_ITEM_CONFIGS))
 def test_thread_count_does_not_change_bytes(tmp_path, name):
+    # an old "threads" key loads, is ignored like any undeclared key, and
+    # changes no payload byte
     cfg = PER_ITEM_CONFIGS[name]
-    one = run({**cfg, "threads": 1}, out_dir=tmp_path / "t1")
-    three = run({**cfg, "threads": 3}, out_dir=tmp_path / "t3")
-    assert one.all_passed and three.all_passed
-    assert one.outputs == three.outputs
-    for out in one.outputs:
-        assert (tmp_path / "t1" / out).read_bytes() == (tmp_path / "t3" / out).read_bytes()
+    plain = run(cfg, out_dir=tmp_path / "plain")
+    old = run({**cfg, "threads": 4}, out_dir=tmp_path / "t4")
+    assert plain.all_passed and old.all_passed
+    assert plain.outputs == old.outputs
+    for out in plain.outputs:
+        assert (tmp_path / "plain" / out).read_bytes() == (tmp_path / "t4" / out).read_bytes()
     # the driver times every item and the writes
-    assert {"evaluate", "write", "total"} <= set(one.wall_clock_s)
+    assert {"evaluate", "write", "total"} <= set(plain.wall_clock_s)
 
 
 def test_generate_csv_columns(tmp_path):
@@ -247,6 +235,29 @@ def test_cli_generate_and_plot(tmp_path):
                  "--out", str(tmp_path / "eq" / "p.svg")]) == 0
 
 
+# a report that is missing, not JSON, JSON without observables, or a record
+# without its series
+PLOT_INPUTS = {
+    "missing": None,
+    "not_json": "n,abs_error\n101,0.5\n",
+    "manifest": json.dumps({"schema_version": 1, "kind": "equidist", "outputs": []}),
+    "not_an_object": "[1, 2]",
+    "record_without_errors": json.dumps({"observables": [{"observable": "x"}]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_INPUTS))
+def test_cli_plot_fails_closed(tmp_path, capsys, name):
+    report = tmp_path / "report.json"
+    if PLOT_INPUTS[name] is not None:
+        report.write_text(PLOT_INPUTS[name])
+    svg = tmp_path / "p.svg"
+    assert main(["plot", str(report), "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("plot error:") and len(err.strip().splitlines()) == 1
+    assert not svg.exists()
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("HOROPOINTS_OUT", str(tmp_path / "envout"))
     man = run(_base("kloosterman", m_range=0))
@@ -288,8 +299,8 @@ def test_discrepancy_prime_windows_admit_the_shipped_schedules():
         load_config(_base("discrepancy", n_schedule=[31], betas=[0.2]))
 
 
-COMMON_KEYS = {"schema_version", "kind", "n_schedule", "point_set", "threads", "seed",
-               "format", "out_dir"}
+COMMON_KEYS = {"schema_version", "kind", "n_schedule", "point_set", "seed", "format",
+               "out_dir"}
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -358,15 +369,25 @@ def test_generate_manifest_stage_clocks(tmp_path):
     assert all(v >= 0 for v in clocks.values())
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+def test_cli_format_flag_is_in_the_config_hash(tmp_path):
+    cfg = _base("kloosterman", m_range=0)
     cfg_path = tmp_path / "k.json"
-    cfg_path.write_text(json.dumps(_base("kloosterman", m_range=0)))
-    assert main(["kloosterman", "--config", str(cfg_path), "--threads", threads,
-                 "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
+    cfg_path.write_text(json.dumps(cfg))
+    hashes = {}
+    for fmt in ("csv", "json"):
+        assert main(["kloosterman", "--config", str(cfg_path), "--format", fmt,
+                     "--out", str(tmp_path / fmt)]) == 0
+        manifest = json.loads((tmp_path / fmt / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"kloosterman.{fmt}"]
+        hashes[fmt] = manifest["config_sha256"]
+    assert hashes["csv"] != hashes["json"]
+    assert hashes["json"] == load_config({**cfg, "format": "json"}).config_hash
+    # no flag: the hash of the file as written
+    assert main(["kloosterman", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    assert manifest["config_sha256"] == load_config(cfg).config_hash
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        load_config(cfg).format = "json"
 
 
 def test_range_schedule_fails_closed():
@@ -433,35 +454,21 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
 
 
 def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
-    # each thread's clock ticks 1 s per reading, so every stage span is 1 s;
-    # a stage update lost between threads would show as a short sum
-    local = threading.local()
-
-    def tick():
-        local.t = getattr(local, "t", 0.0) + 1.0
-        return local.t
-
-    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=tick))
+    # the clock ticks 1 s per reading, so every stage span is 1 s; a stage
+    # of some n left out of the run's clocks would show as a short sum
+    ticks = iter(range(1, 10 ** 6))
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     schedule = list(range(30, 90))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        cusp = run(_base("cusp_mass", n_schedule=schedule, threads=4),
-                   out_dir=tmp_path / "cusp").wall_clock_s
-        eq = run(_base("equidist", n_schedule=schedule, threads=4, d_values=[1, 2],
-                       observables=[{"type": "height_band", "lower": 2.0}]),
-                 out_dir=tmp_path / "eq").wall_clock_s
-    finally:
-        sys.setswitchinterval(interval)
+    cusp = run(_base("cusp_mass", n_schedule=schedule), out_dir=tmp_path / "cusp").wall_clock_s
+    eq = run(_base("equidist", n_schedule=schedule, d_values=[1, 2],
+                   observables=[{"type": "height_band", "lower": 2.0}]),
+             out_dir=tmp_path / "eq").wall_clock_s
     m = len(schedule)
     assert [cusp[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, m, 1]
-    # one evaluate span per (d, n), timed in the workers as for cusp_mass
+    # one evaluate span per (d, n), as for cusp_mass
     assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == \
         [2 * m, 2 * m, 2 * m, 3]
     assert eq["evaluate:height_band(2.0,inf)"] == 2 * m
-    run(_base("cusp_mass", n_schedule=schedule), out_dir=tmp_path / "serial")
-    assert ((tmp_path / "serial" / "cusp_mass.csv").read_bytes()
-            == (tmp_path / "cusp" / "cusp_mass.csv").read_bytes())
 
 
 # each must fail at load time as ConfigInvalid, and on the CLI exit 2, not a traceback
