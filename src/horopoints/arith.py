@@ -42,6 +42,12 @@ class NotCoprime(ValueError):
 # int64 modular products are exact only below this modulus
 _INT64_MOD_LIMIT = 1 << 31
 
+# residues per block wherever a point set or a residue set is walked in
+# blocks (the residue sets here, sl2.reduce_many, PointSet.blocks and the
+# kernel): 16384 float64 temporaries stay in cache; 4096 and 65536 were both
+# slower on large_n
+BLOCK = 16384
+
 
 # ---------------------------------------------------------------------------
 # prime sieve (smallest-prime-factor table), grown on demand
@@ -60,7 +66,8 @@ def _ensure_sieve(limit: int) -> None:
         if _spf is not None and len(_spf) > limit:
             return
         size = max(limit + 1, _SIEVE_FLOOR + 1)
-        spf = np.zeros(size, dtype=np.int64)
+        # int32 halves the table; its entries are primes <= sqrt(size) < 2^31
+        spf = np.zeros(size, dtype=np.int32)
         spf[0] = spf[1] = 1
         for p in range(2, math.isqrt(size - 1) + 1):
             if spf[p] == 0:
@@ -274,10 +281,11 @@ class Modulus:
         """Sorted unique int64 array of k^d mod n over the units k.
 
         The d = 1 set is the units array itself.  Otherwise the powers come
-        from :func:`powmod`; they are deduplicated and sorted in one pass by
-        marking each value in a boolean "seen" mask over [0, n) (n bytes) and
-        reading the marks back in ascending order, which is linear in n where
-        a sort-based unique is O(phi(n) log phi(n)).
+        from :func:`powmod`, one block of BLOCK units at a time; they are
+        deduplicated and sorted by marking each value in a boolean "seen"
+        mask over [0, n) (n bytes) and reading the marks back in ascending
+        order, which is linear in n where a sort-based unique is
+        O(phi(n) log phi(n)).
         """
         if d < 1:
             raise ValueError("need d >= 1")
@@ -286,7 +294,8 @@ class Modulus:
         res = self._residues.get(d)
         if res is None:
             seen = np.zeros(self.n, dtype=bool)
-            seen[powmod(self.units, d, self.n)] = True
+            for lo in range(0, len(self.units), BLOCK):
+                seen[powmod(self.units[lo:lo + BLOCK], d, self.n)] = True
             res = self._residues[d] = _read_only(
                 np.flatnonzero(seen).astype(np.int64, copy=False))
         return res

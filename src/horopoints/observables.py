@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from . import arith
 from .points import PointSet
 from .sl2 import reduce_many
 
@@ -36,9 +37,6 @@ _RADIUS_CAP = 3.0
 _DEDUP_DECIMALS = 12
 _FLOOR_IM = math.sqrt(3.0) / 2.0
 _FUND_VOL = math.pi / 3.0
-# points per kernel block: 16384 float64 temporaries stay in cache; 4096 and
-# 65536 were both slower on large_n
-_KERNEL_BLOCK = 16384
 # bounds the translations of the c = 0 orbit row, about 38 * Im z_c at R = 3;
 # every orbit point is swept over every point
 _ORBIT_GUARD = 10 ** 5
@@ -187,7 +185,7 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
                    center: complex, slack: float = 1.0) -> np.ndarray:
     """stab * sum over the orbit of prof(cosh d(z, w)) at each point z.
 
-    The points are walked in blocks of _KERNEL_BLOCK, and each profile sees
+    The points are walked in blocks of arith.BLOCK, and each profile sees
     only the pairs with cosh d <= cosh(R) * (1 + 1e-9), a superset of both
     supports.  A pair outside the support adds +0.0, so each point sums the
     same values in the same orbit order as a full sweep, bit for bit.
@@ -196,10 +194,11 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
     total = np.zeros_like(xf)
-    for lo in range(0, len(xf), _KERNEL_BLOCK):
-        xb = xf[lo:lo + _KERNEL_BLOCK]
-        yb = yf[lo:lo + _KERNEL_BLOCK]
-        tb = total[lo:lo + _KERNEL_BLOCK]
+    step = arith.BLOCK
+    for lo in range(0, len(xf), step):
+        xb = xf[lo:lo + step]
+        yb = yf[lo:lo + step]
+        tb = total[lo:lo + step]
         for w in orbit:
             dx = xb - w.real
             dy = yb - w.imag

@@ -15,9 +15,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
+from . import arith
 from .arith import _INT64_MOD_LIMIT, Modulus, NotCoprime, gcd, mod_inverse
 from .sl2 import reduce_many
 
@@ -80,7 +82,8 @@ class PointSet:
     len() is the number of points.  Generation is deterministic (keys
     ascending), so averages downstream are order-stable.  modulus, the
     arithmetic table of n, inverts the keys for the second torus; without
-    one, the first read of that torus builds it.
+    one, the first read of that torus builds it.  blocks() walks the set as
+    views of arith.BLOCK consecutive points.
     """
 
     def __init__(self, spec: PointSetSpec, residues: np.ndarray, with_second: bool, x_mult: int,
@@ -92,6 +95,8 @@ class PointSet:
         self._modulus = modulus
         self._inv: np.ndarray | None = None
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
+        # (parent point set, first index) of a view made by blocks()
+        self._window: tuple[PointSet, int] | None = None
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -110,22 +115,60 @@ class PointSet:
     def torus2_numerators(self) -> np.ndarray:
         if not self.with_second:
             raise ValueError("point set has no second torus coordinate")
+        return (self.spec.b % self.n) * self._inverses() % self.n
+
+    def _inverses(self) -> np.ndarray:
+        """The inverses of the keys mod n, cached; a view from blocks() reads
+        its slice of its parent's."""
         if self._inv is None:
-            mod = self._modulus if self._modulus is not None else Modulus(self.n)
-            self._inv = mod.invert(self.residues)
-        return (self.spec.b % self.n) * self._inv % self.n
+            if self._window is not None:
+                parent, lo = self._window
+                self._inv = parent._inverses()[lo:lo + len(self)]
+            else:
+                mod = self._modulus if self._modulus is not None else Modulus(self.n)
+                self._inv = mod.invert(self.residues)
+        return self._inv
 
     def x_reals(self) -> np.ndarray:
         return ((self.x_mult % self.n) * self.residues % self.n) / float(self.n)
 
     def reduced_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fundamental-domain coordinates of the surface points, cached."""
+        """Fundamental-domain coordinates of the surface points, cached.
+
+        The two arrays are filled with x_reals one block at a time and
+        reduced in place, so no other full-length array is made; a view
+        from blocks() reads its slice of its parent's.
+        """
         if self._reduced is None:
-            self._reduced = reduce_many(self.x_reals(), self.scale_height)
+            if self._window is not None:
+                parent, lo = self._window
+                xs, ys = parent.reduced_xy()
+                self._reduced = (xs[lo:lo + len(self)], ys[lo:lo + len(self)])
+            else:
+                xs, ys = np.empty(len(self)), np.empty(len(self))
+                lo = 0
+                for block in self.blocks():
+                    xs[lo:lo + len(block)] = block.x_reals()
+                    lo += len(block)
+                self._reduced = reduce_many(xs, self.scale_height, out=(xs, ys))
         return self._reduced
 
     def heights(self) -> np.ndarray:
         return self.reduced_xy()[1]
+
+    def blocks(self) -> Iterator[PointSet]:
+        """Views of arith.BLOCK consecutive points each, in key order.
+
+        A view shares the spec and table, and reads its inverses and reduced
+        coordinates as slices of this set's, computed once for the whole set
+        when the first view needs them.
+        """
+        step = arith.BLOCK
+        for lo in range(0, len(self), step):
+            view = PointSet(self.spec, self.residues[lo:lo + step], self.with_second,
+                            self.x_mult, self._modulus)
+            view._window = (self, lo)
+            yield view
 
 
 def gen_full(n: int, alpha: Fraction | float) -> PointSet:

@@ -50,13 +50,21 @@ class NotExpanding(ValueError):
 def empirical_average(ps: PointSet, obs: Observable) -> complex:
     """Arithmetic mean of the observable over the point set.
 
-    Accumulation goes through numpy's pairwise summation in a fixed (key
-    ascending) order, so results are deterministic and permutation of the
-    points moves the value by at most O(len * eps).
+    The values are evaluated one block of the set at a time into one
+    complex array, whose mean goes through numpy's pairwise summation in a
+    fixed (key ascending) order: results are deterministic, the same bits
+    as evaluating the whole set at once, and permutation of the points
+    moves the value by at most O(len * eps).  Summing per-block means
+    instead would change the summation tree, and with it the last bits.
     """
     if len(ps) == 0:
         raise EmptySet("point set is empty")
-    return complex(np.asarray(obs.eval_many(ps), dtype=complex).mean())
+    values = np.empty(len(ps), dtype=complex)
+    lo = 0
+    for block in ps.blocks():
+        values[lo:lo + len(block)] = obs.eval_many(block)
+        lo += len(block)
+    return complex(values.mean())
 
 
 def weyl_sums_all_residues(n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import kloosterman_sum_reference, moebius_mu, ramanujan_sum
 
+from horopoints import arith
 from horopoints.arith import (
     Modulus,
     NotCoprime,
@@ -45,6 +46,18 @@ def brute_gcd(a, b):
 
 def brute_totient(n):
     return sum(1 for k in range(n) if gcd(k, n) == 1) if n > 1 else 1
+
+
+def brute_factorize(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def brute_residues(n, d):
@@ -185,6 +198,27 @@ def test_unit_and_residue_sets_match_oracle_at_large_primes(n):
     _assert_same_sorted_int64(mod.units, gcd_scan_units(n), n)
     for d in (1, 2):
         _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
+
+
+@pytest.mark.parametrize("n", [100003, 255255])
+def test_residue_sets_of_several_blocks_match_unique_oracle(n):
+    # 255255 = 3*5*7*11*13*17: 92160 units, six blocks
+    mod = Modulus(n)
+    assert len(mod.units) > 2 * arith.BLOCK
+    for d in (2, 3, 4, 6):
+        _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
+
+
+def test_sieve_table_is_int32_and_its_outputs_are_not():
+    factorize(2)
+    assert arith._spf.dtype == np.int32 and arith._prime_list.dtype == np.int64
+    primes = arith.primes_upto(1_000_000)
+    assert primes.dtype == np.int64 and len(primes) == 78498 and primes[-1] == 999983
+    # numbers just below the sieve floor, factored from the table
+    for m in [*range(999_900, 1_000_001), 2 ** 19, 997 * 991]:
+        got = factorize(m)
+        assert got == brute_factorize(m), m
+        assert all(type(p) is int for p in got), m
 
 
 def test_bulk_paths_reject_moduli_beyond_int64():

@@ -17,7 +17,7 @@ from oracles import (
     torus_coordinates,
 )
 
-from horopoints import observables
+from horopoints import arith, observables
 from horopoints.observables import (
     AutomorphicKernel,
     HeightBand,
@@ -136,7 +136,7 @@ def test_kernel_enumeration_complete_under_widening():
             assert np.abs(ker.values_at(grid) - ker.values_at(grid, slack=2.0)).max() <= 1e-12
 
 
-_B = observables._KERNEL_BLOCK
+_B = arith.BLOCK
 
 
 @settings(max_examples=60, deadline=None)

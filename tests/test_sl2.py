@@ -11,6 +11,7 @@ import pytest
 
 from oracles import IntegerMatrix2, intersection_witness, mobius, reduce, witness_holds
 
+from horopoints import arith
 from horopoints.arith import Modulus, NotCoprime, mod_inverse, totient
 from horopoints.sl2 import NumericalDegeneracy, reduce_many, verify_intersection
 
@@ -227,3 +228,60 @@ def test_witness_maps_horocycle_exactly():
         a_inv = np.array([[1.0 / n, 0.0], [0.0, float(n)]])
         v = np.array([[1.0, 0.0], [mod_inverse(k, n) / n, 1.0]])
         assert np.allclose(gamma @ u @ a_inv, v, atol=1e-9)
+
+
+_B = arith.BLOCK
+
+
+def _reduction_inputs(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """count points spread over the strip, with about a quarter on |z| = 1
+    (some at Re z = -1/2 and 1/2, where the boundary convention decides) and
+    a quarter at a half-integer or integer Re z off the circle."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, count)
+    y = 10 ** rng.uniform(-4.0, 1.0, count)
+    kind = rng.integers(0, 4, count)
+    theta = rng.uniform(0.0, np.pi, count)
+    on_circle = kind == 0
+    x[on_circle], y[on_circle] = np.cos(theta[on_circle]), np.sin(theta[on_circle])
+    corner = on_circle & (rng.random(count) < 0.3)
+    x[corner] = rng.choice([-0.5, 0.5], int(corner.sum()))
+    y[corner] = math.sqrt(3.0) / 2.0
+    edge = kind == 1
+    x[edge] = rng.choice([-0.5, 0.5, 0.0, 1.5, -2.5], int(edge.sum()))
+    return x, y
+
+
+@pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("scalar_y", [False, True])
+def test_blocked_reduction_is_bit_identical_to_one_block(count, scalar_y, monkeypatch):
+    x, y = _reduction_inputs(count, seed=count)
+    if scalar_y:
+        y = 0.03
+    got = reduce_many(x, y)
+    # in place, as PointSet.reduced_xy reduces
+    xs, ys = x.copy(), np.empty(count)
+    if not scalar_y:
+        ys[:] = y
+    reduce_many(xs, y if scalar_y else ys, out=(xs, ys))
+    monkeypatch.setattr(arith, "BLOCK", max(count, 1))
+    want = reduce_many(x, y)
+    for blocked, in_place, one_block in zip(got, (xs, ys), want):
+        assert blocked.tobytes() == in_place.tobytes() == one_block.tobytes()
+
+
+def test_blocked_reduction_raises_from_a_later_block():
+    x, y = _reduction_inputs(3 * _B + 7, seed=5)
+    bad = 2 * _B + 3
+    for value in (0.0, -1.0):
+        y_bad = y.copy()
+        y_bad[bad] = value
+        with pytest.raises(ValueError, match="upper half plane"):
+            reduce_many(x, y_bad)
+    # |z|^2 underflows at this point only
+    x_deg, y_deg = x.copy(), y.copy()
+    x_deg[bad], y_deg[bad] = 0.0, 1e-170
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDegeneracy):
+            reduce_many(x_deg, y_deg)

@@ -2,6 +2,7 @@
 estimation."""
 
 import cmath
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import weyl_sum_full
 
+from horopoints import arith
 from horopoints.arith import Modulus, kloosterman_sum, weil_bound
-from horopoints.observables import TorusChar, TwoTorusChar
+from horopoints.observables import AutomorphicKernel, HeightBand, Product, TorusChar, TwoTorusChar
 from horopoints.points import PointSet, PointSetSpec, gen_full, gen_monomial, gen_triple
 from horopoints.stats import (
     EmptySet,
@@ -59,6 +61,34 @@ def test_empirical_average_permutation_stable():
         rng.shuffle(residues)
         shuffled = PointSet(ps.spec, residues.copy(), ps.with_second, ps.x_mult)
         assert abs(empirical_average(shuffled, obs) - base) < 1e-12
+
+
+_BLOCKED_N = 100003  # 7 blocks of units
+
+
+def _blocked_cases():
+    kernels = (AutomorphicKernel(1.0, "smooth"), AutomorphicKernel(2.0, "indicator"))
+    for d in (1, 2):
+        spec = PointSetSpec(n=_BLOCKED_N, d=d, b=3)
+        for obs in (TorusChar(5), *kernels, HeightBand(1.5),
+                    Product((TorusChar(1), kernels[0]))):
+            yield pytest.param(gen_monomial, spec, obs, id=f"monomial-d{d}-{obs.describe()}")
+        for obs in (TwoTorusChar(1, -1), Product((TwoTorusChar(2, 1), kernels[1]))):
+            yield pytest.param(gen_triple, replace(spec, b=1, c=2), obs,
+                               id=f"triple-d{d}-{obs.describe()}")
+
+
+@pytest.mark.parametrize("gen, spec, obs", list(_blocked_cases()))
+def test_blocked_average_is_bit_identical_to_the_whole_array(gen, spec, obs, monkeypatch):
+    ps = gen(spec)
+    assert len(ps) > 2 * arith.BLOCK
+    got = empirical_average(ps, obs)
+    # the whole set as one block, evaluated by one eval_many and one mean
+    monkeypatch.setattr(arith, "BLOCK", len(ps))
+    whole = gen(spec)
+    want = complex(np.asarray(obs.eval_many(whole), dtype=complex).mean())
+    assert repr(got) == repr(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ps.reduced_xy(), whole.reduced_xy()))
 
 
 def brute_kloosterman(m1, m2, n):
