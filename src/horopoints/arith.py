@@ -43,9 +43,10 @@ class NotCoprime(ValueError):
 _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
-# blocks (the residue sets here, sl2.reduce_many, PointSet.blocks and the
-# kernel): 16384 float64 temporaries stay in cache; 4096 and 65536 were both
-# slower on large_n
+# blocks (the residue sets and inverses here, sl2.reduce_many,
+# PointSet.blocks, the kernel) and rows per block of the harness writers:
+# 16384 float64 temporaries stay in cache; 4096 and 65536 were both slower
+# on large_n
 BLOCK = 16384
 
 
@@ -261,16 +262,24 @@ class Modulus:
         self._residues: dict[int, np.ndarray] = {}
 
     def invert(self, keys: np.ndarray) -> np.ndarray:
-        """Inverses mod n of an int64 array of units, aligned elementwise;
+        """Inverses mod n of a 1-D int64 array of units, aligned elementwise;
         for the units array itself, the kept `inverses`."""
         if keys is self.units:
             return self.inverses
-        return powmod(keys, self.phi - 1, self.n)
+        return self._inverse_powers(keys)
 
     @cached_property
     def inverses(self) -> np.ndarray:
         """Inverses of the units, aligned elementwise (k * kbar = 1 mod n)."""
-        return _read_only(powmod(self.units, self.phi - 1, self.n))
+        return _read_only(self._inverse_powers(self.units))
+
+    def _inverse_powers(self, keys: np.ndarray) -> np.ndarray:
+        """keys^(phi - 1) mod n by :func:`powmod`, one block of BLOCK keys at
+        a time into one int64 array, so the temporaries stay one block long."""
+        out = np.empty(len(keys), dtype=np.int64)
+        for lo in range(0, len(keys), BLOCK):
+            out[lo:lo + BLOCK] = powmod(keys[lo:lo + BLOCK], self.phi - 1, self.n)
+        return out
 
     @cached_property
     def roots(self) -> np.ndarray:

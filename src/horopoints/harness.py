@@ -13,16 +13,16 @@ import math
 import operator
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product, repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, arith
 from .arith import (
     Modulus,
     gcd,
@@ -392,9 +392,10 @@ def load_config(source) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # deterministic writers
 #
-# A row table reaches the writers either as rows of Python values, encoded
-# cell by cell, or as EncodedColumns built from numpy arrays.  Both end in
-# one CSV text builder and one JSON text builder.
+# Every row table is streamed to its file in blocks of at most arith.BLOCK
+# rows, each row already encoded for the format: rows of Python values are
+# encoded one row at a time, and a RowStream brings its own encoded blocks.
+# A payload is written beside its name and renamed onto it only once whole.
 
 def _fmt_cell(v) -> str:
     """A CSV cell."""
@@ -416,21 +417,39 @@ def _json_cell(v) -> str:
     return json.dumps(v)
 
 
+def _json_array(items, level: int) -> str:
+    """Encoded JSON values as an array, laid out as by json.dumps(indent=2)."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
 _CELL_ENCODERS = {"csv": _fmt_cell, "json": _json_cell}
+# a row of encoded cells as one CSV line, or as a JSON array inside "rows"
+_ROW_ENCODERS = {"csv": ",".join, "json": lambda cells: _json_array(cells, 2)}
 
 
-@dataclass
-class EncodedColumns:
-    """A row table held as columns of cells already encoded for one format.
+class RowStream:
+    """A row table made one block at a time while it is written.
 
-    len() is the row count, as for a list of rows.
+    Iterating yields lists of rows already encoded for fmt (each by
+    _ROW_ENCODERS[fmt]); it can be read once.  len() is the number of rows
+    yielded so far, so the row count once the table is written.
     """
 
-    fmt: str
-    columns: list[list[str]]
+    def __init__(self, fmt: str, blocks: Iterator[list[str]]):
+        self.fmt = fmt
+        self._blocks = blocks
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return self._count
+
+    def __iter__(self) -> Iterator[list[str]]:
+        for block in self._blocks:
+            self._count += len(block)
+            yield block
 
 
 def _fraction_cells(numerators: np.ndarray, denominator: int, fmt: str) -> list[str]:
@@ -448,53 +467,75 @@ def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
     return list(map(_CELL_ENCODERS[fmt], values.tolist()))
 
 
-def _encoded_rows(rows, fmt: str):
-    if isinstance(rows, EncodedColumns):
+def _encoded_blocks(rows, fmt: str) -> Iterator[list[str]]:
+    """The rows of a table as lists of encoded rows, at most arith.BLOCK each
+    for rows of Python values, which are encoded as the lists are made."""
+    if isinstance(rows, RowStream):
         if rows.fmt != fmt:
-            raise ValueError(f"columns are encoded for {rows.fmt}, not {fmt}")
-        return zip(*rows.columns)
-    encode = _CELL_ENCODERS[fmt]
-    return ([encode(v) for v in row] for row in rows)
+            raise ValueError(f"rows are encoded for {rows.fmt}, not {fmt}")
+        return iter(rows)
+    encode, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
+    lines = (join([encode(v) for v in row]) for row in rows)
+    return iter(lambda: list(islice(lines, arith.BLOCK)), [])
 
 
-def _csv_text(header: list[str], rows) -> str:
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+def _stream_csv(fh, header: list[str], blocks) -> None:
+    fh.write(",".join(header) + "\n")
+    for block in blocks:
+        if block:
+            fh.write("\n".join(block) + "\n")
 
 
-def _json_array(items, level: int) -> str:
-    """Encoded JSON values as an array, laid out as by json.dumps(indent=2)."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
-
-
-def _json_table_text(header: list[str], rows) -> str:
+def _stream_json(fh, header: list[str], blocks) -> None:
     # the bytes of json.dumps(payload, sort_keys=True, indent=2) + "\n" for
     # payload {"schema_version", "columns", "rows"}, without building payload
     columns = _json_array([json.dumps(h) for h in header], 1)
-    body = _json_array([_json_array(r, 2) for r in rows], 1)
-    return (f'{{\n  "columns": {columns},\n  "rows": {body},\n'
-            f'  "schema_version": {SCHEMA_VERSION}\n}}\n')
+    fh.write(f'{{\n  "columns": {columns},\n  "rows": ')
+    pad = "\n    "
+    sep = "[" + pad
+    for block in blocks:
+        if block:
+            fh.write(sep + ("," + pad).join(block))
+            sep = "," + pad
+    fh.write("[]" if sep.startswith("[") else "\n  ]")
+    fh.write(f',\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write, beside path; renamed onto path when the block
+    ends and deleted if it raises, so path never holds a partial payload."""
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "w") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows (tuples of values, or EncodedColumns) as CSV."""
-    path.write_text(_csv_text(header, _encoded_rows(rows, "csv")))
+    """Stream rows (tuples of values, or a csv RowStream) to path as CSV."""
+    with _replacing(path) as fh:
+        _stream_csv(fh, header, _encoded_blocks(rows, "csv"))
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_rows(out: Path, stem: str, header: list[str], rows, fmt: str) -> str:
     """Persist a row table as CSV or as a JSON record list; returns the name.
 
-    rows are tuples of values or EncodedColumns in the format fmt.
+    rows are tuples of values or a RowStream in the format fmt; len(rows) is
+    the row count once written.
     """
     if fmt == "json":
         name = f"{stem}.json"
-        (out / name).write_text(_json_table_text(header, _encoded_rows(rows, "json")))
+        with _replacing(out / name) as fh:
+            _stream_json(fh, header, _encoded_blocks(rows, "json"))
     else:
         name = f"{stem}.csv"
         write_csv(out / name, header, rows)
@@ -620,36 +661,50 @@ def _run_tables(cfg: ExperimentConfig, out: Path):
 _SAMPLE_HEADER = ["k", "n", "alpha", "d", "torus1", "torus2", "re_z", "im_z", "height"]
 
 
-def _run_generate(cfg: ExperimentConfig, out: Path):
+def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[str]]:
+    """The encoded sample rows of the set of n, one block view at a time.
+
+    The set is generated and reduced once and dies with this generator, so
+    one set is alive at a time along the schedule.
+    """
     fmt = cfg.format
-    cell = _CELL_ENCODERS[fmt]
-    table = EncodedColumns(fmt, [[] for _ in _SAMPLE_HEADER])
-    clocks: dict = {}
-    for n in cfg.n_schedule:
+    cell, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
+    with _stage(clocks, "generate"):
+        ps = gen_point_set(replace(cfg.spec, n=n), cfg.point_set["variant"])
+        ps.reduced_xy()
+    spec = ps.spec
+    n_cell, alpha_cell, d_cell = cell(n), cell(spec.alpha), cell(spec.d)
+    im_z_cell, no_torus2 = cell(float(ps.scale_height)), cell("")
+    for block in ps.blocks():
         with _stage(clocks, "generate"):
-            ps = gen_point_set(replace(cfg.spec, n=n), cfg.point_set["variant"])
-            t1s = ps.torus1_numerators()
-            t2s = ps.torus2_numerators() if ps.with_second else None
-            xs = ps.x_reals()
-            heights = ps.heights()
+            t1s = block.torus1_numerators()
+            t2s = block.torus2_numerators() if ps.with_second else None
+            xs = block.x_reals()
+            heights = block.heights()
         with _stage(clocks, "format"):
-            m = len(ps)
-            spec = ps.spec
-            cells = (
-                list(map(str, ps.residues.tolist())),
-                [cell(n)] * m,
-                [cell(spec.alpha)] * m,
-                [cell(spec.d)] * m,
+            rows = list(map(join, zip(
+                map(str, block.residues.tolist()),
+                repeat(n_cell),
+                repeat(alpha_cell),
+                repeat(d_cell),
                 _fraction_cells(t1s, n, fmt),
-                _fraction_cells(t2s, n, fmt) if t2s is not None else [cell("")] * m,
+                _fraction_cells(t2s, n, fmt) if t2s is not None else repeat(no_torus2),
                 _float_cells(xs, fmt),
-                [cell(float(ps.scale_height))] * m,
+                repeat(im_z_cell),
                 _float_cells(heights, fmt),
-            )
-            for column, chunk in zip(table.columns, cells):
-                column.extend(chunk)
+            )))
+        yield rows
+
+
+def _run_generate(cfg: ExperimentConfig, out: Path):
+    clocks = {"generate": 0.0, "format": 0.0}
+    blocks = (rows for n in cfg.n_schedule for rows in _samples_of(cfg, n, clocks))
     with _stage(clocks, "write"):
-        name = write_rows(out, "samples", _SAMPLE_HEADER, table, fmt)
+        name = write_rows(out, "samples", _SAMPLE_HEADER, RowStream(cfg.format, blocks),
+                          cfg.format)
+    # the writer pulls every block, so the write stage holds the generate and
+    # format stages; take them out, so that the three stages do not overlap
+    clocks["write"] = max(clocks["write"] - clocks["generate"] - clocks["format"], 0.0)
     return [name], True, clocks
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from oracles import ramanujan_sum
 
-from horopoints import harness
+from horopoints import arith, harness
 from horopoints.arith import totient
 from horopoints.cli import main
 from horopoints.harness import (
@@ -94,8 +94,9 @@ def test_equidist_report_structure(tmp_path):
         assert abs(re_part - ramanujan_sum(n, 1) / totient(n)) < 1e-12
 
 
-def test_equidist_holds_one_point_set_at_a_time(tmp_path, monkeypatch):
-    # each set must be dead by the time the next one is generated
+def _spy_on_point_sets(monkeypatch) -> list:
+    """Weak references to every set the harness generates; generating one
+    while an earlier one is alive fails."""
     alive = []
     generate = harness.gen_point_set
 
@@ -106,11 +107,28 @@ def test_equidist_holds_one_point_set_at_a_time(tmp_path, monkeypatch):
         return ps
 
     monkeypatch.setattr(harness, "gen_point_set", spy)
+    return alive
+
+
+def test_equidist_holds_one_point_set_at_a_time(tmp_path, monkeypatch):
+    # each set must be dead by the time the next one is generated
+    alive = _spy_on_point_sets(monkeypatch)
     man = run(_base("equidist", n_schedule=[53, 101, 199, 401], d_values=[1, 2],
                     observables=[{"type": "kernel", "radius": 1.0},
                                  {"type": "torus_char", "m": 1}]),
               out_dir=tmp_path)
     assert man.all_passed and len(alive) == 8
+
+
+@pytest.mark.parametrize("variant", ["full", "monomial", "triple"])
+def test_generate_holds_one_point_set_at_a_time(tmp_path, monkeypatch, variant):
+    # the rows of a set are written before the next set is generated, and
+    # the set dies with its last block view
+    monkeypatch.setattr(arith, "BLOCK", 3)
+    alive = _spy_on_point_sets(monkeypatch)
+    run(_base("generate", n_schedule=[11, 13, 17], point_set={"variant": variant}),
+        out_dir=tmp_path)
+    assert len(alive) == 3
 
 
 # one small config per kind mapped over items, both kloosterman modes
@@ -367,6 +385,8 @@ def test_generate_manifest_stage_clocks(tmp_path):
     clocks = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
     assert set(clocks) == {"generate", "format", "write", "total"}
     assert all(v >= 0 for v in clocks.values())
+    # the writer pulls the blocks, but the three stages do not overlap
+    assert clocks["generate"] + clocks["format"] + clocks["write"] <= clocks["total"] + 3e-6
 
 
 def test_cli_format_flag_is_in_the_config_hash(tmp_path):

@@ -1,4 +1,5 @@
-"""Memory ceilings of the blockwise paths at n = 1000003.
+"""Memory ceilings of the blockwise paths at n = 1000003, and of the
+streaming sample dump at n = 200003.
 
 numpy reports its array buffers to tracemalloc, so the peaks below count
 the bytes a call allocates, whatever the machine or allocator.  Each
@@ -12,6 +13,7 @@ import tracemalloc
 import pytest
 
 from horopoints.arith import Modulus
+from horopoints.harness import run
 from horopoints.observables import AutomorphicKernel, Product, TorusChar
 from horopoints.points import PointSetSpec, gen_monomial
 from horopoints.stats import empirical_average
@@ -61,3 +63,38 @@ def test_empirical_average_peak(mod):
     # one complex value per point, which the mean reads
     _, peak = _peak_bytes(lambda: empirical_average(ps, obs))
     assert peak <= 16 * len(ps) + 4 * MIB, peak
+
+
+def test_inverses_peak():
+    mod = Modulus(N)
+    inv, peak = _peak_bytes(lambda: mod.inverses)
+    assert inv.nbytes == 8 * len(mod.units)
+    assert peak <= inv.nbytes + 2 * MIB, peak
+
+
+def test_invert_peak(mod):
+    # the keys of a d = 2 triple set's second torus
+    keys = mod.residues(2)
+    inv, peak = _peak_bytes(lambda: mod.invert(keys))
+    assert inv.nbytes == keys.nbytes
+    assert peak <= inv.nbytes + 2 * MIB, peak
+
+
+# a triple set of 200002 points: its table, inverses and reduced coordinates
+# take 8.2 MB; its csv dump is 22 MB and its json dump 38 MB
+DUMP_N = 200003
+DUMP_CEILING = 32 * MIB
+
+
+# the two-n schedule holds n = 200003 in csv (a schedule is a set of n, so
+# two distinct n); one format each keeps the traced formatting to ~30 s
+@pytest.mark.parametrize("fmt, schedule", [("json", [DUMP_N]), ("csv", [199999, DUMP_N])],
+                         ids=["json_one_n", "csv_two_n"])
+def test_generate_peak(tmp_path, fmt, schedule):
+    # rows are streamed one block at a time and one set is alive at a time,
+    # so the peak grows neither with the rows of a set nor with the schedule
+    cfg = {"schema_version": 1, "kind": "generate", "format": fmt,
+           "n_schedule": schedule, "point_set": {"variant": "triple"}}
+    _, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))
+    assert (tmp_path / f"samples.{fmt}").stat().st_size > 20 * 10 ** 6 * len(schedule)
+    assert peak <= DUMP_CEILING, peak

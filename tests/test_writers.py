@@ -1,9 +1,11 @@
 """Byte identity of the payload writers against a row-by-row oracle.
 
-The oracle is the writer the harness used before sample payloads were built
-per column: every cell goes through an isinstance dispatch, and JSON goes
-through json.dumps(sort_keys=True, indent=2).  The harness must produce the
-same bytes for sample dumps and for small row tables.
+The oracle is the writer the harness used before tables were streamed in
+blocks of rows: every cell goes through an isinstance dispatch, and JSON goes
+through json.dumps(sort_keys=True, indent=2) of the whole payload.  The
+harness must produce the same bytes for sample dumps and for small row
+tables, whatever the block size, and a write that raises must leave no
+partial payload.
 """
 
 import json
@@ -13,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horopoints import arith, harness
 from horopoints.harness import _float_cells, run, write_csv, write_rows
 from horopoints.points import PointSetSpec, gen_point_set
 
@@ -141,3 +144,72 @@ def test_float_column_cells_match_row_oracle(fmt):
     assert _float_cells(np.array(values), fmt) == [cell(v) for v in values]
     assert _float_cells(np.array(values[:1] + values[4:]), fmt) == \
         [cell(v) for v in values[:1] + values[4:]]
+
+
+def _table_of(count: int) -> list[tuple]:
+    """count rows cycling through SMALL_ROWS, each with its index in front."""
+    return [(i, *SMALL_ROWS[i % len(SMALL_ROWS)]) for i in range(count)]
+
+
+_B = 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_write_rows_is_byte_identical_across_blocks(tmp_path, monkeypatch, fmt, count):
+    monkeypatch.setattr(arith, "BLOCK", _B)
+    header, rows = ["i", *SMALL_HEADER], _table_of(count)
+    write_rows(tmp_path, "t", header, rows, fmt)
+    assert (tmp_path / f"t.{fmt}").read_bytes() == _oracle_text(header, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("variant", ["full", "monomial", "triple"])
+def test_sample_payload_does_not_depend_on_the_block_size(tmp_path, monkeypatch,
+                                                          variant, fmt):
+    cfg = {"schema_version": 1, "kind": "generate", "format": fmt, "n_schedule": [7, 11],
+           "point_set": {"variant": variant, "d": 2, "b": 3}}
+    run(cfg, out_dir=tmp_path / "default")
+    monkeypatch.setattr(arith, "BLOCK", 2)
+    run(cfg, out_dir=tmp_path / "two")
+    name = f"samples.{fmt}"
+    assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_raising_dump_leaves_no_partial_payload(tmp_path, monkeypatch, fmt):
+    cfg = {"schema_version": 1, "kind": "generate", "format": fmt, "n_schedule": [101],
+           "point_set": {"variant": "triple"}}
+    run(cfg, out_dir=tmp_path / "fresh")
+    earlier = (tmp_path / "fresh" / f"samples.{fmt}").read_bytes()
+    # 100 points: six blocks of 16 are written before the last one raises
+    monkeypatch.setattr(arith, "BLOCK", 16)
+    cells = harness._float_cells
+
+    def fail_in_the_last_block(values, fmt):
+        if len(values) < 16:
+            raise RuntimeError("disk gone")
+        return cells(values, fmt)
+
+    monkeypatch.setattr(harness, "_float_cells", fail_in_the_last_block)
+    for out in ("empty", "fresh"):
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run(cfg, out_dir=tmp_path / out)
+    assert sorted(p.name for p in (tmp_path / "empty").iterdir()) == []
+    # a rerun that fails keeps the earlier payload whole
+    assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == \
+        ["manifest.json", f"samples.{fmt}"]
+    assert (tmp_path / "fresh" / f"samples.{fmt}").read_bytes() == earlier
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_raising_row_table_leaves_no_partial_payload(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(arith, "BLOCK", 2)
+
+    def rows():
+        yield from SMALL_ROWS
+        raise ValueError("bad row")
+
+    with pytest.raises(ValueError, match="bad row"):
+        write_rows(tmp_path, "t", SMALL_HEADER, rows(), fmt)
+    assert list(tmp_path.iterdir()) == []
