@@ -43,10 +43,10 @@ class NotCoprime(ValueError):
 _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
-# blocks (the residue sets and inverses here, sl2.reduce_many,
-# PointSet.blocks, the kernel) and rows per block of the harness writers:
-# 16384 float64 temporaries stay in cache; 4096 and 65536 were both slower
-# on large_n
+# blocks (the residue sets and inverses here, and PointSet.blocks, which
+# PointSet.reduced_xy and stats.empirical_average walk) and rows per block
+# of the harness writers: 16384 float64 temporaries stay in cache; 4096 and
+# 65536 were both slower on large_n
 BLOCK = 16384
 
 

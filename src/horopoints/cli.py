@@ -68,11 +68,29 @@ def _apply_flags(cfg, args):
     return cfg
 
 
+def _config_of(args, kind: str):
+    """The config of --config; else, for generate, the config of its flags."""
+    if args.config is not None:
+        return load_config(args.config)
+    if kind == "generate" and args.n:
+        return load_config({
+            "schema_version": 1,
+            "kind": "generate",
+            "n_schedule": args.n,
+            "point_set": {
+                "alpha": args.alpha, "d": args.d, "a": args.a,
+                "b": args.b, "c": args.c, "variant": args.variant,
+            },
+        })
+    return None
+
+
 def _run_config_command(args, kind: str) -> int:
-    if args.config is None:
-        print(f"error: {kind} requires --config", file=sys.stderr)
+    cfg = _config_of(args, kind)
+    if cfg is None:
+        need = "--n or --config" if kind == "generate" else "--config"
+        print(f"error: {kind} requires {need}", file=sys.stderr)
         return 2
-    cfg = load_config(args.config)
     if cfg.kind != kind:
         raise ConfigInvalid(f"config kind {cfg.kind!r} does not match command {kind!r}")
     manifest = run(_apply_flags(cfg, args), out_dir=args.out)
@@ -96,25 +114,6 @@ def main(argv=None) -> int:
                 print(f"plot error: {type(exc).__name__}: {exc}", file=sys.stderr)
                 return 2
             print(f"plot -> {out}")
-            return 0
-        if command == "generate":
-            if args.config is not None:
-                cfg = load_config(args.config)
-            else:
-                if not args.n:
-                    print("error: generate needs --n or --config", file=sys.stderr)
-                    return 2
-                cfg = load_config({
-                    "schema_version": 1,
-                    "kind": "generate",
-                    "n_schedule": args.n,
-                    "point_set": {
-                        "alpha": args.alpha, "d": args.d, "a": args.a,
-                        "b": args.b, "c": args.c, "variant": args.variant,
-                    },
-                })
-            manifest = run(_apply_flags(cfg, args), out_dir=args.out)
-            print(f"generate -> {manifest.out_dir}")
             return 0
         return _run_config_command(args, command.replace("-", "_"))
     except ConfigInvalid as exc:

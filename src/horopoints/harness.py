@@ -29,6 +29,7 @@ from .arith import (
     is_prime,
     kloosterman_sum,
     next_prime,
+    primes_coprime,
     residue_count_formula,
     weil_bound,
 )
@@ -669,9 +670,7 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
     """
     fmt = cfg.format
     cell, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
-    with _stage(clocks, "generate"):
-        ps = gen_point_set(replace(cfg.spec, n=n), cfg.point_set["variant"])
-        ps.reduced_xy()
+    ps = _staged_point_set(cfg, replace(cfg.spec, n=n), clocks)
     spec = ps.spec
     n_cell, alpha_cell, d_cell = cell(n), cell(spec.alpha), cell(spec.d)
     im_z_cell, no_torus2 = cell(float(ps.scale_height)), cell("")
@@ -697,14 +696,15 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
 
 
 def _run_generate(cfg: ExperimentConfig, out: Path):
-    clocks = {"generate": 0.0, "format": 0.0}
+    clocks = {"generate": 0.0, "reduce": 0.0, "format": 0.0}
     blocks = (rows for n in cfg.n_schedule for rows in _samples_of(cfg, n, clocks))
     with _stage(clocks, "write"):
         name = write_rows(out, "samples", _SAMPLE_HEADER, RowStream(cfg.format, blocks),
                           cfg.format)
-    # the writer pulls every block, so the write stage holds the generate and
-    # format stages; take them out, so that the three stages do not overlap
-    clocks["write"] = max(clocks["write"] - clocks["generate"] - clocks["format"], 0.0)
+    # the writer pulls every block, so the write stage holds the generate,
+    # reduce and format stages; take them out, so that no two stages overlap
+    pulled = clocks["generate"] + clocks["reduce"] + clocks["format"]
+    clocks["write"] = max(clocks["write"] - pulled, 0.0)
     return [name], True, clocks
 
 
@@ -866,14 +866,10 @@ def _discrepancy_rows(cfg: ExperimentConfig, n: int):
 
 
 def _prime_windows(n_schedule: list[int], params: dict) -> None:
-    # P(n, n^beta) holds a prime exactly when the smallest prime not dividing n
-    # lies below n^beta; that prime is at most 23 for every n <= 1e8
+    # the prime set that discrepancy_l2 averages over, by the same rule
     for n in n_schedule:
-        p = 2
-        while n % p == 0:
-            p = next_prime(p + 1)
         for beta in params["betas"]:
-            if p >= float(n) ** beta:
+            if not primes_coprime(n, float(n) ** beta):
                 raise ConfigInvalid(f"the prime window P({n}, {n}^{beta}) is empty")
 
 

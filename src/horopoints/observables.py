@@ -17,7 +17,6 @@ from typing import Union
 
 import numpy as np
 
-from . import arith
 from .points import PointSet
 from .sl2 import reduce_many
 
@@ -185,26 +184,21 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
                    center: complex, slack: float = 1.0) -> np.ndarray:
     """stab * sum over the orbit of prof(cosh d(z, w)) at each point z.
 
-    The points are walked in blocks of arith.BLOCK, and each profile sees
-    only the pairs with cosh d <= cosh(R) * (1 + 1e-9), a superset of both
-    supports.  A pair outside the support adds +0.0, so each point sums the
-    same values in the same orbit order as a full sweep, bit for bit.
+    Each profile sees only the pairs with cosh d <= cosh(R) * (1 + 1e-9), a
+    superset of both supports.  A pair outside the support adds +0.0, so
+    each point sums the same values in the same orbit order as a full sweep,
+    bit for bit.
     """
     orbit, stab = _orbit_points(radius, center, slack)
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
     total = np.zeros_like(xf)
-    step = arith.BLOCK
-    for lo in range(0, len(xf), step):
-        xb = xf[lo:lo + step]
-        yb = yf[lo:lo + step]
-        tb = total[lo:lo + step]
-        for w in orbit:
-            dx = xb - w.real
-            dy = yb - w.imag
-            cosh_d = 1.0 + (dx * dx + dy * dy) / (2.0 * yb * w.imag)
-            near = np.flatnonzero(cosh_d <= cut)
-            tb[near] += prof(cosh_d[near], radius)
+    for w in orbit:
+        dx = xf - w.real
+        dy = yf - w.imag
+        cosh_d = 1.0 + (dx * dx + dy * dy) / (2.0 * yf * w.imag)
+        near = np.flatnonzero(cosh_d <= cut)
+        total[near] += prof(cosh_d[near], radius)
     return stab * total
 
 

@@ -135,9 +135,9 @@ class PointSet:
     def reduced_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Fundamental-domain coordinates of the surface points, cached.
 
-        The two arrays are filled with x_reals one block at a time and
-        reduced in place, so no other full-length array is made; a view
-        from blocks() reads its slice of its parent's.
+        Each view of blocks() is reduced on its own into its slice of the
+        two arrays, so no other full-length array is made; a view from
+        blocks() reads its slice of its parent's.
         """
         if self._reduced is None:
             if self._window is not None:
@@ -148,9 +148,10 @@ class PointSet:
                 xs, ys = np.empty(len(self)), np.empty(len(self))
                 lo = 0
                 for block in self.blocks():
-                    xs[lo:lo + len(block)] = block.x_reals()
-                    lo += len(block)
-                self._reduced = reduce_many(xs, self.scale_height, out=(xs, ys))
+                    hi = lo + len(block)
+                    xs[lo:hi], ys[lo:hi] = reduce_many(block.x_reals(), self.scale_height)
+                    lo = hi
+                self._reduced = (xs, ys)
         return self._reduced
 
     def heights(self) -> np.ndarray:

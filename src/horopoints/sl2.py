@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import arith
 from .arith import Modulus
 
 __all__ = [
@@ -26,8 +25,7 @@ class NumericalDegeneracy(ArithmeticError):
     """The imaginary part degenerated below double precision."""
 
 
-def reduce_many(x: np.ndarray, y, out: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def reduce_many(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-reduce z = x + iy (x 1-D, y scalar or array) into |x| <= 1/2, |z| >= 1.
 
     Alternates the translation z -> z - round(Re z) with the inversion
@@ -35,39 +33,20 @@ def reduce_many(x: np.ndarray, y, out: tuple[np.ndarray, np.ndarray] | None = No
     |z| = 1 pick Re z <= 0, and Re z = 1/2 maps to -1/2 (tolerance 1e-12), so
     the representative is unique and reduction is idempotent.
 
-    The points are reduced in place in blocks of arith.BLOCK, in the float64
-    pair out (new arrays if None; out may be (x, y) themselves).  Each point
-    is reduced on its own, and a settled point is a fixed point of the loop,
-    so every block gives the bits a one-block reduction gives.
+    Returns new float64 arrays.  Each point is reduced on its own, and a
+    settled point is a fixed point of the loop, so a point gets the same
+    bits whatever else is reduced beside it.
 
     Valid while every inverted Im z stays a finite positive float; otherwise
     (|z|^2 underflows to 0 at a tiny Im z) raises NumericalDegeneracy rather
     than return NaN or infinite coordinates.
     """
-    x = np.asarray(x, dtype=np.float64)
-    scalar_y = np.ndim(y) == 0
-    if scalar_y:
-        y = float(y)
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != x.shape:
-            raise ValueError("x and y must have the same shape")
-    xs, ys = (np.empty_like(x), np.empty_like(x)) if out is None else out
-    step = arith.BLOCK
-    for lo in range(0, len(x), step):
-        xb, yb = xs[lo:lo + step], ys[lo:lo + step]
-        if xs is not x:
-            xb[...] = x[lo:lo + step]
-        if scalar_y:
-            yb[...] = y
-        elif ys is not y:
-            yb[...] = y[lo:lo + step]
-        _reduce_block(xb, yb)
-    return xs, ys
-
-
-def _reduce_block(x: np.ndarray, y: np.ndarray) -> None:
-    """reduce_many on one block, in place."""
+    x = np.array(x, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    if y.ndim == 0:
+        y = np.full_like(x, y)
+    elif y.shape != x.shape:
+        raise ValueError("x and y must have the same shape")
     if not (y > 0).all():
         raise ValueError("all points must lie in the upper half plane")
     for _ in range(_MAX_REDUCE_STEPS):
@@ -88,6 +67,7 @@ def _reduce_block(x: np.ndarray, y: np.ndarray) -> None:
     else:
         raise NumericalDegeneracy("reduction did not terminate")
     x[x > 0.5 - _BOUNDARY_TOL] -= 1.0
+    return x, y
 
 
 def verify_intersection(mod: Modulus) -> tuple[int, int]:

@@ -231,10 +231,17 @@ def test_cli_roundtrip(tmp_path, capsys):
     assert main(["kloosterman", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
-    # mismatched kind is a config error
-    assert main(["cardinality", "--config", str(cfg_path)]) == 2
-    # missing config
+    capsys.readouterr()
+    # mismatched kind is a config error, which writes no payload
+    for command in ("cardinality", "generate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+    # missing config, and generate with neither a config nor a modulus
     assert main(["equidist"]) == 2
+    assert main(["generate"]) == 2
 
 
 def test_cli_generate_and_plot(tmp_path):
@@ -383,10 +390,11 @@ def test_cli_generate_honours_format(tmp_path):
 def test_generate_manifest_stage_clocks(tmp_path):
     run(_base("generate", n_schedule=[7, 11]), out_dir=tmp_path)
     clocks = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
-    assert set(clocks) == {"generate", "format", "write", "total"}
+    assert set(clocks) == {"generate", "reduce", "format", "write", "total"}
     assert all(v >= 0 for v in clocks.values())
-    # the writer pulls the blocks, but the three stages do not overlap
-    assert clocks["generate"] + clocks["format"] + clocks["write"] <= clocks["total"] + 3e-6
+    # the writer pulls the blocks, but the four stages do not overlap
+    stages = clocks["generate"] + clocks["reduce"] + clocks["format"] + clocks["write"]
+    assert stages <= clocks["total"] + 3e-6
 
 
 def test_cli_format_flag_is_in_the_config_hash(tmp_path):

@@ -254,20 +254,29 @@ def _reduction_inputs(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 7])
 @pytest.mark.parametrize("scalar_y", [False, True])
-def test_blocked_reduction_is_bit_identical_to_one_block(count, scalar_y, monkeypatch):
+def test_blocked_reduction_is_bit_identical_to_one_block(count, scalar_y):
+    # reduce_many reduces each point on its own, so PointSet.reduced_xy,
+    # which reduces one block of _B points per call, gets the bits of one
+    # call over the whole set
     x, y = _reduction_inputs(count, seed=count)
     if scalar_y:
         y = 0.03
-    got = reduce_many(x, y)
-    # in place, as PointSet.reduced_xy reduces
-    xs, ys = x.copy(), np.empty(count)
-    if not scalar_y:
-        ys[:] = y
-    reduce_many(xs, y if scalar_y else ys, out=(xs, ys))
-    monkeypatch.setattr(arith, "BLOCK", max(count, 1))
     want = reduce_many(x, y)
-    for blocked, in_place, one_block in zip(got, (xs, ys), want):
-        assert blocked.tobytes() == in_place.tobytes() == one_block.tobytes()
+    blocked = (np.empty(count), np.empty(count))
+    for lo in range(0, count, _B):
+        part = reduce_many(x[lo:lo + _B], y if scalar_y else y[lo:lo + _B])
+        for out, got in zip(blocked, part):
+            out[lo:lo + _B] = got
+    for got, one_call in zip(blocked, want):
+        assert got.tobytes() == one_call.tobytes()
+    # each point alone, at every block edge and at 1000 other points (a
+    # call per point over the whole set would take seconds)
+    edges = [i for lo in range(0, count + 1, _B) for i in (lo - 1, lo) if 0 <= i < count]
+    rng = np.random.default_rng(count)
+    for i in sorted({*edges, *rng.integers(0, count, 1000 if count else 0).tolist()}):
+        alone = reduce_many(x[i:i + 1], y if scalar_y else y[i:i + 1])
+        for got, one_call in zip(alone, want):
+            assert got.tobytes() == one_call[i:i + 1].tobytes(), i
 
 
 def test_blocked_reduction_raises_from_a_later_block():

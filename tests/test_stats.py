@@ -76,6 +76,10 @@ def _blocked_cases():
         for obs in (TwoTorusChar(1, -1), Product((TwoTorusChar(2, 1), kernels[1]))):
             yield pytest.param(gen_triple, replace(spec, b=1, c=2), obs,
                                id=f"triple-d{d}-{obs.describe()}")
+    # the deep set takes the most inversion rounds; its exact heights are all sqrt(n)
+    band = HeightBand(_BLOCKED_N ** 0.5)
+    yield pytest.param(gen_monomial, PointSetSpec(n=_BLOCKED_N, alpha=Fraction(5, 4)), band,
+                       id=f"monomial-alpha5/4-{band.describe()}")
 
 
 @pytest.mark.parametrize("gen, spec, obs", list(_blocked_cases()))
