@@ -4,6 +4,9 @@ Integers are plain Python ints (arbitrary precision), so nothing here can
 silently overflow.  Bulk helpers use int64 numpy arrays and need a modulus
 below 2^31, so that every intermediate product fits; above it they raise
 ValueError.
+Factorization is trial division, in the same range n < 2^31; prime lists
+come from a sieve built on each call, and primality tests of any size from
+deterministic Miller-Rabin, so no prime table outlives a call.
 Exponential sums accumulate in float64 through numpy's pairwise summation,
 which is deterministic and keeps the rounding error at O(log n * eps).
 """
@@ -11,7 +14,6 @@ which is deterministic and keeps the rounding error at O(log n * eps).
 from __future__ import annotations
 
 import math
-import threading
 from functools import cached_property
 from math import gcd
 
@@ -51,43 +53,20 @@ BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------
-# prime sieve (smallest-prime-factor table), grown on demand
-
-_SIEVE_FLOOR = 1_000_000
-_sieve_lock = threading.Lock()
-_spf: np.ndarray | None = None      # spf[i] = smallest prime factor of composite i, else 0
-_prime_list: np.ndarray | None = None
-
-
-def _ensure_sieve(limit: int) -> None:
-    global _spf, _prime_list
-    if _spf is not None and len(_spf) > limit:
-        return
-    with _sieve_lock:
-        if _spf is not None and len(_spf) > limit:
-            return
-        size = max(limit + 1, _SIEVE_FLOOR + 1)
-        # int32 halves the table; its entries are primes <= sqrt(size) < 2^31
-        spf = np.zeros(size, dtype=np.int32)
-        spf[0] = spf[1] = 1
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if spf[p] == 0:
-                block = spf[p * p:: p]
-                block[block == 0] = p
-        primes = np.flatnonzero(spf == 0).astype(np.int64)
-        # publish fully built tables only (readers never take the lock)
-        _prime_list = primes
-        _spf = spf
-
+# primes and factorization
 
 def primes_upto(x: float) -> np.ndarray:
-    """All primes p with p < x, ascending."""
+    """All primes p with p < x, ascending, by a sieve of Eratosthenes over
+    the integers below x, built on each call."""
     if x <= 2:
         return np.empty(0, dtype=np.int64)
-    limit = int(math.ceil(x))
-    _ensure_sieve(limit)
-    assert _prime_list is not None
-    return _prime_list[_prime_list < x]
+    size = math.ceil(x)
+    sieve = np.ones(size, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def primes_coprime(n: int, x: float) -> tuple[int, ...]:
@@ -99,9 +78,6 @@ def primes_coprime(n: int, x: float) -> tuple[int, ...]:
         raise ValueError("cutoff must be positive")
     return tuple(int(p) for p in primes_upto(x) if n % int(p) != 0)
 
-
-# ---------------------------------------------------------------------------
-# factorization
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -138,62 +114,29 @@ def next_prime(n: int) -> int:
     return k
 
 
-def _pollard_rho(n: int) -> int:
-    # deterministic: sweep the polynomial offset until a factor splits off
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {p: exponent}, trial division + rho fallback."""
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
+    """Prime factorization as {p: exponent}, ascending in p, by trial
+    division by 2 and then by the odd numbers up to sqrt(n).
+
+    The domain is 1 <= n < 2^31, that of Modulus and powmod, so at most
+    about 23170 divisions are made.
+    """
+    if not 1 <= n < _INT64_MOD_LIMIT:
+        raise ValueError("factorize needs 1 <= n < 2^31")
     out: dict[int, int] = {}
-    if n == 1:
-        return out
-    _ensure_sieve(_SIEVE_FLOOR)
-    assert _spf is not None
-    spf = _spf
-    limit = len(spf)
-
-    def _add(p: int) -> None:
-        out[p] = out.get(p, 0) + 1
-
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        while m > 1:
-            if m < limit:
-                p = int(spf[m])
-                if p == 0:
-                    p = m
-                _add(p)
-                m //= p
-            elif is_prime(m):
-                _add(m)
-                m = 1
-            else:
-                d = _pollard_rho(m)
-                stack.append(d)
-                m //= d
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
     return out
 
 
 def totient(n: int) -> int:
-    """Euler's phi via factorization."""
-    if n < 1:
-        raise ValueError("totient requires n >= 1")
+    """Euler's phi via factorization (1 <= n < 2^31)."""
     return _totient_of(factorize(n))
 
 

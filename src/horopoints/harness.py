@@ -200,10 +200,13 @@ def parse_observable(rec: dict) -> Observable:
             return TwoTorusChar(m1=_int(rec["m1"]), m2=_int(rec["m2"]))
         if t == "kernel":
             center = rec.get("center")
+            if center is not None and (not isinstance(center, (list, tuple))
+                                       or len(center) != 2):
+                raise ValueError(f"center {center!r} is not a pair [x, y]")
             return AutomorphicKernel(
                 radius=_float(rec["radius"]),
                 profile=rec.get("profile", "smooth"),
-                center=complex(_float(center[0]), _float(center[1])) if center else 1j,
+                center=1j if center is None else complex(_float(center[0]), _float(center[1])),
             )
         if t == "height_band":
             upper = rec.get("upper")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -56,10 +56,6 @@ class HaarTarget:
 # ---------------------------------------------------------------------------
 # automorphic kernel machinery
 
-_orbit_lock = threading.Lock()
-_orbit_cache: dict[tuple, tuple[np.ndarray, int]] = {}
-
-
 def _min_cosh_to_strip(w: complex, y_bot: float, y_top: float) -> float:
     """cosh of the minimal distance from w to {|Re| <= 1/2, y_bot <= Im <= y_top}."""
     dx = max(0.0, abs(w.real) - 0.5)
@@ -69,6 +65,7 @@ def _min_cosh_to_strip(w: complex, y_bot: float, y_top: float) -> float:
     return 1.0 + (dx * dx + (yw - ystar) ** 2) / (2.0 * yw * ystar)
 
 
+@lru_cache(maxsize=None)
 def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[np.ndarray, int]:
     """Modular orbit points of `center` reachable from the fundamental domain.
 
@@ -76,15 +73,10 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     (c, d) and translations with exact geometric cutoffs scaled by `slack`;
     candidates are kept when their distance to the relevant strip is at most
     the radius.  Doubling `slack` must not change any kernel value, which the
-    test suite asserts.
+    test suite asserts.  Memoized on the arguments as they are passed, so a
+    call that leaves out the default slack and one that passes it are two
+    entries.
     """
-    key = (round(center.real, _DEDUP_DECIMALS), round(center.imag, _DEDUP_DECIMALS),
-           round(radius, _DEDUP_DECIMALS), round(slack, 6))
-    with _orbit_lock:
-        hit = _orbit_cache.get(key)
-    if hit is not None:
-        return hit
-
     xf, yf = reduce_many([center.real], center.imag)
     xc, yc = float(xf[0]), float(yf[0])
     zc = complex(xc, yc)
@@ -132,10 +124,7 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     pts = np.array([w for w, _ in candidates], dtype=complex)
     keyed = np.round(pts.real, _DEDUP_DECIMALS) + 1j * np.round(pts.imag, _DEDUP_DECIMALS)
     _, idx = np.unique(keyed, return_index=True)
-    result = (pts[np.sort(idx)], stab)
-    with _orbit_lock:
-        _orbit_cache[key] = result
-    return result
+    return pts[np.sort(idx)], stab
 
 
 def _row_halfwidth(yw: float, y_ref: float, cosh_r: float) -> float:
@@ -189,7 +178,10 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
     each point sums the same values in the same orbit order as a full sweep,
     bit for bit.
     """
-    orbit, stab = _orbit_points(radius, center, slack)
+    # the default slack is left out, as perfbench's tracer leaves it out, so
+    # that both calls hit one cache entry
+    orbit, stab = (_orbit_points(radius, center) if slack == 1.0
+                   else _orbit_points(radius, center, slack))
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
     total = np.zeros_like(xf)
@@ -338,6 +330,8 @@ class Product:
     factors: tuple
 
     def __post_init__(self):
+        if not self.factors:
+            raise ValueError("a product needs at least one factor")
         used: set[str] = set()
         for f in self.factors:
             slots = f._slots()

@@ -6,7 +6,7 @@ under test never computes its own expectations.
 """
 
 import cmath
-from math import gcd
+from math import ceil, gcd
 
 import numpy as np
 import pytest
@@ -144,9 +144,14 @@ def test_factorize_and_divisors():
     assert factorize(1) == {}
     assert factorize(9973 * 9973) == {9973: 2}
     assert factorize(2 ** 10 * 3 ** 4 * 101) == {2: 10, 3: 4, 101: 1}
-    # beyond the sieve: 10^7-scale semiprime
-    p, q = 10_000_019, 10_000_079
-    assert factorize(p * q) == {p: 1, q: 1}
+    # the largest n in the domain, a semiprime of two primes near its root
+    # and a power of two; 10^7-scale semiprimes lie beyond the domain
+    assert factorize(2 ** 31 - 1) == {2 ** 31 - 1: 1}
+    assert factorize(46327 * 46337) == {46327: 1, 46337: 1}
+    assert factorize(2 ** 30) == {2: 30}
+    for n in (10_000_019 * 10_000_079, 2 ** 31, 0):
+        with pytest.raises(ValueError):
+            factorize(n)
     assert Modulus(12).tau == 6
 
 
@@ -209,16 +214,32 @@ def test_residue_sets_of_several_blocks_match_unique_oracle(n):
         _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
 
 
-def test_sieve_table_is_int32_and_its_outputs_are_not():
-    factorize(2)
-    assert arith._spf.dtype == np.int32 and arith._prime_list.dtype == np.int64
+def test_primes_and_factors_near_one_million_match_brute_force():
     primes = arith.primes_upto(1_000_000)
     assert primes.dtype == np.int64 and len(primes) == 78498 and primes[-1] == 999983
-    # numbers just below the sieve floor, factored from the table
+    # the sieve is sized to x: every prime below x and none at it
+    for x in (0, 2, 2.5, 3, 10, 10.5, 97, 97.0001, 1000):
+        assert arith.primes_upto(x).tolist() == [
+            p for p in range(2, ceil(x)) if brute_factorize(p) == {p: 1}], x
     for m in [*range(999_900, 1_000_001), 2 ** 19, 997 * 991]:
         got = factorize(m)
         assert got == brute_factorize(m), m
         assert all(type(p) is int for p in got), m
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 2 ** 31 - 1))
+@example(n=1)
+@example(n=2 ** 31 - 1)
+@example(n=46327 * 46337)
+def test_factorize_is_an_ascending_prime_factorization(n):
+    got = factorize(n)
+    assert list(got) == sorted(got)
+    assert all(is_prime(p) and e >= 1 for p, e in got.items())
+    product = 1
+    for p, e in got.items():
+        product *= p ** e
+    assert product == n
 
 
 def test_bulk_paths_reject_moduli_beyond_int64():

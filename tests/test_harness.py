@@ -524,6 +524,14 @@ BAD_CONFIGS = {
     "out_dir_not_a_string": _base("cardinality", out_dir=5),
     "kernel_center_not_finite": _base("equidist", observables=[
         {"type": "kernel", "radius": 1.0, "center": [float("nan"), 1.0]}]),
+    # a center is a pair [x, y]: one number raised an IndexError, a third was dropped
+    "kernel_center_one_number": _base("equidist", observables=[
+        {"type": "kernel", "radius": 1, "center": [0.5]}]),
+    "kernel_center_three_numbers": _base("equidist", observables=[
+        {"type": "kernel", "radius": 1, "center": [0.5, 1, 3]}]),
+    # an empty product averaged to NaN errors and the run passed
+    "product_without_factors": _base("equidist", observables=[
+        {"type": "product", "factors": []}]),
     # reduces to 1e20j, whose orbit row spans ~3.8e21 translations at R = 3
     "kernel_center_high_in_the_cusp": _base("equidist", observables=[
         {"type": "kernel", "radius": 3.0, "center": [0, 1e-20]}]),

@@ -227,6 +227,18 @@ def test_center_high_in_the_cusp_fails_closed():
     assert ker.values_at([100j])[0] == ker.values_at([0.01j])[0] > 0
 
 
+def test_kernel_orbit_is_enumerated_once_per_kernel():
+    # after the first evaluation, a second one and a call of the shape
+    # (radius, center), which perfbench's tracer makes, both hit the cache
+    ker = AutomorphicKernel(radius=1.25)
+    ps = gen_full(7, Fraction(1, 2))
+    first = ker.eval_many(ps)
+    misses = observables._orbit_points.cache_info().misses
+    assert np.array_equal(ker.eval_many(ps), first)
+    assert observables._orbit_points(ker.radius, ker.center)[0].size > 0
+    assert observables._orbit_points.cache_info().misses == misses
+
+
 def test_product():
     prod = Product((TorusChar(1), AutomorphicKernel(1.0)))
     ps = gen_full(7, Fraction(1, 2))
@@ -238,6 +250,9 @@ def test_product():
         Product((TorusChar(1), TorusChar(2)))
     with pytest.raises(ValueError):
         Product((TwoTorusChar(1, 0), TorusChar(1)))
+    # an empty product would average to NaN errors
+    with pytest.raises(ValueError):
+        Product(())
 
 
 def test_eval_many_matches_scalar():
