@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arith
+from . import __version__
 from .arith import (
     Modulus,
     gcd,
@@ -396,10 +396,16 @@ def load_config(source) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # deterministic writers
 #
-# Every row table is streamed to its file in blocks of at most arith.BLOCK
-# rows, each row already encoded for the format: rows of Python values are
-# encoded one row at a time, and a RowStream brings its own encoded blocks.
+# Every row table is streamed to its file in chunks of at most
+# _ROWS_PER_WRITE rows, each row already encoded for the format: rows of
+# Python values are encoded one row at a time, and a RowStream brings its
+# own encoded chunks.  An encoded row costs about 100-250 bytes across its
+# cells, its line and the joined chunk, against 8-16 bytes for a numeric
+# coordinate, so a chunk is smaller than an arith.BLOCK view of points.
 # A payload is written beside its name and renamed onto it only once whole.
+
+_ROWS_PER_WRITE = 1024
+
 
 def _fmt_cell(v) -> str:
     """A CSV cell."""
@@ -435,25 +441,25 @@ _ROW_ENCODERS = {"csv": ",".join, "json": lambda cells: _json_array(cells, 2)}
 
 
 class RowStream:
-    """A row table made one block at a time while it is written.
+    """A row table made one chunk at a time while it is written.
 
     Iterating yields lists of rows already encoded for fmt (each by
     _ROW_ENCODERS[fmt]); it can be read once.  len() is the number of rows
     yielded so far, so the row count once the table is written.
     """
 
-    def __init__(self, fmt: str, blocks: Iterator[list[str]]):
+    def __init__(self, fmt: str, chunks: Iterator[list[str]]):
         self.fmt = fmt
-        self._blocks = blocks
+        self._chunks = chunks
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[list[str]]:
-        for block in self._blocks:
-            self._count += len(block)
-            yield block
+        for chunk in self._chunks:
+            self._count += len(chunk)
+            yield chunk
 
 
 def _fraction_cells(numerators: np.ndarray, denominator: int, fmt: str) -> list[str]:
@@ -472,34 +478,36 @@ def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
 
 
 def _encoded_blocks(rows, fmt: str) -> Iterator[list[str]]:
-    """The rows of a table as lists of encoded rows, at most arith.BLOCK each
-    for rows of Python values, which are encoded as the lists are made."""
+    """The rows of a table as lists of encoded rows, at most _ROWS_PER_WRITE
+    each; rows of Python values are encoded as the lists are made."""
     if isinstance(rows, RowStream):
         if rows.fmt != fmt:
             raise ValueError(f"rows are encoded for {rows.fmt}, not {fmt}")
         return iter(rows)
     encode, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
     lines = (join([encode(v) for v in row]) for row in rows)
-    return iter(lambda: list(islice(lines, arith.BLOCK)), [])
+    return iter(lambda: list(islice(lines, _ROWS_PER_WRITE)), [])
 
 
-def _stream_csv(fh, header: list[str], blocks) -> None:
+def _stream_csv(fh, header: list[str], chunks) -> None:
     fh.write(",".join(header) + "\n")
-    for block in blocks:
-        if block:
-            fh.write("\n".join(block) + "\n")
+    for chunk in chunks:
+        if chunk:
+            fh.write("\n".join(chunk))
+            fh.write("\n")
 
 
-def _stream_json(fh, header: list[str], blocks) -> None:
+def _stream_json(fh, header: list[str], chunks) -> None:
     # the bytes of json.dumps(payload, sort_keys=True, indent=2) + "\n" for
     # payload {"schema_version", "columns", "rows"}, without building payload
     columns = _json_array([json.dumps(h) for h in header], 1)
     fh.write(f'{{\n  "columns": {columns},\n  "rows": ')
     pad = "\n    "
     sep = "[" + pad
-    for block in blocks:
-        if block:
-            fh.write(sep + ("," + pad).join(block))
+    for chunk in chunks:
+        if chunk:
+            fh.write(sep)
+            fh.write(("," + pad).join(chunk))
             sep = "," + pad
     fh.write("[]" if sep.startswith("[") else "\n  ]")
     fh.write(f',\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
@@ -666,7 +674,8 @@ _SAMPLE_HEADER = ["k", "n", "alpha", "d", "torus1", "torus2", "re_z", "im_z", "h
 
 
 def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[str]]:
-    """The encoded sample rows of the set of n, one block view at a time.
+    """The encoded sample rows of the set of n, at most _ROWS_PER_WRITE at a
+    time; the numeric columns are computed once per block view.
 
     The set is generated and reduced once and dies with this generator, so
     one set is alive at a time along the schedule.
@@ -683,28 +692,30 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
             t2s = block.torus2_numerators() if ps.with_second else None
             xs = block.x_reals()
             heights = block.heights()
-        with _stage(clocks, "format"):
-            rows = list(map(join, zip(
-                map(str, block.residues.tolist()),
-                repeat(n_cell),
-                repeat(alpha_cell),
-                repeat(d_cell),
-                _fraction_cells(t1s, n, fmt),
-                _fraction_cells(t2s, n, fmt) if t2s is not None else repeat(no_torus2),
-                _float_cells(xs, fmt),
-                repeat(im_z_cell),
-                _float_cells(heights, fmt),
-            )))
-        yield rows
+        for lo in range(0, len(block), _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            with _stage(clocks, "format"):
+                chunk = list(map(join, zip(
+                    map(str, block.residues[rows].tolist()),
+                    repeat(n_cell),
+                    repeat(alpha_cell),
+                    repeat(d_cell),
+                    _fraction_cells(t1s[rows], n, fmt),
+                    _fraction_cells(t2s[rows], n, fmt) if t2s is not None else repeat(no_torus2),
+                    _float_cells(xs[rows], fmt),
+                    repeat(im_z_cell),
+                    _float_cells(heights[rows], fmt),
+                )))
+            yield chunk
 
 
 def _run_generate(cfg: ExperimentConfig, out: Path):
     clocks = {"generate": 0.0, "reduce": 0.0, "format": 0.0}
-    blocks = (rows for n in cfg.n_schedule for rows in _samples_of(cfg, n, clocks))
+    chunks = (rows for n in cfg.n_schedule for rows in _samples_of(cfg, n, clocks))
     with _stage(clocks, "write"):
-        name = write_rows(out, "samples", _SAMPLE_HEADER, RowStream(cfg.format, blocks),
+        name = write_rows(out, "samples", _SAMPLE_HEADER, RowStream(cfg.format, chunks),
                           cfg.format)
-    # the writer pulls every block, so the write stage holds the generate,
+    # the writer pulls every chunk, so the write stage holds the generate,
     # reduce and format stages; take them out, so that no two stages overlap
     pulled = clocks["generate"] + clocks["reduce"] + clocks["format"]
     clocks["write"] = max(clocks["write"] - pulled, 0.0)

@@ -4,10 +4,11 @@ The oracle is the writer the harness used before tables were streamed in
 blocks of rows: every cell goes through an isinstance dispatch, and JSON goes
 through json.dumps(sort_keys=True, indent=2) of the whole payload.  The
 harness must produce the same bytes for sample dumps and for small row
-tables, whatever the block size, and a write that raises must leave no
-partial payload.
+tables, whatever the block and chunk sizes, and a write that raises must
+leave no partial payload.
 """
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -157,7 +158,7 @@ _B = 4
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
 def test_write_rows_is_byte_identical_across_blocks(tmp_path, monkeypatch, fmt, count):
-    monkeypatch.setattr(arith, "BLOCK", _B)
+    monkeypatch.setattr(harness, "_ROWS_PER_WRITE", _B)
     header, rows = ["i", *SMALL_HEADER], _table_of(count)
     write_rows(tmp_path, "t", header, rows, fmt)
     assert (tmp_path / f"t.{fmt}").read_bytes() == _oracle_text(header, rows, fmt)
@@ -170,10 +171,58 @@ def test_sample_payload_does_not_depend_on_the_block_size(tmp_path, monkeypatch,
     cfg = {"schema_version": 1, "kind": "generate", "format": fmt, "n_schedule": [7, 11],
            "point_set": {"variant": variant, "d": 2, "b": 3}}
     run(cfg, out_dir=tmp_path / "default")
-    monkeypatch.setattr(arith, "BLOCK", 2)
-    run(cfg, out_dir=tmp_path / "two")
     name = f"samples.{fmt}"
-    assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    expected = (tmp_path / "default" / name).read_bytes()
+    # (arith.BLOCK, harness._ROWS_PER_WRITE): chunks far above the block,
+    # equal to it, below it without dividing it, and just above it
+    for block, chunk in [(2, 1024), (2, 2), (5, 2), (2, 3)]:
+        monkeypatch.setattr(arith, "BLOCK", block)
+        monkeypatch.setattr(harness, "_ROWS_PER_WRITE", chunk)
+        run(cfg, out_dir=tmp_path / f"{block}-{chunk}")
+        assert (tmp_path / f"{block}-{chunk}" / name).read_bytes() == expected, (block, chunk)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_generate_writes_at_most_rows_per_write_rows_at_a_time(tmp_path, monkeypatch, fmt):
+    sizes = []
+    encoded = harness._encoded_blocks
+
+    def counted(rows, fmt):
+        assert isinstance(rows, harness.RowStream)
+        for chunk in encoded(rows, fmt):
+            sizes.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(harness, "_encoded_blocks", counted)
+    run({"schema_version": 1, "kind": "generate", "format": fmt, "n_schedule": [5003],
+         "point_set": {"variant": "triple"}}, out_dir=tmp_path)
+    assert len(sizes) > 1 and max(sizes) <= harness._ROWS_PER_WRITE
+    assert sum(sizes) == len(gen_point_set(PointSetSpec(n=5003), "triple"))
+
+
+# sha256 of the dumps of two sets a little over one arith.BLOCK, two views each
+PINNED_DUMPS = [
+    ("triple", 1, 20011, "csv",
+     "c8c47beea4171261e78d53fd7168447aab2a9c22e750ccbcb1085716929d81e8"),
+    ("triple", 1, 20011, "json",
+     "4d96f6ba2fa319dd8cef2b2e10bd5e41952f89fbb4cbdae788f3535c580aaf7c"),
+    ("monomial", 2, 40009, "csv",
+     "5085503bf07c91a4857e0c5235509e314d9890bfd8189df3b2b73264d88b85ff"),
+    ("monomial", 2, 40009, "json",
+     "eb4bfb7c41b025d20701fa3017ddc43ea9a976edbb36841f32f5c285b765a6fd"),
+]
+
+
+@pytest.mark.parametrize("variant, d, n, fmt, digest", PINNED_DUMPS,
+                         ids=[f"{v}_d{d}_{fmt}" for v, d, _, fmt, _ in PINNED_DUMPS])
+def test_sample_dump_bytes_are_pinned(tmp_path, variant, d, n, fmt, digest):
+    # the columns come from IEEE + - * /, rint and repr, so the bytes are
+    # those of any platform
+    assert len(gen_point_set(PointSetSpec(n=n, d=d), variant)) > arith.BLOCK
+    run({"schema_version": 1, "kind": "generate", "format": fmt, "n_schedule": [n],
+         "point_set": {"variant": variant, "d": d}}, out_dir=tmp_path)
+    data = (tmp_path / f"samples.{fmt}").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -204,7 +253,7 @@ def test_a_raising_dump_leaves_no_partial_payload(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_raising_row_table_leaves_no_partial_payload(tmp_path, monkeypatch, fmt):
-    monkeypatch.setattr(arith, "BLOCK", 2)
+    monkeypatch.setattr(harness, "_ROWS_PER_WRITE", 2)
 
     def rows():
         yield from SMALL_ROWS
