@@ -174,7 +174,8 @@ def powmod(base: np.ndarray, exp: int, n: int) -> np.ndarray:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    # the arrays of a Modulus are shared by every reader of the table
+    # cached arrays, shared by every later reader: the tables of a Modulus
+    # and the reduced coordinates of a PointSet
     a.flags.writeable = False
     return a
 

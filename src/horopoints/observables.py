@@ -142,16 +142,21 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _kernel_profile_indicator(cosh_d: np.ndarray, radius: float) -> np.ndarray:
-    return (cosh_d <= math.cosh(radius) * (1 + 1e-12)).astype(np.float64)
+    """1.0 on cosh d <= cosh(R) (1 + 1e-12), else 0.0, written over cosh_d."""
+    return np.less_equal(cosh_d, math.cosh(radius) * (1 + 1e-12), out=cosh_d)
 
 
 def _kernel_profile_smooth(cosh_d: np.ndarray, radius: float) -> np.ndarray:
-    r = np.arccosh(np.maximum(cosh_d, 1.0))
-    out = np.zeros_like(r)
-    inside = r <= radius
-    t = r[inside] / radius
-    out[inside] = (1.0 - t * t) ** 2
-    return out
+    """(1 - (r/R)^2)^2 at r = arccosh(cosh d) <= R, else 0.0, written over
+    cosh_d."""
+    r = np.arccosh(np.maximum(cosh_d, 1.0, out=cosh_d), out=cosh_d)
+    # r > R and NaN clamp to R, whose bump is (1 - 1)^2 = +0.0 exactly
+    np.fmin(r, radius, out=r)
+    r /= radius
+    r *= r
+    np.subtract(1.0, r, out=r)
+    r *= r
+    return r
 
 
 def _smooth_sinh_moment(radius: float) -> float:
@@ -177,6 +182,12 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
     superset of both supports.  A pair outside the support adds +0.0, so
     each point sums the same values in the same orbit order as a full sweep,
     bit for bit.
+
+    cosh d = 1 + ((x - Re w)^2 + (y - Im w)^2) / (2 y Im w) is computed in
+    three buffers as long as xf, with the operations and operands of that
+    formula.  _orbit_points emits the translates w0 + j of an orbit row
+    together, so (y - Im w)^2 and 2 y Im w are computed once per run of
+    equal Im w and shared by its translates.
     """
     # the default slack is left out, as perfbench's tracer leaves it out, so
     # that both calls hit one cache entry
@@ -185,12 +196,23 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
     total = np.zeros_like(xf)
+    dy2, den, cosh_d = np.empty_like(xf), np.empty_like(xf), np.empty_like(xf)
+    near = np.empty(xf.shape, dtype=bool)
+    row_im = None
     for w in orbit:
-        dx = xf - w.real
-        dy = yf - w.imag
-        cosh_d = 1.0 + (dx * dx + dy * dy) / (2.0 * yf * w.imag)
-        near = np.flatnonzero(cosh_d <= cut)
-        total[near] += prof(cosh_d[near], radius)
+        if w.imag != row_im:
+            row_im = w.imag
+            np.subtract(yf, row_im, out=dy2)
+            np.multiply(dy2, dy2, out=dy2)
+            np.multiply(yf, 2.0, out=den)
+            np.multiply(den, row_im, out=den)
+        np.subtract(xf, w.real, out=cosh_d)
+        np.multiply(cosh_d, cosh_d, out=cosh_d)
+        np.add(cosh_d, dy2, out=cosh_d)
+        np.divide(cosh_d, den, out=cosh_d)
+        np.add(cosh_d, 1.0, out=cosh_d)
+        idx = np.flatnonzero(np.less_equal(cosh_d, cut, out=near))
+        total[idx] += prof(cosh_d[idx], radius)
     return stab * total
 
 
@@ -274,11 +296,12 @@ class AutomorphicKernel:
         return {"x"}
 
     def values_at(self, zs: np.ndarray, slack: float = 1.0) -> np.ndarray:
-        """Kernel values at upper-half-plane points; slack scales the orbit
-        enumeration's search bounds."""
+        """Kernel values at upper-half-plane points, in the shape of zs;
+        slack scales the orbit enumeration's search bounds."""
         zs = np.asarray(zs, dtype=complex)
-        xf, yf = reduce_many(zs.real, zs.imag)
-        return _kernel_values(xf, yf, self.radius, self.profile, self.center, slack)
+        xf, yf = reduce_many(zs.real.ravel(), zs.imag.ravel())
+        vals = _kernel_values(xf, yf, self.radius, self.profile, self.center, slack)
+        return vals.reshape(zs.shape)
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
         xf, yf = ps.reduced_xy()

@@ -137,7 +137,8 @@ class PointSet:
 
         Each view of blocks() is reduced on its own into its slice of the
         two arrays, so no other full-length array is made; a view from
-        blocks() reads its slice of its parent's.
+        blocks() reads its slice of its parent's.  Every later observable of
+        the set reads the two arrays, so they are read-only.
         """
         if self._reduced is None:
             if self._window is not None:
@@ -151,7 +152,7 @@ class PointSet:
                     hi = lo + len(block)
                     xs[lo:hi], ys[lo:hi] = reduce_many(block.x_reals(), self.scale_height)
                     lo = hi
-                self._reduced = (xs, ys)
+                self._reduced = (arith._read_only(xs), arith._read_only(ys))
         return self._reduced
 
     def heights(self) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,72 @@ def test_blocked_kernel_is_bit_identical_to_the_full_sweep(count, profile, radiu
     got = observables._kernel_values(x, y, radius, profile, center, slack)
     want = kernel_values_reference(x, y, radius, profile, center, slack)
     assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def horocycle_sets():
+    n = 100003
+    return {"monomial_d1": gen_monomial(PointSetSpec(n=n, d=1)),
+            "monomial_d2": gen_monomial(PointSetSpec(n=n, d=2)),
+            "triple": gen_triple(PointSetSpec(n=n, a=2, b=3, c=5))}
+
+
+@pytest.mark.parametrize("center", [1j, 0.1 + 4.0j], ids=["i", "high"])
+@pytest.mark.parametrize("profile", ["indicator", "smooth"])
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+@pytest.mark.parametrize("name", ["monomial_d1", "monomial_d2", "triple"])
+def test_kernel_on_horocycle_sets_is_bit_identical_to_the_full_sweep(horocycle_sets, name,
+                                                                     radius, profile, center):
+    xf, yf = horocycle_sets[name].reduced_xy()
+    got = observables._kernel_values(xf, yf, radius, profile, center)
+    want = kernel_values_reference(xf, yf, radius, profile, center)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("profile", ["indicator", "smooth"])
+def test_kernel_recomputes_the_row_terms_at_every_change_of_height(monkeypatch, profile):
+    # the R = 3 orbit of i comes as runs of equal height; dealing its points
+    # out one run at a time makes a height recur after other heights
+    orbit, stab = observables._orbit_points(3.0, 1j)
+    starts = np.flatnonzero(np.diff(orbit.imag, prepend=np.nan) != 0)
+    runs = [list(run) for run in np.split(orbit, starts[1:])]
+    dealt = np.array([run[k] for k in range(max(map(len, runs))) for run in runs
+                      if k < len(run)])
+    dealt_runs = 1 + np.count_nonzero(np.diff(dealt.imag) != 0)
+    assert len(runs) == 10 and dealt_runs > len(np.unique(orbit.imag))
+
+    def interleaved(radius, center, slack=1.0):
+        return dealt, stab
+
+    monkeypatch.setattr(observables, "_orbit_points", interleaved)
+    monkeypatch.setattr(oracles, "_orbit_points", interleaved)
+    xf, yf = gen_monomial(PointSetSpec(n=10007, d=1)).reduced_xy()
+    got = observables._kernel_values(xf, yf, 3.0, profile, 1j)
+    want = kernel_values_reference(xf, yf, 3.0, profile, 1j)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_values_at_keeps_the_shape_of_its_input():
+    ker = AutomorphicKernel(radius=1.0, profile="indicator")
+    at_i = ker.values_at(1j)
+    assert at_i.shape == () and float(at_i) == 10.0
+    zs = [[1j, 2j], [10j, 0.3 + 0.8j]]
+    grid = ker.values_at(zs)
+    assert grid.shape == (2, 2)
+    assert np.array_equal(grid.ravel(), ker.values_at(np.ravel(zs)))
+    assert ker.values_at([]).shape == (0,)
+
+
+def test_observables_leave_the_reduced_coordinates_as_they_were():
+    ps = gen_monomial(PointSetSpec(n=10007, d=1))
+    before = [a.tobytes() for a in ps.reduced_xy()]
+    AutomorphicKernel(3.0).eval_many(ps)
+    Product((TorusChar(1), AutomorphicKernel(1.0))).eval_many(ps)
+    assert [a.tobytes() for a in ps.reduced_xy()] == before
+    view = next(ps.blocks())
+    for a in ps.reduced_xy() + view.reduced_xy():
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_kernel_haar_examples():
