@@ -206,24 +206,18 @@ class Modulus:
         self._residues: dict[int, np.ndarray] = {}
 
     def invert(self, keys: np.ndarray) -> np.ndarray:
-        """Inverses mod n of a 1-D int64 array of units, aligned elementwise;
-        for the units array itself, the kept `inverses`."""
-        if keys is self.units:
-            return self.inverses
-        return self._inverse_powers(keys)
-
-    @cached_property
-    def inverses(self) -> np.ndarray:
-        """Inverses of the units, aligned elementwise (k * kbar = 1 mod n)."""
-        return _read_only(self._inverse_powers(self.units))
-
-    def _inverse_powers(self, keys: np.ndarray) -> np.ndarray:
-        """keys^(phi - 1) mod n by :func:`powmod`, one block of BLOCK keys at
-        a time into one int64 array, so the temporaries stay one block long."""
+        """Inverses mod n of a 1-D int64 array of units, aligned elementwise:
+        keys^(phi - 1) mod n by :func:`powmod`, one block of BLOCK keys at a
+        time into one int64 array, so the temporaries stay one block long."""
         out = np.empty(len(keys), dtype=np.int64)
         for lo in range(0, len(keys), BLOCK):
             out[lo:lo + BLOCK] = powmod(keys[lo:lo + BLOCK], self.phi - 1, self.n)
         return out
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """Inverses of the units, aligned elementwise (k * kbar = 1 mod n)."""
+        return _read_only(self.invert(self.units))
 
     @cached_property
     def roots(self) -> np.ndarray:

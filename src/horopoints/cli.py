@@ -23,6 +23,7 @@ from .harness import (
     load_config,
     run,
 )
+from .points import VARIANTS
 from .sl2 import NumericalDegeneracy
 
 
@@ -52,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--a", type=int, default=1)
     g.add_argument("--b", type=int, default=1)
     g.add_argument("--c", type=int, default=1)
-    g.add_argument("--variant", choices=("full", "monomial", "triple"),
-                   default="monomial")
+    g.add_argument("--variant", choices=tuple(VARIANTS), default="monomial")
 
     pl = sub.add_parser("plot", help="render equidist reports as a log-log SVG")
     pl.add_argument("reports", nargs="+", type=Path, help="equidist.json files")

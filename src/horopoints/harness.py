@@ -42,6 +42,7 @@ from .observables import (
     TwoTorusChar,
 )
 from .points import (
+    VARIANTS,
     PointSetSpec,
     gen_monomial,
     gen_point_set,
@@ -79,6 +80,10 @@ _N_GUARD = 10 ** 8
 # bounds the entries of a schedule, of the m_range frequency grid and of the
 # toral instances; the largest shipped one (c05's schedule) has 5000
 _SCHEDULE_GUARD = 10 ** 5
+# bounds bits(m) + 2d * bits(p) at the largest prime p of a discrepancy
+# window, which is at least the bit length of the exact frequencies
+# m * p^(2d) that discrepancy_l2 counts; c10's stay under 40 bits
+_FREQUENCY_BITS = 4096
 
 
 class ConfigInvalid(ValueError):
@@ -310,7 +315,7 @@ def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"point_set must be an object, got {raw!r}")
     ps = {**_POINT_SET_DEFAULTS, **raw}
-    if ps["variant"] not in ("full", "monomial", "triple"):
+    if not isinstance(ps["variant"], str) or ps["variant"] not in VARIANTS:
         raise ConfigInvalid(f"unknown point set variant {ps['variant']!r}")
     if ps["primitive"] is not True:
         raise ConfigInvalid(f"primitive must be true, got {ps['primitive']!r}; "
@@ -319,6 +324,23 @@ def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
         spec = PointSetSpec(n=1, alpha=_parse_fraction(ps["alpha"]), d=_int(ps["d"]),
                             a=_int(ps["a"]), b=_int(ps["b"]), c=_int(ps["c"]))
     return ps, spec
+
+
+def _admit_variant(variant: str, spec: PointSetSpec, params: dict) -> None:
+    """Raise ConfigInvalid for a point_set field or d_values that the variant
+    does not read, and for an observable of a coordinate its points lack."""
+    reads, carries = VARIANTS[variant]
+    unread = [f for f in ("d", "a", "b", "c")
+              if f not in reads and getattr(spec, f) != _POINT_SET_DEFAULTS[f]]
+    if "d" not in reads and params.get("d_values") not in (None, [1]):
+        unread.append("d_values")
+    if unread:
+        raise ConfigInvalid(f"variant {variant!r} reads no {', '.join(unread)}")
+    for obs in params.get("observables", []):
+        lacking = obs._slots() - set(carries)
+        if lacking:
+            raise ConfigInvalid(f"{obs.describe()} reads {', '.join(sorted(lacking))}, "
+                                f"which the points of variant {variant!r} do not carry")
 
 
 def _path_exists(source) -> bool:
@@ -372,6 +394,8 @@ def load_config(source) -> ExperimentConfig:
         with _invalid("point_set"):
             replace(spec, n=n_schedule[-1])
     params = {p.key: p.read(raw) for p in KINDS[kind].params}
+    if KINDS[kind].on_point_set:
+        _admit_variant(point_set["variant"], spec, params)
     if KINDS[kind].admit is not None:
         KINDS[kind].admit(n_schedule, params)
 
@@ -610,11 +634,14 @@ class Kind:
     the n schedule, the param named by items, with on_point_set the point
     set of each n, generated and reduced, or, where on_modulus(cfg) holds,
     the arithmetic table (arith.Modulus) of each n, dropped with its rows.
+    on_point_set also marks a kind with a body that builds point sets: the
+    config of such a kind must suit its variant (points.VARIANTS).
     once(cfg) makes the last table's rows once per run; check(cfg, tables)
     is a whole-table check beside the verdict columns.  A hard kind checks
     exact identities, so a failure flips the CLI status.  A kind with a body
     runs body(cfg, out) instead.  admit(n_schedule, params) raises
-    ConfigInvalid at load time for an item that cannot run.
+    ConfigInvalid or ResourceExhausted at load time for an item that cannot
+    run.
     """
 
     params: tuple[Param, ...] = ()
@@ -880,11 +907,20 @@ def _discrepancy_rows(cfg: ExperimentConfig, n: int):
 
 
 def _prime_windows(n_schedule: list[int], params: dict) -> None:
-    # the prime set that discrepancy_l2 averages over, by the same rule
+    # the prime set that discrepancy_l2 averages over, by the same rule, and
+    # a bound on the bits of its largest frequency m * p^(2d)
+    m_bits = max(abs(m) for m in params["m_values"]).bit_length()
+    d = max(params["d_values"])
     for n in n_schedule:
         for beta in params["betas"]:
-            if not primes_coprime(n, float(n) ** beta):
+            primes = primes_coprime(n, float(n) ** beta)
+            if not primes:
                 raise ConfigInvalid(f"the prime window P({n}, {n}^{beta}) is empty")
+            bits = m_bits + 2 * d * primes[-1].bit_length()
+            if bits > _FREQUENCY_BITS:
+                raise ResourceExhausted(
+                    f"the frequencies m * p^(2d) of P({n}, {n}^{beta}) at d = {d} reach "
+                    f"{bits} bits, above the {_FREQUENCY_BITS}-bit guard")
 
 
 def _discrepancy_falls(cfg: ExperimentConfig, tables) -> bool:
@@ -941,7 +977,7 @@ def _d_values(default) -> Param:
 
 # in the order of the CLI subcommands
 KINDS: dict[str, Kind] = {
-    "equidist": Kind(body=_run_equidist, params=(
+    "equidist": Kind(body=_run_equidist, on_point_set=True, params=(
         Param("observables", parse_observable, many=True, required=True),
         _d_values(None), Param("require_decay", _bool, False))),
     # weyl_full writes the weyl table instead of the kloosterman one
@@ -988,7 +1024,7 @@ KINDS: dict[str, Kind] = {
     "intersection": Kind(
         hard=True, rows=_intersection_rows, on_modulus=_always,
         tables=(Table("intersection", ("n", "units_checked", "verified", "ok")),)),
-    "generate": Kind(body=_run_generate),
+    "generate": Kind(body=_run_generate, on_point_set=True),
 }
 
 

@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from .arith import _read_only
 from .points import PointSet
 from .sl2 import reduce_many
 
@@ -65,7 +66,6 @@ def _min_cosh_to_strip(w: complex, y_bot: float, y_top: float) -> float:
     return 1.0 + (dx * dx + (yw - ystar) ** 2) / (2.0 * yw * ystar)
 
 
-@lru_cache(maxsize=None)
 def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[np.ndarray, int]:
     """Modular orbit points of `center` reachable from the fundamental domain.
 
@@ -73,10 +73,16 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     (c, d) and translations with exact geometric cutoffs scaled by `slack`;
     candidates are kept when their distance to the relevant strip is at most
     the radius.  Doubling `slack` must not change any kernel value, which the
-    test suite asserts.  Memoized on the arguments as they are passed, so a
-    call that leaves out the default slack and one that passes it are two
-    entries.
+    test suite asserts.  Memoized on the argument values, so a call that
+    leaves out the default slack and one that passes it share one entry;
+    every kernel of (radius, center) reads the same points, so they are
+    read-only.
     """
+    return _enumerate_orbit(radius, center, slack)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_orbit(radius: float, center: complex, slack: float) -> tuple[np.ndarray, int]:
     xf, yf = reduce_many([center.real], center.imag)
     xc, yc = float(xf[0]), float(yf[0])
     zc = complex(xc, yc)
@@ -124,7 +130,7 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     pts = np.array([w for w, _ in candidates], dtype=complex)
     keyed = np.round(pts.real, _DEDUP_DECIMALS) + 1j * np.round(pts.imag, _DEDUP_DECIMALS)
     _, idx = np.unique(keyed, return_index=True)
-    return pts[np.sort(idx)], stab
+    return _read_only(pts[np.sort(idx)]), stab
 
 
 def _row_halfwidth(yw: float, y_ref: float, cosh_r: float) -> float:
@@ -189,10 +195,7 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
     together, so (y - Im w)^2 and 2 y Im w are computed once per run of
     equal Im w and shared by its translates.
     """
-    # the default slack is left out, as perfbench's tracer leaves it out, so
-    # that both calls hit one cache entry
-    orbit, stab = (_orbit_points(radius, center) if slack == 1.0
-                   else _orbit_points(radius, center, slack))
+    orbit, stab = _orbit_points(radius, center, slack)
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
     total = np.zeros_like(xf)

@@ -27,6 +27,7 @@ __all__ = [
     "PrimeDividesModulus",
     "PointSetSpec",
     "PointSet",
+    "VARIANTS",
     "gen_full",
     "gen_monomial",
     "gen_triple",
@@ -80,23 +81,19 @@ class PointSet:
     """A point set as coordinate arrays keyed by the residues of one spec.
 
     len() is the number of points.  Generation is deterministic (keys
-    ascending), so averages downstream are order-stable.  modulus, the
-    arithmetic table of n, inverts the keys for the second torus; without
-    one, the first read of that torus builds it.  blocks() walks the set as
-    views of arith.BLOCK consecutive points.
+    ascending), so averages downstream are order-stable.  inverses, the
+    read-only inverses of the keys mod n aligned with them, carry the second
+    torus; a set without them has none.  blocks() walks the set as views of
+    arith.BLOCK consecutive points.
     """
 
-    def __init__(self, spec: PointSetSpec, residues: np.ndarray, with_second: bool, x_mult: int,
-                 modulus: Modulus | None = None):
+    def __init__(self, spec: PointSetSpec, residues: np.ndarray, x_mult: int,
+                 inverses: np.ndarray | None = None):
         self.spec = spec
         self.residues = residues
-        self.with_second = with_second
         self.x_mult = x_mult
-        self._modulus = modulus
-        self._inv: np.ndarray | None = None
+        self.inverses = inverses
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
-        # (parent point set, first index) of a view made by blocks()
-        self._window: tuple[PointSet, int] | None = None
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -106,6 +103,10 @@ class PointSet:
         return self.spec.n
 
     @property
+    def with_second(self) -> bool:
+        return self.inverses is not None
+
+    @property
     def scale_height(self) -> float:
         return _scale_height(self.spec.n, self.spec.alpha)
 
@@ -113,21 +114,9 @@ class PointSet:
         return (self.spec.a % self.n) * self.residues % self.n
 
     def torus2_numerators(self) -> np.ndarray:
-        if not self.with_second:
+        if self.inverses is None:
             raise ValueError("point set has no second torus coordinate")
-        return (self.spec.b % self.n) * self._inverses() % self.n
-
-    def _inverses(self) -> np.ndarray:
-        """The inverses of the keys mod n, cached; a view from blocks() reads
-        its slice of its parent's."""
-        if self._inv is None:
-            if self._window is not None:
-                parent, lo = self._window
-                self._inv = parent._inverses()[lo:lo + len(self)]
-            else:
-                mod = self._modulus if self._modulus is not None else Modulus(self.n)
-                self._inv = mod.invert(self.residues)
-        return self._inv
+        return (self.spec.b % self.n) * self.inverses % self.n
 
     def x_reals(self) -> np.ndarray:
         return ((self.x_mult % self.n) * self.residues % self.n) / float(self.n)
@@ -136,23 +125,17 @@ class PointSet:
         """Fundamental-domain coordinates of the surface points, cached.
 
         Each view of blocks() is reduced on its own into its slice of the
-        two arrays, so no other full-length array is made; a view from
-        blocks() reads its slice of its parent's.  Every later observable of
-        the set reads the two arrays, so they are read-only.
+        two arrays, so no other full-length array is made.  Every later
+        observable of the set reads the two arrays, so they are read-only.
         """
         if self._reduced is None:
-            if self._window is not None:
-                parent, lo = self._window
-                xs, ys = parent.reduced_xy()
-                self._reduced = (xs[lo:lo + len(self)], ys[lo:lo + len(self)])
-            else:
-                xs, ys = np.empty(len(self)), np.empty(len(self))
-                lo = 0
-                for block in self.blocks():
-                    hi = lo + len(block)
-                    xs[lo:hi], ys[lo:hi] = reduce_many(block.x_reals(), self.scale_height)
-                    lo = hi
-                self._reduced = (arith._read_only(xs), arith._read_only(ys))
+            xs, ys = np.empty(len(self)), np.empty(len(self))
+            lo = 0
+            for block in self.blocks():
+                hi = lo + len(block)
+                xs[lo:hi], ys[lo:hi] = reduce_many(block.x_reals(), self.scale_height)
+                lo = hi
+            self._reduced = (arith._read_only(xs), arith._read_only(ys))
         return self._reduced
 
     def heights(self) -> np.ndarray:
@@ -161,15 +144,18 @@ class PointSet:
     def blocks(self) -> Iterator[PointSet]:
         """Views of arith.BLOCK consecutive points each, in key order.
 
-        A view shares the spec and table, and reads its inverses and reduced
-        coordinates as slices of this set's, computed once for the whole set
-        when the first view needs them.
+        A view holds slices of this set's keys, of its inverses and, once
+        this set is reduced, of its reduced coordinates; it refers to no
+        set.  A view of a set not yet reduced reduces its own points, so
+        whoever walks a set more than once reduces it first.
         """
         step = arith.BLOCK
         for lo in range(0, len(self), step):
-            view = PointSet(self.spec, self.residues[lo:lo + step], self.with_second,
-                            self.x_mult, self._modulus)
-            view._window = (self, lo)
+            window = slice(lo, lo + step)
+            view = PointSet(self.spec, self.residues[window], self.x_mult,
+                            None if self.inverses is None else self.inverses[window])
+            if self._reduced is not None:
+                view._reduced = (self._reduced[0][window], self._reduced[1][window])
             yield view
 
 
@@ -178,7 +164,7 @@ def gen_full(n: int, alpha: Fraction | float) -> PointSet:
     spec = PointSetSpec(n=n, alpha=Fraction(alpha), d=1)
     if n >= _INT64_MOD_LIMIT:
         raise ValueError("bulk generation requires n < 2^31")
-    return PointSet(spec, np.arange(n, dtype=np.int64), with_second=False, x_mult=1)
+    return PointSet(spec, np.arange(n, dtype=np.int64), x_mult=1)
 
 
 def _modulus_of(spec: PointSetSpec, modulus: Modulus | None) -> Modulus:
@@ -200,7 +186,7 @@ def gen_monomial(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet
     if gcd(spec.a * spec.b, spec.n) != 1:
         raise NotCoprime(f"a*b={spec.a * spec.b} shares a factor with n={spec.n}")
     res = _modulus_of(spec, modulus).residues(spec.d)
-    return PointSet(spec, res, with_second=False, x_mult=spec.b)
+    return PointSet(spec, res, x_mult=spec.b)
 
 
 def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
@@ -208,21 +194,31 @@ def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
 
     The canonical family fixes alpha = 1/2; other alphas are accepted for
     exploration only.  The residues and their inverses come from modulus,
-    the arithmetic table of n, when one is given.
+    the arithmetic table of n, when one is given; the set holds the
+    inverses read-only (the table's own at d = 1).
     """
     if gcd(spec.a * spec.b * spec.c, spec.n) != 1:
         raise NotCoprime(
             f"a*b*c={spec.a * spec.b * spec.c} shares a factor with n={spec.n}"
         )
     mod = _modulus_of(spec, modulus)
-    return PointSet(spec, mod.residues(spec.d), with_second=True, x_mult=spec.c, modulus=mod)
+    res = mod.residues(spec.d)
+    inverses = mod.inverses if spec.d == 1 else arith._read_only(mod.invert(res))
+    return PointSet(spec, res, x_mult=spec.c, inverses=inverses)
+
+
+# per variant of gen_point_set: the spec fields its generator reads besides
+# n and alpha, and the coordinates its points carry, named as observables
+# name the slots they read (t1 and t2 the two tori, x the surface)
+VARIANTS = {
+    "full": ((), ("t1", "x")),
+    "monomial": (("d", "a", "b"), ("t1", "x")),
+    "triple": (("d", "a", "b", "c"), ("t1", "t2", "x")),
+}
 
 
 def gen_point_set(spec: PointSetSpec, variant: str) -> PointSet:
-    """The point set of a variant name: "full", "monomial" or "triple".
-
-    The full set takes only n and alpha from the spec.
-    """
+    """The point set of a variant name, one of VARIANTS."""
     if variant == "full":
         return gen_full(spec.n, spec.alpha)
     if variant == "monomial":

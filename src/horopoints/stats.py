@@ -56,9 +56,12 @@ def empirical_average(ps: PointSet, obs: Observable) -> complex:
     as evaluating the whole set at once, and permutation of the points
     moves the value by at most O(len * eps).  Summing per-block means
     instead would change the summation tree, and with it the last bits.
+    An observable of the surface reduces the set first, for its views to share.
     """
     if len(ps) == 0:
         raise EmptySet("point set is empty")
+    if "x" in obs._slots():
+        ps.reduced_xy()
     values = np.empty(len(ps), dtype=complex)
     lo = 0
     for block in ps.blocks():

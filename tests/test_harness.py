@@ -23,6 +23,7 @@ from horopoints.harness import (
     run,
 )
 from horopoints.observables import HeightBand, TorusChar
+from horopoints.points import VARIANTS
 from horopoints.svg import NoData
 
 
@@ -562,6 +563,20 @@ BAD_CONFIGS = {
         {"type": "height_band", "lower": True}]),
     "height_band_upper_string": _base("equidist", observables=[
         {"type": "height_band", "lower": 2.0, "upper": "inf"}]),
+    # an observable of the second torus on a set without one was a traceback
+    "two_torus_char_on_monomial": _base("equidist", observables=[
+        {"type": "two_torus_char", "m1": 1, "m2": 1}]),
+    "two_torus_char_in_a_product_on_full": _base("equidist", point_set={"variant": "full"},
+                                                 observables=[{"type": "product", "factors": [
+                                                     {"type": "two_torus_char", "m1": 1,
+                                                      "m2": 0}]}]),
+    # a field the variant does not read was dropped: this wrote d = 1 and k/n
+    "full_with_degree_and_multiplier": _base("generate", point_set={
+        "variant": "full", "d": 3, "a": 2}),
+    "full_with_surface_multiplier": _base("cusp_mass", point_set={"variant": "full", "c": 2}),
+    "full_with_degrees": _base("equidist", point_set={"variant": "full"}, d_values=[1, 2],
+                               observables=[{"type": "height_band", "lower": 2.0}]),
+    "monomial_with_surface_multiplier": _base("generate", point_set={"c": 3}),
 }
 
 
@@ -625,6 +640,9 @@ def test_degenerate_reduction_fails_closed(tmp_path, capsys):
 OVERSIZED_CONFIGS = {
     "m_range": _base("kloosterman", m_range=10 ** 4),
     "toral_count": _base("invariance", toral={"count": 10 ** 9}),
+    # m * p^(2d) would hold millions of bits; [10 ** 5] took 3.1 s to run
+    "discrepancy_degree": _base("discrepancy", n_schedule=[1000003], betas=[0.4],
+                                d_values=[10 ** 6]),
 }
 
 
@@ -651,6 +669,37 @@ def test_work_guards_sit_at_the_schedule_guard():
         == guard
     with pytest.raises(ResourceExhausted):
         load_config(_base("invariance", toral={"count": guard + 1}))
+
+
+def test_discrepancy_frequency_guard_sits_at_its_bound():
+    # P(101, 101^0.2) = {2}: m = 1 and p = 2 give 1 + 2d * 2 bits
+    bits = harness._FREQUENCY_BITS
+    cfg = _base("discrepancy", n_schedule=[101], betas=[0.2])
+    d = (bits - 1) // 4
+    assert load_config({**cfg, "d_values": [d]}).params["d_values"] == [d]
+    with pytest.raises(ResourceExhausted, match="bits"):
+        load_config({**cfg, "d_values": [d + 1]})
+    # c10 and the benchmark's discrepancy shape stay far below it
+    load_config(_base("discrepancy", n_schedule=[10 ** 6 + 3], betas=[0.2, 0.4],
+                      d_values=[1, 2], m_values=[1, 5]))
+
+
+def test_variants_declare_what_they_read_and_carry(tmp_path):
+    # every field a variant reads changes its payload, and only the triple
+    # set carries the second torus; the CLI refuses a field its variant ignores
+    assert set(VARIANTS) == {"full", "monomial", "triple"}
+    assert main(["generate", "--n", "7", "--variant", "full", "--d", "2",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
+    for variant, (reads, carries) in VARIANTS.items():
+        base = run(_base("generate", point_set={"variant": variant}), out_dir=tmp_path / variant)
+        payload = (tmp_path / variant / base.outputs[0]).read_bytes()
+        for field in reads:
+            out = tmp_path / f"{variant}-{field}"
+            run(_base("generate", point_set={"variant": variant, field: 2 if field == "d" else 3}),
+                out_dir=out)
+            assert (out / base.outputs[0]).read_bytes() != payload, (variant, field)
+        assert ("t2" in carries) == (variant == "triple")
 
 
 def test_cli_has_a_subcommand_per_kind(capsys):

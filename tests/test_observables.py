@@ -295,15 +295,28 @@ def test_center_high_in_the_cusp_fails_closed():
 
 
 def test_kernel_orbit_is_enumerated_once_per_kernel():
-    # after the first evaluation, a second one and a call of the shape
-    # (radius, center), which perfbench's tracer makes, both hit the cache
+    # after the first evaluation, a second one, a call of the shape
+    # (radius, center), which perfbench's tracer makes, and one that passes
+    # the default slack all hit the cache
     ker = AutomorphicKernel(radius=1.25)
     ps = gen_full(7, Fraction(1, 2))
     first = ker.eval_many(ps)
-    misses = observables._orbit_points.cache_info().misses
+    misses = observables._enumerate_orbit.cache_info().misses
     assert np.array_equal(ker.eval_many(ps), first)
     assert observables._orbit_points(ker.radius, ker.center)[0].size > 0
-    assert observables._orbit_points.cache_info().misses == misses
+    assert observables._orbit_points(ker.radius, ker.center, 1.0)[0].size > 0
+    assert observables._enumerate_orbit.cache_info().misses == misses
+
+
+def test_kernel_orbit_is_read_only():
+    # every kernel of (radius, center) reads the cached orbit: a write to it
+    # raises, and the kernel keeps its value
+    ker = AutomorphicKernel(radius=1.0, profile="indicator")
+    assert ker.values_at([1j])[0] == 10.0
+    orbit, _ = observables._orbit_points(1.0, 1j)
+    with pytest.raises(ValueError):
+        orbit[0] = 50j
+    assert ker.values_at([1j])[0] == 10.0
 
 
 def test_product():

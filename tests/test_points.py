@@ -1,6 +1,8 @@
 """Tests for point-set generation, invariance under the multiplication
 maps, and the finite-level projections."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from oracles import reduce, torus_coordinates
 
+from horopoints import arith
 from horopoints.arith import Modulus, NotCoprime, mod_inverse, residue_count_formula
 from horopoints.points import (
     PointSetSpec,
@@ -120,6 +123,47 @@ def test_triple_inverse_structure():
                 assert t2 == Fraction(spec.b * mod_inverse(int(r), n) % n, n)
                 o1, o2, oz = torus_coordinates(ps, i)
                 assert (o1, o2) == (t1, t2) and abs(oz - zs[i]) < 1e-15
+
+
+def test_triple_set_holds_its_key_inverses_read_only():
+    for n in (7, 45, 101):
+        mod = Modulus(n)
+        for d in (1, 2):
+            ps = gen_triple(PointSetSpec(n=n, d=d), mod)
+            assert not ps.inverses.flags.writeable
+            assert (ps.residues * ps.inverses % n == 1).all()
+        assert gen_triple(PointSetSpec(n=n), mod).inverses is mod.inverses
+        assert np.array_equal(gen_triple(PointSetSpec(n=n, d=2), mod).inverses,
+                              mod.invert(mod.residues(2)))
+    assert all(gen(PointSetSpec(n=7)).inverses is None
+               for gen in (gen_monomial, lambda spec: gen_full(spec.n, spec.alpha)))
+
+
+def test_views_refer_to_no_set(monkeypatch):
+    # a view holds slices of arrays, so the set it came from can die first
+    monkeypatch.setattr(arith, "BLOCK", 4)
+    ps = gen_triple(PointSetSpec(n=31, d=2))
+    ps.reduced_xy()
+    view = next(ps.blocks())
+    ref = weakref.ref(ps)
+    del ps
+    gc.collect()
+    assert ref() is None
+    assert len(view) == 4 and view.torus2_numerators().size == view.heights().size == 4
+
+
+def test_views_of_an_unreduced_set_reduce_to_its_slices(monkeypatch):
+    monkeypatch.setattr(arith, "BLOCK", 5)
+    spec = PointSetSpec(n=101, alpha=Fraction(5, 4), d=2, c=3)
+    views = list(gen_triple(spec).blocks())
+    xs, ys = gen_triple(spec).reduced_xy()
+    lo = 0
+    for view in views:
+        vx, vy = view.reduced_xy()
+        hi = lo + len(view)
+        assert vx.tobytes() == xs[lo:hi].tobytes() and vy.tobytes() == ys[lo:hi].tobytes()
+        lo = hi
+    assert lo == len(xs)
 
 
 def test_verify_invariance_examples():

@@ -31,8 +31,7 @@ from horopoints.stats import (
 
 
 def _empty_set() -> PointSet:
-    return PointSet(PointSetSpec(n=5), np.empty(0, dtype=np.int64),
-                    with_second=False, x_mult=1)
+    return PointSet(PointSetSpec(n=5), np.empty(0, dtype=np.int64), x_mult=1)
 
 
 def test_empirical_average_examples():
@@ -59,7 +58,8 @@ def test_empirical_average_permutation_stable():
     rng = np.random.default_rng(3)
     for _ in range(3):
         rng.shuffle(residues)
-        shuffled = PointSet(ps.spec, residues.copy(), ps.with_second, ps.x_mult)
+        shuffled = PointSet(ps.spec, residues.copy(), ps.x_mult,
+                            inverses=Modulus(ps.n).invert(residues))
         assert abs(empirical_average(shuffled, obs) - base) < 1e-12
 
 
@@ -93,6 +93,21 @@ def test_blocked_average_is_bit_identical_to_the_whole_array(gen, spec, obs, mon
     want = complex(np.asarray(obs.eval_many(whole), dtype=complex).mean())
     assert repr(got) == repr(want)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ps.reduced_xy(), whole.reduced_xy()))
+
+
+def test_average_is_the_same_before_and_after_the_set_is_reduced(monkeypatch):
+    # empirical_average reduces the set itself, so whether the caller did
+    # first does not move a bit
+    monkeypatch.setattr(arith, "BLOCK", 1000)
+    spec = PointSetSpec(n=10007, d=2, c=3)
+    for obs in (AutomorphicKernel(1.0, "smooth"), Product((TwoTorusChar(1, 2),
+                                                           HeightBand(1.5)))):
+        ps = gen_triple(spec)
+        before = empirical_average(ps, obs)
+        fresh = gen_triple(spec)
+        fresh.reduced_xy()
+        assert repr(empirical_average(fresh, obs)) == repr(before)
+        assert repr(empirical_average(ps, obs)) == repr(before)
 
 
 def brute_kloosterman(m1, m2, n):

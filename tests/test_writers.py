@@ -18,7 +18,7 @@ import pytest
 
 from horopoints import arith, harness
 from horopoints.harness import _float_cells, run, write_csv, write_rows
-from horopoints.points import PointSetSpec, gen_point_set
+from horopoints.points import VARIANTS, PointSetSpec, gen_point_set
 
 SAMPLE_HEADER = ["k", "n", "alpha", "d", "torus1", "torus2", "re_z", "im_z", "height"]
 
@@ -57,8 +57,8 @@ def _oracle_text(header, rows, fmt) -> bytes:
 def _oracle_sample_rows(n_schedule, point_set):
     rows = []
     for n in n_schedule:
-        spec = PointSetSpec(n=n, alpha=Fraction(point_set["alpha"]), d=point_set["d"],
-                            a=point_set["a"], b=point_set["b"], c=point_set["c"])
+        fields = {f: point_set[f] for f in ("d", "a", "b", "c") if f in point_set}
+        spec = PointSetSpec(n=n, alpha=Fraction(point_set["alpha"]), **fields)
         ps = gen_point_set(spec, point_set["variant"])
         spec = ps.spec
         heights = ps.heights()
@@ -85,10 +85,13 @@ def _oracle_sample_rows(n_schedule, point_set):
 @pytest.mark.parametrize("variant", ["full", "monomial", "triple"])
 def test_sample_payload_matches_row_oracle(tmp_path, variant, fmt):
     schedule = [1, 2, 8, 12, 1009]
-    for d in (1, 2, 3):
+    # each variant is sent the fields it reads
+    reads = VARIANTS[variant][0]
+    for d in (1, 2, 3) if "d" in reads else (1,):
         for alpha in ("1/2", "1", "5/4"):
-            point_set = {"variant": variant, "d": d, "alpha": alpha,
-                         "a": 5, "b": 7, "c": 11}
+            fields = {"d": d, "a": 5, "b": 7, "c": 11}
+            point_set = {"variant": variant, "alpha": alpha,
+                         **{f: v for f, v in fields.items() if f in reads}}
             out = tmp_path / f"{d}-{alpha.replace('/', '_')}"
             man = run({"schema_version": 1, "kind": "generate", "format": fmt,
                        "n_schedule": schedule, "point_set": point_set}, out_dir=out)
@@ -169,7 +172,7 @@ def test_write_rows_is_byte_identical_across_blocks(tmp_path, monkeypatch, fmt, 
 def test_sample_payload_does_not_depend_on_the_block_size(tmp_path, monkeypatch,
                                                           variant, fmt):
     cfg = {"schema_version": 1, "kind": "generate", "format": fmt, "n_schedule": [7, 11],
-           "point_set": {"variant": variant, "d": 2, "b": 3}}
+           "point_set": {"variant": variant, **({} if variant == "full" else {"d": 2, "b": 3})}}
     run(cfg, out_dir=tmp_path / "default")
     name = f"samples.{fmt}"
     expected = (tmp_path / "default" / name).read_bytes()
