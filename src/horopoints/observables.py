@@ -180,43 +180,74 @@ def _smooth_sinh_moment(radius: float) -> float:
         power *= r2 / (2 * j * (2 * j + 1))
 
 
+def _height_keys(y: np.ndarray) -> np.ndarray:
+    """The top 16 bits of positive float64 heights: a uint16 key that is
+    monotone in the height, with 16 bins per octave."""
+    keys = np.empty(np.shape(y), dtype=np.uint16)
+    bits = np.asarray(y, dtype=np.float64).view(np.uint64)
+    return np.right_shift(bits, np.uint64(48), out=keys, casting="unsafe")
+
+
 def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
                    center: complex, slack: float = 1.0) -> np.ndarray:
     """stab * sum over the orbit of prof(cosh d(z, w)) at each point z.
 
-    Each profile sees only the pairs with cosh d <= cosh(R) * (1 + 1e-9), a
-    superset of both supports.  A pair outside the support adds +0.0, so
-    each point sums the same values in the same orbit order as a full sweep,
-    bit for bit.
+    The points are ordered by height (a stable radix argsort of
+    _height_keys), and each orbit point w = u + iv is swept only over the
+    contiguous run of keys whose heights can come within the cut
+    c = cosh(R) (1 + 1e-9) of it: y in v (c -+ sqrt(c^2 - 1 - dx^2 / v^2)),
+    widened by 1e-9, where dx is the distance from u to the range of the
+    non-NaN x (a NaN point adds +0.0 wherever it sits).  The profile is
+    evaluated in place on the whole run; outside its support it is exactly
+    +0.0, so each point sums the same values in the same orbit order as a
+    full sweep, bit for bit.
 
-    cosh d = 1 + ((x - Re w)^2 + (y - Im w)^2) / (2 y Im w) is computed in
-    three buffers as long as xf, with the operations and operands of that
-    formula.  _orbit_points emits the translates w0 + j of an orbit row
-    together, so (y - Im w)^2 and 2 y Im w are computed once per run of
-    equal Im w and shared by its translates.
+    cosh d = 1 + ((x - u)^2 + (y - v)^2) / (2 y v) is computed with the
+    operations and operands of that formula.  _orbit_points emits the
+    translates w0 + j of an orbit row together, so (y - v)^2 and 2 y v are
+    computed once per run of equal v, over the union of its translates' runs.
     """
     orbit, stab = _orbit_points(radius, center, slack)
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
-    total = np.zeros_like(xf)
-    dy2, den, cosh_d = np.empty_like(xf), np.empty_like(xf), np.empty_like(xf)
-    near = np.empty(xf.shape, dtype=bool)
-    row_im = None
-    for w in orbit:
-        if w.imag != row_im:
-            row_im = w.imag
-            np.subtract(yf, row_im, out=dy2)
-            np.multiply(dy2, dy2, out=dy2)
-            np.multiply(yf, 2.0, out=den)
-            np.multiply(den, row_im, out=den)
-        np.subtract(xf, w.real, out=cosh_d)
-        np.multiply(cosh_d, cosh_d, out=cosh_d)
-        np.add(cosh_d, dy2, out=cosh_d)
-        np.divide(cosh_d, den, out=cosh_d)
-        np.add(cosh_d, 1.0, out=cosh_d)
-        idx = np.flatnonzero(np.less_equal(cosh_d, cut, out=near))
-        total[idx] += prof(cosh_d[idx], radius)
-    return stab * total
+    keys = _height_keys(yf)
+    order = np.argsort(keys, kind="stable")
+    keys, xs, ys = keys.take(order), xf.take(order), yf.take(order)
+
+    u, v = orbit.real, orbit.imag
+    x_lo = np.fmin.reduce(xf, initial=np.inf)
+    x_hi = np.fmax.reduce(xf, initial=-np.inf)
+    dx = np.maximum(np.maximum(x_lo - u, u - x_hi), 0.0)
+    disc = cut * cut - 1.0 - (dx / v) ** 2
+    half = np.sqrt(np.maximum(disc, 0.0))
+    lo = keys.searchsorted(_height_keys(v * (cut - half) * (1 - 1e-9)), "left")
+    hi = keys.searchsorted(_height_keys(v * (cut + half) * (1 + 1e-9)), "right")
+    lo, hi = lo.tolist(), np.where(disc >= 0.0, hi, lo).tolist()
+
+    total = np.zeros_like(xs)
+    dy2_buf, den_buf, cosh_buf = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
+    rows = np.flatnonzero(np.diff(v, prepend=np.nan, append=np.nan))
+    for a, b in zip(rows[:-1].tolist(), rows[1:].tolist()):
+        swept = [j for j in range(a, b) if lo[j] < hi[j]]
+        if not swept:
+            continue
+        row_lo, row_hi = min(lo[j] for j in swept), max(hi[j] for j in swept)
+        dy2 = np.subtract(ys[row_lo:row_hi], v[a], out=dy2_buf[:row_hi - row_lo])
+        dy2 *= dy2
+        den = np.multiply(ys[row_lo:row_hi], 2.0, out=den_buf[:row_hi - row_lo])
+        den *= v[a]
+        for j in swept:
+            run = slice(lo[j] - row_lo, hi[j] - row_lo)
+            cosh_d = np.subtract(xs[lo[j]:hi[j]], u[j], out=cosh_buf[:hi[j] - lo[j]])
+            cosh_d *= cosh_d
+            cosh_d += dy2[run]
+            cosh_d /= den[run]
+            cosh_d += 1.0
+            total[lo[j]:hi[j]] += prof(cosh_d, radius)
+    total *= stab
+    out = np.empty_like(total)
+    out[order] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+# the floats r2 with |r2 - 1| <= _BOUNDARY_TOL are exactly those in
+# [_ON_CIRCLE_LO, _ON_CIRCLE_HI): r2 - 1 is exact near 1, 1 - tol rounds up
+# to the first float in the band and 1 + tol up to the first float above it
+_ON_CIRCLE_LO = 1.0 - _BOUNDARY_TOL
+_ON_CIRCLE_HI = 1.0 + _BOUNDARY_TOL
 _MAX_REDUCE_STEPS = 5000
 
 
@@ -33,13 +38,18 @@ def reduce_many(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
     |z| = 1 pick Re z <= 0, and Re z = 1/2 maps to -1/2 (tolerance 1e-12), so
     the representative is unique and reduction is idempotent.
 
-    Returns new float64 arrays.  Each point is reduced on its own, and a
-    settled point is a fixed point of the loop, so a point gets the same
-    bits whatever else is reduced beside it.
+    Returns new float64 arrays.  Each round runs over every point in two
+    reused float buffers and two bool buffers: the inverted coordinates are
+    computed for all points and selected into place (np.copyto with
+    where=), so no point is gathered or scattered.  A settled point is a
+    fixed point of the round, and each point goes through the same
+    operations in the same order, so a point gets the same bits whatever
+    else is reduced beside it.
 
     Valid while every inverted Im z stays a finite positive float; otherwise
     (|z|^2 underflows to 0 at a tiny Im z) raises NumericalDegeneracy rather
-    than return NaN or infinite coordinates.
+    than return NaN or infinite coordinates.  Only the points inverted in a
+    round are checked, so an infinite Im z passes through unchanged.
     """
     x = np.array(x, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
@@ -49,24 +59,33 @@ def reduce_many(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x and y must have the same shape")
     if not (y > 0).all():
         raise ValueError("all points must lie in the upper half plane")
+    r2, t = np.empty_like(x), np.empty_like(x)
+    inv, m = np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool)
     for _ in range(_MAX_REDUCE_STEPS):
-        x -= np.rint(x)
-        r2 = x * x + y * y
-        inv = (r2 < 1.0 - _BOUNDARY_TOL) | (
-            (np.abs(r2 - 1.0) <= _BOUNDARY_TOL) & (x > _BOUNDARY_TOL)
-        )
+        x -= np.rint(x, out=t)
+        np.multiply(x, x, out=r2)
+        r2 += np.multiply(y, y, out=t)
+        # invert inside the circle, and on it (|r2 - 1| <= tol, which is
+        # _ON_CIRCLE_LO <= r2 < _ON_CIRCLE_HI) when Re z > tol
+        np.greater(x, _BOUNDARY_TOL, out=inv)
+        inv &= np.less(r2, _ON_CIRCLE_HI, out=m)
+        inv |= np.less(r2, _ON_CIRCLE_LO, out=m)
         if not inv.any():
             break
-        r2i = r2[inv]
         with np.errstate(divide="ignore", invalid="ignore"):
-            x[inv] = -x[inv] / r2i
-            yi = y[inv] / r2i
-        if not ((yi > 0) & (yi < np.inf)).all():
+            np.divide(np.negative(x, out=t), r2, out=t)
+            np.copyto(x, t, where=inv)
+            # r2 < 1 + tol at an inverted point, so y / r2 cannot round to
+            # 0: Im z leaves the positive floats only at inf (or NaN)
+            np.divide(y, r2, out=t)
+            np.less(t, np.inf, out=m)
+        # inv > m: inverted, and the new Im z is not finite
+        if np.greater(inv, m, out=m).any():
             raise NumericalDegeneracy("Im z left the positive floats during reduction")
-        y[inv] = yi
+        np.copyto(y, t, where=inv)
     else:
         raise NumericalDegeneracy("reduction did not terminate")
-    x[x > 0.5 - _BOUNDARY_TOL] -= 1.0
+    np.subtract(x, 1.0, out=x, where=x > 0.5 - _BOUNDARY_TOL)
     return x, y
 
 

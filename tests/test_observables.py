@@ -28,6 +28,7 @@ from horopoints.observables import (
     TwoTorusChar,
 )
 from horopoints.points import PointSetSpec, gen_full, gen_monomial, gen_triple
+from horopoints.sl2 import reduce_many
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +146,57 @@ _B = arith.BLOCK
        profile=st.sampled_from(["indicator", "smooth"]),
        radius=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
        slack=st.sampled_from([1.0, 2.0]),
-       center=st.sampled_from([1j, 0.3 + 1.2j, -0.5 + math.sqrt(3.0) / 2.0 * 1j, 0.1 + 4.0j]),
+       center=st.sampled_from([1j, 0.3 + 1.2j, -0.5 + math.sqrt(3.0) / 2.0 * 1j, 0.1 + 4.0j,
+                               0.5 + 1.3j, cmath.exp(1.2j)]),
+       heights=st.sampled_from(["spread", "equal", "tall"]),
+       wide_x=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_blocked_kernel_is_bit_identical_to_the_full_sweep(count, profile, radius, slack,
-                                                           center, seed):
+                                                           center, heights, wide_x, seed):
+    # the kernel sweeps each orbit point over a window of heights; the points
+    # below stress the windows: equal heights (as at alpha = 5/4), heights up
+    # to 1e6, x outside [-1/2, 1/2], and centres on the boundary of F
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-0.5, 0.5, count)
-    y = 10 ** rng.uniform(math.log10(math.sqrt(3.0) / 2.0), 1.5, count)
-    # half the points sit on hyperbolic circles around orbit points, at cosh
-    # distance cosh(R) * (1 + delta): on both sides of the indicator's 1e-12
-    # and the candidates' 1e-9 cut, and at distance R itself
+    x = rng.uniform(-3.0, 3.0, count) if wide_x else rng.uniform(-0.5, 0.5, count)
+    top = 6.0 if heights == "tall" else 1.5
+    y = 10 ** rng.uniform(math.log10(math.sqrt(3.0) / 2.0), top, count)
     orbit, _ = observables._orbit_points(radius, center, slack)
-    ring = rng.random(count) < 0.5
-    w = orbit[rng.integers(0, len(orbit), count)][ring]
-    delta = rng.choice([0.0, -1e-12, 1e-12, 2e-12, -1e-9, 1e-9, 2e-9], w.size)
-    cosh_r = math.cosh(radius) * (1.0 + delta)
-    theta = rng.uniform(0.0, 2.0 * math.pi, w.size)
-    rad = w.imag * np.sqrt(np.maximum(cosh_r * cosh_r - 1.0, 0.0))
-    x[ring] = w.real + rad * np.cos(theta)
-    y[ring] = w.imag * cosh_r + rad * np.sin(theta)
+    if heights == "equal":
+        # one height for the whole block: an orbit height or a random one
+        y[:] = rng.choice([*orbit.imag, y[0] if count else 1.0])
+    else:
+        # half the points sit on hyperbolic circles around orbit points, at
+        # cosh distance cosh(R) * (1 + delta): on both sides of the
+        # indicator's 1e-12 and the candidates' 1e-9 cut, and at distance R
+        ring = rng.random(count) < 0.5
+        w = orbit[rng.integers(0, len(orbit), count)][ring]
+        delta = rng.choice([0.0, -1e-12, 1e-12, 2e-12, -1e-9, 1e-9, 2e-9], w.size)
+        cosh_r = math.cosh(radius) * (1.0 + delta)
+        theta = rng.uniform(0.0, 2.0 * math.pi, w.size)
+        rad = w.imag * np.sqrt(np.maximum(cosh_r * cosh_r - 1.0, 0.0))
+        x[ring] = w.real + rad * np.cos(theta)
+        y[ring] = w.imag * cosh_r + rad * np.sin(theta)
     got = observables._kernel_values(x, y, radius, profile, center, slack)
     want = kernel_values_reference(x, y, radius, profile, center, slack)
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    # the public path reduces the points first
+    xf, yf = reduce_many(x, y)
+    got = AutomorphicKernel(radius, profile, center).values_at(x + 1j * y, slack)
+    assert got.tobytes() == kernel_values_reference(xf, yf, radius, profile, center,
+                                                    slack).tobytes()
+
+
+@pytest.mark.parametrize("profile", ["indicator", "smooth"])
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+def test_kernel_nan_point_leaves_its_block_mates_alone(radius, profile):
+    # reduce_many passes a NaN x through; the kernel gives it 0.0, and its
+    # neighbour the bits it gets alone (a NaN in the height windows would
+    # silently zero the whole block)
+    ker = AutomorphicKernel(radius, profile)
+    got = ker.values_at([complex(math.nan, 1.0), 0.1 + 1.1j])
+    alone = ker.values_at([0.1 + 1.1j])
+    assert got[0] == 0.0 and alone[0] > 0.0
+    assert got[1:].tobytes() == alone.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,12 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import IntegerMatrix2, intersection_witness, mobius, reduce, witness_holds
 
-from horopoints import arith
+from horopoints import arith, sl2
 from horopoints.arith import Modulus, NotCoprime, mod_inverse, totient
 from horopoints.sl2 import NumericalDegeneracy, reduce_many, verify_intersection
 
@@ -179,6 +181,62 @@ def test_reduce_many_fails_closed_when_height_underflows():
             reduce_many([0.0], 1e-170)
     # the same points one level up reduce to finite heights
     assert np.isfinite(reduce_many(np.arange(1, n) / n, n ** -2.0)[1]).all()
+
+
+def test_reduce_many_passes_infinite_heights_through():
+    # an infinite Im z is never inverted, and the degeneracy check reads only
+    # the points inverted in a round, so it passes through, also beside
+    # points that are inverted, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xf, yf = reduce_many([0.3, 0.7], math.inf)
+        assert xf.tobytes() == np.array([0.3, 0.7 - 1.0]).tobytes()
+        assert yf.tobytes() == np.array([math.inf, math.inf]).tobytes()
+        x = np.array([0.3, 0.1, 0.7, 0.45, 2.5])
+        y = np.array([math.inf, 0.01, math.inf, 0.2, math.inf])
+        got = reduce_many(x, y)
+        for i in range(len(x)):
+            alone = reduce_many(x[i:i + 1], y[i:i + 1])
+            for g, a in zip(got, alone):
+                assert g[i:i + 1].tobytes() == a.tobytes(), i
+        assert np.isinf(got[1][[0, 2, 4]]).all() and np.isfinite(got[1][[1, 3]]).all()
+        # an underflowing point beside an infinite height still raises
+        with pytest.raises(NumericalDegeneracy):
+            reduce_many([0.3, 0.0], [math.inf, 1e-170])
+
+
+def test_reduce_on_circle_band_is_a_half_open_float_interval():
+    # reduce_many reads |r2 - 1| <= tol as LO <= r2 < HI; check it at the
+    # floats on both sides of each end (r2 - 1 is exact there)
+    tol, lo, hi = sl2._BOUNDARY_TOL, sl2._ON_CIRCLE_LO, sl2._ON_CIRCLE_HI
+    for end in (lo, hi):
+        for r2 in (np.nextafter(np.nextafter(end, 0.0), 0.0), np.nextafter(end, 0.0), end,
+                   np.nextafter(end, 2.0)):
+            assert (abs(r2 - 1.0) <= tol) == (lo <= r2 < hi), r2
+
+
+def _boundary_points():
+    """Points anywhere in a strip of the upper half plane, on |z| = 1, at
+    Re z = +-1/2 and at the corners of F."""
+    generic = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-4, 1e3))
+    circle = st.floats(1e-3, math.pi - 1e-3).map(lambda t: (math.cos(t), math.sin(t)))
+    edge = st.tuples(st.sampled_from([-0.5, 0.5, 1.5, -2.5]), st.floats(1e-3, 10.0))
+    corner = st.sampled_from([(-0.5, math.sqrt(3.0) / 2.0), (0.5, math.sqrt(3.0) / 2.0)])
+    return st.one_of(generic, circle, edge, corner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(_boundary_points(), min_size=1, max_size=40), data=st.data())
+def test_reduce_many_commutes_with_permutation(points, data):
+    # blocks, the select rounds and the kernel's height order all rely on each
+    # point being reduced on its own: a permuted array reduces to the
+    # permuted bits
+    perm = np.array(data.draw(st.permutations(range(len(points)))), dtype=np.int64)
+    x, y = (np.array(c, dtype=np.float64) for c in zip(*points))
+    want = reduce_many(x, y)
+    got = reduce_many(x[perm], y[perm])
+    for g, w in zip(got, want):
+        assert g.tobytes() == w[perm].tobytes()
 
 
 def test_intersection_witness_examples():
