@@ -30,6 +30,7 @@ __all__ = [
     "primes_upto",
     "primes_coprime",
     "powmod",
+    "roots_of_unity",
     "Modulus",
     "residue_count_formula",
     "kloosterman_sum",
@@ -159,18 +160,42 @@ def mod_inverse(k: int, n: int) -> int:
 
 
 def powmod(base: np.ndarray, exp: int, n: int) -> np.ndarray:
-    """Vectorized base**exp mod n by square-and-multiply (n < 2^31, exp >= 0)."""
+    """Vectorized base**exp mod n by square-and-multiply (n < 2^31, exp >= 0),
+    as a new array of base's dtype.
+
+    The result starts as the power of base at the lowest set bit of exp, and
+    squaring stops at its top bit, so no product by one and no square that
+    no bit reads is made.
+    """
     if n >= _INT64_MOD_LIMIT:
         raise ValueError("powmod is an int64 bulk path; need n < 2^31")
-    result = np.ones_like(base) % n
-    acc = np.mod(base, n)
-    e = exp
-    while e > 0:
-        if e & 1:
-            result = (result * acc) % n
-        acc = (acc * acc) % n
-        e >>= 1
+    power = np.mod(base, n)
+    if exp == 0:
+        return np.ones_like(power) % n
+    while not exp & 1:
+        power *= power
+        power %= n
+        exp >>= 1
+    result = power.copy()
+    exp >>= 1
+    while exp:
+        power *= power
+        power %= n
+        if exp & 1:
+            result *= power
+            result %= n
+        exp >>= 1
     return result
+
+
+def roots_of_unity(phases: np.ndarray, n: int) -> np.ndarray:
+    """e(j/n) = exp(2 pi i j / n) at each integer phase j, elementwise.
+
+    numpy's complex exp works one element at a time, so a root depends on
+    its phase alone, never on its place in the array: Modulus.roots, built
+    by this expression, holds the same floats as any call on its phases.
+    """
+    return np.exp((2j * np.pi / n) * phases)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -221,8 +246,9 @@ class Modulus:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """e(j/n) = exp(2 pi i j / n) for j in [0, n), indexed by j."""
-        return _read_only(np.exp((2j * np.pi / self.n) * np.arange(self.n)))
+        """e(j/n) for j in [0, n), indexed by j: roots_of_unity over [0, n),
+        so a gather of phases gives their roots_of_unity bit for bit."""
+        return _read_only(roots_of_unity(np.arange(self.n), self.n))
 
     def residues(self, d: int) -> np.ndarray:
         """Sorted unique int64 array of k^d mod n over the units k.

@@ -1010,8 +1010,9 @@ KINDS: dict[str, Kind] = {
                                       "prime_count", "match")),)),
     "cusp_mass": Kind(
         rows=_cusp_mass_rows, on_point_set=True,
+        # the mass above T is 3/(pi T) only for T >= 1, the range of HeightBand
         params=(Param("thresholds", _float, [2.0, 4.0, 8.0], many=True,
-                      test=lambda t: t > 0, need="> 0"),
+                      test=lambda t: t >= 1, need=">= 1"),
                 Param("rel_tol", _float, test=lambda t: t >= 0, need=">= 0"),
                 Param("expect_full_mass", _bool, False),
                 Param("min_height_sqrt_n", _bool, False)),

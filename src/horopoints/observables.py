@@ -17,7 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .arith import _read_only
+from . import arith
+from .arith import _read_only, roots_of_unity
 from .points import PointSet
 from .sl2 import reduce_many
 
@@ -32,7 +33,6 @@ __all__ = [
     "Observable",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _RADIUS_CAP = 3.0
 _DEDUP_DECIMALS = 12
 _FLOOR_IM = math.sqrt(3.0) / 2.0
@@ -253,6 +253,21 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
 # ---------------------------------------------------------------------------
 # observable variants
 
+def _phase_roots(ps: PointSet, phases: np.ndarray) -> np.ndarray:
+    """e(phase/n) at each phase of a character of ps, bit for bit
+    roots_of_unity(phases, n).
+
+    A set that holds the table of its n gathers them from the table's root
+    table, built once per n and shared by kloosterman_sum; any other set,
+    and every set with n above arith.BLOCK, takes the exp, so that no root
+    table of more than one block (16 bytes per residue) is built here.
+    """
+    mod = ps.modulus
+    if mod is not None and ps.n <= arith.BLOCK:
+        return mod.roots.take(phases)
+    return roots_of_unity(phases, ps.n)
+
+
 @dataclass(frozen=True)
 class TorusChar:
     """e(m * t) on the first torus coordinate."""
@@ -264,8 +279,7 @@ class TorusChar:
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
         n = ps.n
-        nums = (self.m % n) * ps.torus1_numerators() % n
-        return np.exp((_TWO_PI * 1j / n) * nums)
+        return _phase_roots(ps, (self.m % n) * ps.torus1_numerators() % n)
 
     def haar(self) -> HaarTarget:
         return HaarTarget(1.0 if self.m == 0 else 0.0, exact=True)
@@ -288,7 +302,7 @@ class TwoTorusChar:
         n = ps.n
         nums = ((self.m1 % n) * ps.torus1_numerators()
                 + (self.m2 % n) * ps.torus2_numerators()) % n
-        return np.exp((_TWO_PI * 1j / n) * nums)
+        return _phase_roots(ps, nums)
 
     def haar(self) -> HaarTarget:
         return HaarTarget(1.0 if self.m1 == self.m2 == 0 else 0.0, exact=True)

@@ -83,16 +83,19 @@ class PointSet:
     len() is the number of points.  Generation is deterministic (keys
     ascending), so averages downstream are order-stable.  inverses, the
     read-only inverses of the keys mod n aligned with them, carry the second
-    torus; a set without them has none.  blocks() walks the set as views of
-    arith.BLOCK consecutive points.
+    torus; a set without them has none.  modulus is the arithmetic table of
+    n that the set was generated from when its caller handed one over, else
+    None; the torus characters read its root table.  blocks() walks the set
+    as views of arith.BLOCK consecutive points.
     """
 
     def __init__(self, spec: PointSetSpec, residues: np.ndarray, x_mult: int,
-                 inverses: np.ndarray | None = None):
+                 inverses: np.ndarray | None = None, modulus: Modulus | None = None):
         self.spec = spec
         self.residues = residues
         self.x_mult = x_mult
         self.inverses = inverses
+        self.modulus = modulus
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -145,15 +148,17 @@ class PointSet:
         """Views of arith.BLOCK consecutive points each, in key order.
 
         A view holds slices of this set's keys, of its inverses and, once
-        this set is reduced, of its reduced coordinates; it refers to no
-        set.  A view of a set not yet reduced reduces its own points, so
-        whoever walks a set more than once reduces it first.
+        this set is reduced, of its reduced coordinates, and shares its
+        table; it refers to no set.  A view of a set not yet reduced reduces
+        its own points, so whoever walks a set more than once reduces it
+        first.
         """
         step = arith.BLOCK
         for lo in range(0, len(self), step):
             window = slice(lo, lo + step)
             view = PointSet(self.spec, self.residues[window], self.x_mult,
-                            None if self.inverses is None else self.inverses[window])
+                            None if self.inverses is None else self.inverses[window],
+                            self.modulus)
             if self._reduced is not None:
                 view._reduced = (self._reduced[0][window], self._reduced[1][window])
             yield view
@@ -181,12 +186,12 @@ def gen_monomial(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet
 
     The second coefficient of a pair set rides on the surface coordinate.
     len equals residue_count_formula(Modulus(n), d).  The residues come from modulus,
-    the arithmetic table of n, when one is given.
+    the arithmetic table of n, when one is given, and the set keeps it.
     """
     if gcd(spec.a * spec.b, spec.n) != 1:
         raise NotCoprime(f"a*b={spec.a * spec.b} shares a factor with n={spec.n}")
     res = _modulus_of(spec, modulus).residues(spec.d)
-    return PointSet(spec, res, x_mult=spec.b)
+    return PointSet(spec, res, x_mult=spec.b, modulus=modulus)
 
 
 def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
@@ -194,8 +199,8 @@ def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
 
     The canonical family fixes alpha = 1/2; other alphas are accepted for
     exploration only.  The residues and their inverses come from modulus,
-    the arithmetic table of n, when one is given; the set holds the
-    inverses read-only (the table's own at d = 1).
+    the arithmetic table of n, when one is given, and the set keeps it; the
+    set holds the inverses read-only (the table's own at d = 1).
     """
     if gcd(spec.a * spec.b * spec.c, spec.n) != 1:
         raise NotCoprime(
@@ -204,7 +209,7 @@ def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
     mod = _modulus_of(spec, modulus)
     res = mod.residues(spec.d)
     inverses = mod.inverses if spec.d == 1 else arith._read_only(mod.invert(res))
-    return PointSet(spec, res, x_mult=spec.c, inverses=inverses)
+    return PointSet(spec, res, x_mult=spec.c, inverses=inverses, modulus=modulus)
 
 
 # per variant of gen_point_set: the spec fields its generator reads besides
@@ -241,15 +246,18 @@ def verify_invariance(spec: PointSetSpec, p: int, modulus: Modulus | None = None
 
     Equality is checked on exact coordinates: with unit multipliers the
     coordinate tuple of a sample is a bijective function of its residue key,
-    so set equality of sorted residue arrays is set equality of the samples.
-    The residues come from modulus, the arithmetic table of n, when one is
-    given.
+    so set equality of residue sets is set equality of the samples.  p is a
+    unit mod n, so multiplying by p^(2d) is injective, and the image equals
+    the set exactly when it lies in it: each image key is looked up in a
+    bool mask of the set over [0, n) (n bytes).  The residues come from
+    modulus, the arithmetic table of n, when one is given.
     """
     _check_prime_action(p, spec.n)
+    n = spec.n
     res = _modulus_of(spec, modulus).residues(spec.d)
-    factor = pow(p, 2 * spec.d, spec.n)
-    mapped = np.sort(res * (factor % spec.n) % spec.n)
-    return bool(np.array_equal(mapped, res))
+    member = np.zeros(n, dtype=bool)
+    member[res] = True
+    return bool(member[res * pow(p, 2 * spec.d, n) % n].all())
 
 
 # ---------------------------------------------------------------------------

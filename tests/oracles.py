@@ -61,6 +61,12 @@ def kloosterman_sum_reference(m1: int, m2: int, n: int) -> complex:
     return complex(np.exp((2j * np.pi / n) * phase).sum())
 
 
+def invariant_by_sorting(residues: np.ndarray, factor: int, n: int) -> bool:
+    """True iff multiplying the ascending residue array by factor mod n and
+    sorting the image gives the array back."""
+    return bool(np.array_equal(np.sort(residues * (factor % n) % n), residues))
+
+
 def torus_coordinates(ps, i: int) -> tuple[Fraction, Fraction | None, complex]:
     """(torus1, torus2 or None, surface point z) of point i, from its residue.
 

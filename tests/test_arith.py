@@ -250,6 +250,27 @@ def test_bulk_paths_reject_moduli_beyond_int64():
         powmod(np.arange(3), 2, 1 << 31)
 
 
+# 0, 1, every power of two and one less below 2^32, and the rest below 2^31
+_EXPONENTS = st.one_of(
+    st.sampled_from([0, 1, *(2 ** k for k in range(32)), *(2 ** k - 1 for k in range(2, 33))]),
+    st.integers(0, 2 ** 31 - 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(base=st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), min_size=1, max_size=8),
+       exp=_EXPONENTS,
+       n=st.one_of(st.sampled_from([1, 2, 2 ** 31 - 1]), st.integers(1, 2 ** 31 - 1)))
+@example(base=[-1, 0, 1], exp=0, n=1)
+@example(base=[-5, 7, -(2 ** 63)], exp=2 ** 31 - 1, n=2 ** 31 - 1)
+@example(base=[-3, 3], exp=2 ** 30, n=2)
+def test_powmod_matches_python_pow(base, exp, n):
+    keys = np.array(base, dtype=np.int64)
+    got = powmod(keys, exp, n)
+    assert got.tolist() == [pow(b, exp, n) for b in base]
+    assert got.dtype == keys.dtype and not np.shares_memory(got, keys)
+    assert keys.tolist() == base
+
+
 # prime powers and powers of two, where the unit group and the d-th power map
 # take their special shapes
 _PRIME_POWERS = sorted({p ** e for p in (3, 5, 7, 11, 13, 31, 101, 1009)

@@ -19,6 +19,7 @@ from oracles import (
 )
 
 from horopoints import arith, observables
+from horopoints.arith import Modulus, roots_of_unity
 from horopoints.observables import (
     AutomorphicKernel,
     HeightBand,
@@ -90,6 +91,60 @@ def test_two_torus_char():
     assert np.allclose(vals, scalar, atol=1e-12)
     with pytest.raises(ValueError):
         TwoTorusChar(1, 1).eval_many(gen_monomial(PointSetSpec(n=5, d=1)))
+
+
+# n = 1 and 2, a prime, a prime power, a composite, and the cap itself
+_GATHERED_MODULI = (1, 2, 1009, 3 ** 6, 1000, arith.BLOCK)
+_FREQUENCIES = (*range(-3, 4), 10 ** 30 + 7)
+
+
+def _characters(ps):
+    # the characters of the tori that ps carries
+    yield from (TorusChar(m) for m in _FREQUENCIES)
+    if ps.with_second:
+        yield from (TwoTorusChar(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4))
+        yield from (TwoTorusChar(10 ** 30 + 7, m2) for m2 in (-3, 1))
+
+
+def _sets_with_and_without_the_table(n, mod):
+    # each pair: a set or view generated from the table, and the same points without one
+    for d in (1, 2):
+        spec = PointSetSpec(n=n, d=d)
+        held, bare = gen_triple(spec, mod), gen_triple(spec)
+        yield held, bare
+        yield from zip(held.blocks(), bare.blocks())
+        yield gen_monomial(spec, mod), gen_monomial(spec)
+
+
+@pytest.mark.parametrize("n", _GATHERED_MODULI)
+def test_gathered_characters_equal_exp_bit_for_bit(n):
+    # a set that holds the table of n <= BLOCK gathers its characters from the
+    # root table; a set without one takes the exp of the same phases
+    mod = Modulus(n)
+    for held, bare in _sets_with_and_without_the_table(n, mod):
+        assert held.modulus is mod and bare.modulus is None
+        for obs in _characters(held):
+            got, want = obs.eval_many(held), obs.eval_many(bare)
+            assert got.dtype == want.dtype == complex
+            assert got.tobytes() == want.tobytes(), (n, obs)
+    assert "roots" in vars(mod)
+    # the exp of one phase at a time, the tail of a vectorised loop, gives the
+    # same bits as the table built over [0, n)
+    for j in np.unique(np.linspace(0, n - 1, 600).astype(np.int64)).tolist():
+        single = roots_of_unity(np.array([j], dtype=np.int64), n)
+        assert single.tobytes() == mod.roots[j:j + 1].tobytes(), (n, j)
+
+
+def test_characters_above_the_cap_take_the_exp_and_build_no_root_table():
+    n = arith.next_prime(arith.BLOCK + 1)
+    mod = Modulus(n)
+    pairs = list(_sets_with_and_without_the_table(n, mod))
+    assert len(pairs) > 4  # the d = 1 set spans two views
+    for held, bare in pairs:
+        assert held.modulus is mod
+        for obs in _characters(held):
+            assert obs.eval_many(held).tobytes() == obs.eval_many(bare).tobytes(), obs
+    assert "roots" not in vars(mod)
 
 
 def test_kernel_at_center_matches_brute_enumeration():

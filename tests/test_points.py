@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import reduce, torus_coordinates
+from oracles import invariant_by_sorting, reduce, torus_coordinates
 
 from horopoints import arith
 from horopoints.arith import Modulus, NotCoprime, mod_inverse, residue_count_formula
@@ -198,6 +198,42 @@ def test_verify_invariance_sweep():
                 continue
             for d in (1, 2, 3):
                 assert verify_invariance(PointSetSpec(n=n, d=d), p), (n, p, d)
+
+
+def test_verify_invariance_matches_the_sorting_oracle():
+    for n in range(1, 2001):
+        mod = Modulus(n)
+        for d in range(1, 5):
+            spec = PointSetSpec(n=n, d=d)
+            for p in (2, 3, 5, 7):
+                if n % p:
+                    want = invariant_by_sorting(mod.residues(d), pow(p, 2 * d, n), n)
+                    assert verify_invariance(spec, p, mod) is want, (n, p, d)
+
+
+class _PlantedTable:
+    """A stand-in for the table of n whose residue sets are given, not computed."""
+
+    def __init__(self, n, residues):
+        self.n = n
+        self.planted = np.array(residues, dtype=np.int64)
+
+    def residues(self, d):
+        return self.planted
+
+
+@pytest.mark.parametrize("n, residues, p, d, invariant", [
+    (7, [1, 2], 2, 1, False),          # 2^2 = 4 maps {1, 2} onto {4, 1}
+    (13, [1, 3, 5, 9], 3, 1, False),   # 3^2 = 9: three keys stay inside, 5 -> 6 leaves
+    (13, [1, 3, 9], 5, 1, False),      # 5^2 = 12 = -1 moves every key out
+    (13, [1, 3, 9], 3, 1, True),       # 9 permutes the cube roots of unity
+    (7, [1, 2, 4], 2, 2, True),        # 2^4 = 2 permutes the squares
+])
+def test_verify_invariance_on_a_planted_residue_set(n, residues, p, d, invariant):
+    table = _PlantedTable(n, residues)
+    spec = PointSetSpec(n=n, d=d)
+    assert verify_invariance(spec, p, table) is invariant
+    assert invariant_by_sorting(table.planted, pow(p, 2 * d, n), n) is invariant
 
 
 def test_high_alpha_heights():
