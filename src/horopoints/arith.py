@@ -47,9 +47,9 @@ _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
 # blocks (the residue sets and inverses here, and PointSet.blocks, which
-# PointSet.reduced_xy and stats.empirical_average walk) and rows per block
-# of the harness writers: 16384 float64 temporaries stay in cache; 4096 and
-# 65536 were both slower on large_n
+# PointSet.reduced_xy, stats.empirical_average and the sample dump walk;
+# the harness writers write harness._ROWS_PER_WRITE rows at a time): 16384
+# float64 temporaries stay in cache; 4096 and 65536 were both slower on large_n
 BLOCK = 16384
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .arith import (
     Modulus,
-    gcd,
     is_prime,
     kloosterman_sum,
     next_prime,
@@ -48,6 +47,7 @@ from .points import (
     gen_point_set,
     gen_triple,
     project_level,
+    validate_projection,
     verify_invariance,
 )
 from .sl2 import verify_intersection
@@ -236,13 +236,13 @@ def _toral(value) -> dict | None:
 
 
 def _case(value) -> tuple:
-    """A projection case (n, places, l, m), checked as project_level checks it."""
+    """A projection case (n, places, l, m), checked by project_level's own
+    validator; both of its paths walk every k < n and hold up to n pairs, so
+    n is bounded as a schedule's length is."""
     n = _int(value["n"])
-    places, l, m = (tuple(map(_int, value[key])) for key in ("places", "l", "m"))
-    if not 1 <= n <= _N_GUARD or len(l) != len(places) or len(m) != len(places):
-        raise ValueError(f"{value!r} needs 1 <= n <= 1e8 and l, m aligned with places")
-    if any(e < 0 for e in l + m) or any(not is_prime(p) or n % p == 0 for p in places):
-        raise ValueError(f"{value!r} needs exponents >= 0 and prime places not dividing n")
+    places, l, m = validate_projection(
+        n, *(map(_int, value[key]) for key in ("places", "l", "m")))
+    _check_length(n, f"the projection of n={n}")
     return n, places, l, m
 
 
@@ -385,14 +385,10 @@ def load_config(source) -> ExperimentConfig:
     n_schedule = _SCHEDULE.read(raw) if KINDS[kind].items == "n_schedule" else []
 
     point_set, spec = _parse_point_set(raw.get("point_set", {}))
-    # coprimality of the multipliers is checked against every scheduled n up front
-    for n in n_schedule:
-        if gcd(spec.a * spec.b * spec.c, n) != 1:
-            raise ConfigInvalid(f"multipliers not coprime to n={n}")
-    # the height n^(-2 alpha) falls with n; the spec checks it at the largest n
-    if n_schedule:
-        with _invalid("point_set"):
-            replace(spec, n=n_schedule[-1])
+    # the spec at each scheduled n checks its multipliers and its height
+    with _invalid("point_set"):
+        for n in n_schedule:
+            replace(spec, n=n)
     params = {p.key: p.read(raw) for p in KINDS[kind].params}
     if KINDS[kind].on_point_set:
         _admit_variant(point_set["variant"], spec, params)

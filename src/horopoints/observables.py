@@ -38,7 +38,8 @@ _DEDUP_DECIMALS = 12
 _FLOOR_IM = math.sqrt(3.0) / 2.0
 _FUND_VOL = math.pi / 3.0
 # bounds the translations of the c = 0 orbit row, about 38 * Im z_c at R = 3;
-# every orbit point is swept over every point
+# each is a candidate of the Python enumeration loop, and each kept one an
+# orbit point that the kernel sweeps over its window of heights
 _ORBIT_GUARD = 10 ** 5
 
 
@@ -73,7 +74,9 @@ def _orbit_points(radius: float, center: complex, slack: float = 1.0) -> tuple[n
     (c, d) and translations with exact geometric cutoffs scaled by `slack`;
     candidates are kept when their distance to the relevant strip is at most
     the radius.  Doubling `slack` must not change any kernel value, which the
-    test suite asserts.  Memoized on the argument values, so a call that
+    test suite asserts.  A centre whose c = 0 row spans more than
+    _ORBIT_GUARD translations at slack 1 raises ValueError before any
+    candidate is made.  Memoized on the argument values, so a call that
     leaves out the default slack and one that passes it share one entry;
     every kernel of (radius, center) reads the same points, so they are
     read-only.
@@ -87,6 +90,11 @@ def _enumerate_orbit(radius: float, center: complex, slack: float) -> tuple[np.n
     xc, yc = float(xf[0]), float(yf[0])
     zc = complex(xc, yc)
     cosh_r = math.cosh(radius)
+    span = 2.0 * _row_halfwidth(yc, math.exp(radius) * yc, cosh_r)
+    if not span <= _ORBIT_GUARD:
+        raise ValueError(f"center {center} reduces to height {yc:.6g}: its orbit "
+                         f"spans about {span:.3g} translations, above the "
+                         f"{_ORBIT_GUARD} guard")
     y_top = math.exp(radius) * yc * (1.0 + 1e-9) * slack
     y_bot = _FLOOR_IM / (math.exp(radius) * slack) / (1.0 + 1e-9)
     # |c*zc + d|^2 <= yc / y_bot so that Im w stays above the floor
@@ -189,7 +197,7 @@ def _height_keys(y: np.ndarray) -> np.ndarray:
 
 
 def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
-                   center: complex, slack: float = 1.0) -> np.ndarray:
+                   orbit: np.ndarray, stab: int) -> np.ndarray:
     """stab * sum over the orbit of prof(cosh d(z, w)) at each point z.
 
     The points are ordered by height (a stable radix argsort of
@@ -207,7 +215,6 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
     translates w0 + j of an orbit row together, so (y - v)^2 and 2 y v are
     computed once per run of equal v, over the union of its translates' runs.
     """
-    orbit, stab = _orbit_points(radius, center, slack)
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     cut = math.cosh(radius) * (1 + 1e-9)
     keys = _height_keys(yf)
@@ -331,29 +338,23 @@ class AutomorphicKernel:
             raise ValueError(f"unknown profile {self.profile!r}")
         if not (cmath.isfinite(self.center) and self.center.imag > 0):
             raise ValueError("center must be a finite point of the upper half plane")
-        _, yf = reduce_many([self.center.real], self.center.imag)
-        yc = float(yf[0])
-        # the c = 0 row of _orbit_points walks this many translations
-        span = 2.0 * _row_halfwidth(yc, math.exp(self.radius) * yc, math.cosh(self.radius))
-        if not span <= _ORBIT_GUARD:
-            raise ValueError(f"center {self.center} reduces to height {yc:.6g}: its orbit "
-                             f"spans about {span:.3g} translations, above the "
-                             f"{_ORBIT_GUARD} guard")
+        # enumerates (and caches) the orbit, so a centre past the guard fails here
+        _orbit_points(self.radius, self.center)
 
     def _slots(self):
         return {"x"}
 
-    def values_at(self, zs: np.ndarray, slack: float = 1.0) -> np.ndarray:
-        """Kernel values at upper-half-plane points, in the shape of zs;
-        slack scales the orbit enumeration's search bounds."""
+    def _values(self, xf: np.ndarray, yf: np.ndarray) -> np.ndarray:
+        return _kernel_values(xf, yf, self.radius, self.profile,
+                              *_orbit_points(self.radius, self.center))
+
+    def values_at(self, zs: np.ndarray) -> np.ndarray:
+        """Kernel values at upper-half-plane points, in the shape of zs."""
         zs = np.asarray(zs, dtype=complex)
-        xf, yf = reduce_many(zs.real.ravel(), zs.imag.ravel())
-        vals = _kernel_values(xf, yf, self.radius, self.profile, self.center, slack)
-        return vals.reshape(zs.shape)
+        return self._values(*reduce_many(zs.real.ravel(), zs.imag.ravel())).reshape(zs.shape)
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
-        xf, yf = ps.reduced_xy()
-        return _kernel_values(xf, yf, self.radius, self.profile, self.center)
+        return self._values(*ps.reduced_xy())
 
     def haar(self) -> HaarTarget:
         # unfolding: (3/pi) * 2*pi * int_0^R k(r) sinh(r) dr

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
-from .arith import _INT64_MOD_LIMIT, Modulus, NotCoprime, gcd, mod_inverse
+from .arith import _INT64_MOD_LIMIT, Modulus, NotCoprime, gcd, is_prime, mod_inverse
 from .sl2 import reduce_many
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "gen_triple",
     "gen_point_set",
     "verify_invariance",
+    "validate_projection",
     "project_level",
     "project_level_direct",
     "project_level_stated",
@@ -56,8 +57,9 @@ class PointSetSpec:
 
     alpha is the horocycle expansion exponent (height n^(-2*alpha)); d the
     monomial degree; a, b, c the unit multipliers on the first torus, second
-    torus, and surface coordinates.  Monomial and triple sets run over
-    the units k, gcd(k, n) = 1.
+    torus, and surface coordinates, which must be units mod n: a*b*c
+    shares no factor with n, else NotCoprime.  Monomial and triple sets run
+    over the units k, gcd(k, n) = 1.
     """
 
     n: int
@@ -70,6 +72,9 @@ class PointSetSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
+        if gcd(self.a * self.b * self.c, self.n) != 1:
+            raise NotCoprime(f"a*b*c={self.a * self.b * self.c} shares a factor "
+                             f"with n={self.n}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if not _scale_height(self.n, self.alpha) >= sys.float_info.min:
@@ -188,8 +193,6 @@ def gen_monomial(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet
     len equals residue_count_formula(Modulus(n), d).  The residues come from modulus,
     the arithmetic table of n, when one is given, and the set keeps it.
     """
-    if gcd(spec.a * spec.b, spec.n) != 1:
-        raise NotCoprime(f"a*b={spec.a * spec.b} shares a factor with n={spec.n}")
     res = _modulus_of(spec, modulus).residues(spec.d)
     return PointSet(spec, res, x_mult=spec.b, modulus=modulus)
 
@@ -202,10 +205,6 @@ def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
     the arithmetic table of n, when one is given, and the set keeps it; the
     set holds the inverses read-only (the table's own at d = 1).
     """
-    if gcd(spec.a * spec.b * spec.c, spec.n) != 1:
-        raise NotCoprime(
-            f"a*b*c={spec.a * spec.b * spec.c} shares a factor with n={spec.n}"
-        )
     mod = _modulus_of(spec, modulus)
     res = mod.residues(spec.d)
     inverses = mod.inverses if spec.d == 1 else arith._read_only(mod.invert(res))
@@ -263,37 +262,38 @@ def verify_invariance(spec: PointSetSpec, p: int, modulus: Modulus | None = None
 # ---------------------------------------------------------------------------
 # finite-level projections
 
-def _prod_power(places, exps) -> int:
-    out = 1
-    for p, e in zip(places, exps):
-        out *= p ** e
-    return out
-
-
 def _mod_frac(q: Fraction, modulus: int) -> Fraction:
     return q - (q / modulus).__floor__() * modulus
 
 
-def _validate_projection_args(n, places, l, m):
-    places = tuple(places)
-    l = tuple(l)
-    m = tuple(m)
-    if len(l) != len(places) or len(m) != len(places):
-        raise ValueError("exponent vectors must align with the place set")
+def validate_projection(n: int, places, l, m) -> tuple[tuple, tuple, tuple]:
+    """(places, l, m) as tuples, once n >= 1, l and m align with places,
+    every exponent is >= 0 and every place is a prime not dividing n
+    (NotCoprime if one divides it); ValueError otherwise."""
+    places, l, m = tuple(places), tuple(l), tuple(m)
+    if n < 1 or len(l) != len(places) or len(m) != len(places):
+        raise ValueError("need n >= 1 and exponent vectors aligned with the places")
     if any(e < 0 for e in l + m):
         raise ValueError("exponents must be non-negative")
     for p in places:
+        if not is_prime(p):
+            raise ValueError(f"place {p} is not prime")
         if n % p == 0:
             raise NotCoprime(f"place {p} divides n={n}")
     return places, l, m
 
 
+def _levels(n: int, finite_places, l, m) -> tuple[int, int, int]:
+    """(S^(l v m), S^l, S^m) of a projection case, which is validated first."""
+    places, l, m = validate_projection(n, finite_places, l, m)
+    return (math.prod(p ** max(a, b) for p, a, b in zip(places, l, m)),
+            math.prod(p ** e for p, e in zip(places, l)),
+            math.prod(p ** e for p, e in zip(places, m)))
+
+
 def project_level_stated(n: int, finite_places, l, m) -> frozenset:
     """The closed-form projection set {(S^(lvm) k/n mod S^l, ... mod S^m)}."""
-    places, l, m = _validate_projection_args(n, finite_places, l, m)
-    s_join = _prod_power(places, tuple(max(a, b) for a, b in zip(l, m)))
-    s_l = _prod_power(places, l)
-    s_m = _prod_power(places, m)
+    s_join, s_l, s_m = _levels(n, finite_places, l, m)
     pairs = set()
     for k in range(n):
         t = Fraction(s_join * k, n)
@@ -307,10 +307,7 @@ def project_level_direct(n: int, finite_places, l, m) -> frozenset:
     For each k an integer r = k/n mod S^(lvm) is chosen so k/n - r is
     divisible by S^(lvm); the pair is (k/n - r) mod S^l and mod S^m.
     """
-    places, l, m = _validate_projection_args(n, finite_places, l, m)
-    s_join = _prod_power(places, tuple(max(a, b) for a, b in zip(l, m)))
-    s_l = _prod_power(places, l)
-    s_m = _prod_power(places, m)
+    s_join, s_l, s_m = _levels(n, finite_places, l, m)
     n_inv = mod_inverse(n % s_join, s_join) if s_join > 1 else 0
     pairs = set()
     for k in range(n):

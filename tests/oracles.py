@@ -16,7 +16,6 @@ from horopoints.arith import NotCoprime, factorize, mod_inverse, powmod, totient
 from horopoints.observables import (
     _kernel_profile_indicator,
     _kernel_profile_smooth,
-    _orbit_points,
 )
 from horopoints.sl2 import NumericalDegeneracy
 
@@ -178,11 +177,10 @@ def haar_kernel_reference(radius: float, profile: str) -> float:
     return 6.0 * 0.5 * radius * float(np.dot(weights, k * np.sinh(r)))
 
 
-def kernel_values_reference(xf, yf, radius: float, profile: str, center: complex,
-                            slack: float = 1.0) -> np.ndarray:
+def kernel_values_reference(xf, yf, radius: float, profile: str, orbit,
+                            stab: int) -> np.ndarray:
     """Kernel values by one full sweep per orbit point: the profile sees every
     point, also those outside its support."""
-    orbit, stab = _orbit_points(radius, center, slack)
     prof = _kernel_profile_indicator if profile == "indicator" else _kernel_profile_smooth
     total = np.zeros_like(xf)
     for w in orbit:

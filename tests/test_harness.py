@@ -646,6 +646,9 @@ OVERSIZED_CONFIGS = {
     # m * p^(2d) would hold millions of bits; [10 ** 5] took 3.1 s to run
     "discrepancy_degree": _base("discrepancy", n_schedule=[1000003], betas=[0.4],
                                 d_values=[10 ** 6]),
+    # both projection paths hold up to n pairs: n = 300007 took 14 s and 277 MiB
+    "projection_n": {"schema_version": 1, "kind": "projection",
+                     "cases": [{"n": 10 ** 7 + 19, "places": [2], "l": [1], "m": [0]}]},
 }
 
 
@@ -672,6 +675,14 @@ def test_work_guards_sit_at_the_schedule_guard():
         == guard
     with pytest.raises(ResourceExhausted):
         load_config(_base("invariance", toral={"count": guard + 1}))
+    # a projection case holds up to n pairs; 99991 is the largest prime below the guard
+    case = {"places": [2, 3], "l": [1, 0], "m": [0, 1]}
+    assert load_config({"schema_version": 1, "kind": "projection",
+                        "cases": [{**case, "n": 99991}]}).params["cases"] == \
+        [(99991, (2, 3), (1, 0), (0, 1))]
+    with pytest.raises(ResourceExhausted):
+        load_config({"schema_version": 1, "kind": "projection",
+                     "cases": [{**case, "n": 100003}]})
 
 
 def test_discrepancy_frequency_guard_sits_at_its_bound():

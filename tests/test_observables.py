@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,11 +185,15 @@ def test_kernel_gamma_invariance():
 
 def test_kernel_enumeration_complete_under_widening():
     # widening every search bound must not move any value beyond 1e-12
-    grid = [complex(x, y) for x in (-0.4, 0.0, 0.3) for y in (0.9, 1.7, 6.0, 19.0)]
+    grid = np.array([complex(x, y) for x in (-0.4, 0.0, 0.3) for y in (0.9, 1.7, 6.0, 19.0)])
+    xf, yf = reduce_many(grid.real, grid.imag)
     for radius in (1.0, 2.0, 3.0):
         for profile in ("indicator", "smooth"):
-            ker = AutomorphicKernel(radius=radius, profile=profile)
-            assert np.abs(ker.values_at(grid) - ker.values_at(grid, slack=2.0)).max() <= 1e-12
+            narrow, wide = (observables._kernel_values(
+                xf, yf, radius, profile, *observables._orbit_points(radius, 1j, slack))
+                for slack in (1.0, 2.0))
+            assert np.array_equal(narrow, AutomorphicKernel(radius, profile).values_at(grid))
+            assert np.abs(narrow - wide).max() <= 1e-12
 
 
 _B = arith.BLOCK
@@ -215,7 +218,7 @@ def test_blocked_kernel_is_bit_identical_to_the_full_sweep(count, profile, radiu
     x = rng.uniform(-3.0, 3.0, count) if wide_x else rng.uniform(-0.5, 0.5, count)
     top = 6.0 if heights == "tall" else 1.5
     y = 10 ** rng.uniform(math.log10(math.sqrt(3.0) / 2.0), top, count)
-    orbit, _ = observables._orbit_points(radius, center, slack)
+    orbit, stab = observables._orbit_points(radius, center, slack)
     if heights == "equal":
         # one height for the whole block: an orbit height or a random one
         y[:] = rng.choice([*orbit.imag, y[0] if count else 1.0])
@@ -231,14 +234,15 @@ def test_blocked_kernel_is_bit_identical_to_the_full_sweep(count, profile, radiu
         rad = w.imag * np.sqrt(np.maximum(cosh_r * cosh_r - 1.0, 0.0))
         x[ring] = w.real + rad * np.cos(theta)
         y[ring] = w.imag * cosh_r + rad * np.sin(theta)
-    got = observables._kernel_values(x, y, radius, profile, center, slack)
-    want = kernel_values_reference(x, y, radius, profile, center, slack)
+    got = observables._kernel_values(x, y, radius, profile, orbit, stab)
+    want = kernel_values_reference(x, y, radius, profile, orbit, stab)
     assert got.tobytes() == want.tobytes()
-    # the public path reduces the points first
+    # the public path reduces the points first and reads the slack-1 orbit
     xf, yf = reduce_many(x, y)
-    got = AutomorphicKernel(radius, profile, center).values_at(x + 1j * y, slack)
-    assert got.tobytes() == kernel_values_reference(xf, yf, radius, profile, center,
-                                                    slack).tobytes()
+    got = AutomorphicKernel(radius, profile, center).values_at(x + 1j * y)
+    want = kernel_values_reference(xf, yf, radius, profile,
+                                   *observables._orbit_points(radius, center))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("profile", ["indicator", "smooth"])
@@ -269,13 +273,14 @@ def horocycle_sets():
 def test_kernel_on_horocycle_sets_is_bit_identical_to_the_full_sweep(horocycle_sets, name,
                                                                      radius, profile, center):
     xf, yf = horocycle_sets[name].reduced_xy()
-    got = observables._kernel_values(xf, yf, radius, profile, center)
-    want = kernel_values_reference(xf, yf, radius, profile, center)
+    orbit, stab = observables._orbit_points(radius, center)
+    got = observables._kernel_values(xf, yf, radius, profile, orbit, stab)
+    want = kernel_values_reference(xf, yf, radius, profile, orbit, stab)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("profile", ["indicator", "smooth"])
-def test_kernel_recomputes_the_row_terms_at_every_change_of_height(monkeypatch, profile):
+def test_kernel_recomputes_the_row_terms_at_every_change_of_height(profile):
     # the R = 3 orbit of i comes as runs of equal height; dealing its points
     # out one run at a time makes a height recur after other heights
     orbit, stab = observables._orbit_points(3.0, 1j)
@@ -286,14 +291,9 @@ def test_kernel_recomputes_the_row_terms_at_every_change_of_height(monkeypatch, 
     dealt_runs = 1 + np.count_nonzero(np.diff(dealt.imag) != 0)
     assert len(runs) == 10 and dealt_runs > len(np.unique(orbit.imag))
 
-    def interleaved(radius, center, slack=1.0):
-        return dealt, stab
-
-    monkeypatch.setattr(observables, "_orbit_points", interleaved)
-    monkeypatch.setattr(oracles, "_orbit_points", interleaved)
     xf, yf = gen_monomial(PointSetSpec(n=10007, d=1)).reduced_xy()
-    got = observables._kernel_values(xf, yf, 3.0, profile, 1j)
-    want = kernel_values_reference(xf, yf, 3.0, profile, 1j)
+    got = observables._kernel_values(xf, yf, 3.0, profile, dealt, stab)
+    want = kernel_values_reference(xf, yf, 3.0, profile, dealt, stab)
     assert got.tobytes() == want.tobytes()
 
 
@@ -380,14 +380,16 @@ def test_center_high_in_the_cusp_fails_closed():
 
 
 def test_kernel_orbit_is_enumerated_once_per_kernel():
-    # after the first evaluation, a second one, a call of the shape
-    # (radius, center), which perfbench's tracer makes, and one that passes
-    # the default slack all hit the cache
-    ker = AutomorphicKernel(radius=1.25)
-    ps = gen_full(7, Fraction(1, 2))
-    first = ker.eval_many(ps)
+    # a new kernel enumerates its orbit once, when it is made; its
+    # evaluations, a call of the shape (radius, center), which perfbench's
+    # tracer makes, and one that passes the default slack all hit the cache
     misses = observables._enumerate_orbit.cache_info().misses
-    assert np.array_equal(ker.eval_many(ps), first)
+    ker = AutomorphicKernel(radius=1.0 + 1.0 / 7.0)
+    assert observables._enumerate_orbit.cache_info().misses == misses + 1
+    misses += 1
+    ps = gen_full(7, Fraction(1, 2))
+    assert np.array_equal(ker.eval_many(ps), ker.eval_many(ps))
+    assert ker.values_at([1j, 2j]).shape == (2,)
     assert observables._orbit_points(ker.radius, ker.center)[0].size > 0
     assert observables._orbit_points(ker.radius, ker.center, 1.0)[0].size > 0
     assert observables._enumerate_orbit.cache_info().misses == misses

@@ -22,6 +22,7 @@ from horopoints.points import (
     project_level,
     project_level_direct,
     project_level_stated,
+    validate_projection,
     verify_invariance,
 )
 
@@ -60,8 +61,15 @@ def test_gen_monomial_examples():
 
     assert len(gen_monomial(PointSetSpec(n=5, d=1))) == 4
 
-    with pytest.raises(NotCoprime):
-        gen_monomial(PointSetSpec(n=6, d=1, a=3))
+
+def test_spec_multipliers_must_be_units():
+    # every generator receives a spec, which refuses a multiplier sharing a
+    # factor with n; c counts too, though a pair set does not read it
+    for fields in ({"a": 3}, {"b": 2}, {"c": 2}, {"a": 0}):
+        with pytest.raises(NotCoprime):
+            PointSetSpec(n=6, **fields)
+    assert PointSetSpec(n=6, a=5, b=7, c=-1).c == -1
+    assert PointSetSpec(n=1, a=0).n == 1
 
 
 def test_gen_monomial_count_matches_formula():
@@ -104,9 +112,6 @@ def test_gen_triple_examples():
 
     ps = gen_triple(PointSetSpec(n=7, d=3))
     assert sorted(ps.residues.tolist()) == [1, 6]
-
-    with pytest.raises(NotCoprime):
-        gen_triple(PointSetSpec(n=6, d=1, c=2))
 
 
 def test_triple_inverse_structure():
@@ -269,6 +274,17 @@ def test_project_level_examples():
 
     with pytest.raises(NotCoprime):
         project_level(4, (2,), (1,), (0,))
+
+
+@pytest.mark.parametrize("path", [project_level, project_level_stated, project_level_direct])
+def test_projection_cases_are_validated_by_both_paths(path):
+    # 4 is coprime to 7 but not a place: both paths once gave 7 pairs for it
+    for n, places, l, m in ((7, (4,), (1,), (0,)), (7, (1,), (0,), (0,)),
+                            (7, (2,), (1, 0), (0,)), (7, (2,), (-1,), (0,)),
+                            (0, (2,), (1,), (0,))):
+        with pytest.raises(ValueError):
+            path(n, places, l, m)
+    assert validate_projection(7, [2, 3], [1, 0], [0, 2]) == ((2, 3), (1, 0), (0, 2))
 
 
 def test_project_level_two_paths_agree():
