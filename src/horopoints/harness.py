@@ -387,8 +387,7 @@ def load_config(source) -> ExperimentConfig:
     point_set, spec = _parse_point_set(raw.get("point_set", {}))
     # the spec at each scheduled n checks its multipliers and its height
     with _invalid("point_set"):
-        for n in n_schedule:
-            replace(spec, n=n)
+        spec.check_schedule(n_schedule)
     params = {p.key: p.read(raw) for p in KINDS[kind].params}
     if KINDS[kind].on_point_set:
         _admit_variant(point_set["variant"], spec, params)

@@ -162,8 +162,9 @@ def _kernel_profile_indicator(cosh_d: np.ndarray, radius: float) -> np.ndarray:
 
 def _kernel_profile_smooth(cosh_d: np.ndarray, radius: float) -> np.ndarray:
     """(1 - (r/R)^2)^2 at r = arccosh(cosh d) <= R, else 0.0, written over
-    cosh_d."""
-    r = np.arccosh(np.maximum(cosh_d, 1.0, out=cosh_d), out=cosh_d)
+    cosh_d.  Every caller passes cosh d = 1 + q with q >= 0, or NaN or
+    inf, so arccosh never sees an argument below 1."""
+    r = np.arccosh(cosh_d, out=cosh_d)
     # r > R and NaN clamp to R, whose bump is (1 - 1)^2 = +0.0 exactly
     np.fmin(r, radius, out=r)
     r /= radius

@@ -11,9 +11,10 @@ classes are counted once (sets, not multisets).
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
 
@@ -51,6 +52,10 @@ def _scale_height(n: int, alpha: Fraction | float) -> float:
     return math.exp(-2.0 * float(alpha) * math.log(n))
 
 
+def _height_is_normal(n: int, alpha: Fraction | float) -> bool:
+    return _scale_height(n, alpha) >= sys.float_info.min
+
+
 @dataclass(frozen=True)
 class PointSetSpec:
     """Parameters of a point-set family.
@@ -77,9 +82,24 @@ class PointSetSpec:
                              f"with n={self.n}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if not _scale_height(self.n, self.alpha) >= sys.float_info.min:
+        if not _height_is_normal(self.n, self.alpha):
             raise ValueError(f"the height {self.n}^(-2*{self.alpha}) is below the "
                              "smallest normal float")
+
+    def check_schedule(self, n_schedule: list[int]) -> None:
+        """Raise what replace(self, n=n) raises at the first n of the
+        ascending schedule where it raises, without a spec per n.  The
+        multipliers take one gcd per n.  The height n^(-2 alpha) falls as n
+        grows, so it is tested at the largest n, and only when it is too
+        small there is the first n where it is too small bisected for."""
+        units = self.a * self.b * self.c
+        first = next((n for n in n_schedule if n < 1 or gcd(units, n) != 1), None)
+        if n_schedule and not _height_is_normal(n_schedule[-1], self.alpha):
+            low = n_schedule[bisect.bisect_left(
+                n_schedule, True, key=lambda n: not _height_is_normal(n, self.alpha))]
+            first = low if first is None else min(first, low)
+        if first is not None:
+            replace(self, n=first)
 
 
 class PointSet:
@@ -90,8 +110,9 @@ class PointSet:
     read-only inverses of the keys mod n aligned with them, carry the second
     torus; a set without them has none.  modulus is the arithmetic table of
     n that the set was generated from when its caller handed one over, else
-    None; the torus characters read its root table.  blocks() walks the set
-    as views of arith.BLOCK consecutive points.
+    None; the torus characters read its root table.  view(lo, hi) is a
+    slice of the set, and blocks() walks it as views of arith.BLOCK
+    consecutive points.
     """
 
     def __init__(self, spec: PointSetSpec, residues: np.ndarray, x_mult: int,
@@ -149,8 +170,8 @@ class PointSet:
     def heights(self) -> np.ndarray:
         return self.reduced_xy()[1]
 
-    def blocks(self) -> Iterator[PointSet]:
-        """Views of arith.BLOCK consecutive points each, in key order.
+    def view(self, lo: int, hi: int) -> PointSet:
+        """The points lo..hi-1 of this set, in key order, as a view.
 
         A view holds slices of this set's keys, of its inverses and, once
         this set is reduced, of its reduced coordinates, and shares its
@@ -158,15 +179,19 @@ class PointSet:
         its own points, so whoever walks a set more than once reduces it
         first.
         """
+        window = slice(lo, hi)
+        view = PointSet(self.spec, self.residues[window], self.x_mult,
+                        None if self.inverses is None else self.inverses[window],
+                        self.modulus)
+        if self._reduced is not None:
+            view._reduced = (self._reduced[0][window], self._reduced[1][window])
+        return view
+
+    def blocks(self) -> Iterator[PointSet]:
+        """Views of arith.BLOCK consecutive points each, in key order."""
         step = arith.BLOCK
         for lo in range(0, len(self), step):
-            window = slice(lo, lo + step)
-            view = PointSet(self.spec, self.residues[window], self.x_mult,
-                            None if self.inverses is None else self.inverses[window],
-                            self.modulus)
-            if self._reduced is not None:
-                view._reduced = (self._reduced[0][window], self._reduced[1][window])
-            yield view
+            yield self.view(lo, lo + step)
 
 
 def gen_full(n: int, alpha: Fraction | float) -> PointSet:

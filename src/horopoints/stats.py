@@ -10,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import arith
 from .arith import primes_coprime
 from .observables import Observable
 from .points import PointSet
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 _ERROR_FLOOR = 1e-15
+# numpy's pairwise sum adds a node of at most this many complex values in
+# one unrolled loop, unsplit
+_PAIRWISE_LEAF = 64
 
 
 class EmptySet(ValueError):
@@ -48,26 +52,43 @@ class NotExpanding(ValueError):
 
 
 def empirical_average(ps: PointSet, obs: Observable) -> complex:
-    """Arithmetic mean of the observable over the point set.
+    """Arithmetic mean of the observable over the point set, bit for bit the
+    mean() of one complex array of all its values, without that array.
 
-    The values are evaluated one block of the set at a time into one
-    complex array, whose mean goes through numpy's pairwise summation in a
-    fixed (key ascending) order: results are deterministic, the same bits
-    as evaluating the whole set at once, and permutation of the points
-    moves the value by at most O(len * eps).  Summing per-block means
-    instead would change the summation tree, and with it the last bits.
-    An observable of the surface reduces the set first, for its views to share.
+    numpy sums a contiguous complex array pairwise: a node of m > 64 values
+    splits after its first (m - m % 8) // 2 values (half its 2m doubles,
+    rounded down to a multiple of 8), so the tree is fixed by the length
+    alone.  The same tree is walked over the points in key order, and each
+    node of at most arith.BLOCK points is a leaf: the observable is
+    evaluated on that view of the set and summed by np.add.reduce, which
+    builds the leaf's subtree itself (from a +0.0 start, as mean() does at
+    the root, so at most the sign of a zero partial sum differs, and the
+    total's does not).  The child sums are added in tree order, and the
+    total is divided by the length as ndarray.mean divides.
+
+    Every value is computed on its own point, whatever slice it is
+    evaluated in, so the bits are those of the whole array, while only one
+    leaf of values (16 bytes per point) is alive.  Adding the leaves' sums
+    left to right instead would change the tree, and with it the last bits.
+    Permuting the points moves the value by at most O(len * eps).  An
+    observable of the surface reduces the set first, for its views to share.
     """
     if len(ps) == 0:
         raise EmptySet("point set is empty")
     if "x" in obs._slots():
         ps.reduced_xy()
-    values = np.empty(len(ps), dtype=complex)
-    lo = 0
-    for block in ps.blocks():
-        values[lo:lo + len(block)] = obs.eval_many(block)
-        lo += len(block)
-    return complex(values.mean())
+    total = _node_sum(ps, obs, 0, len(ps))
+    return complex(total.dtype.type(total / len(ps)))
+
+
+def _node_sum(ps: PointSet, obs: Observable, lo: int, hi: int) -> np.complex128:
+    """The sum of the observable over the points lo..hi-1 of the set, added
+    as numpy's pairwise sum adds a node of that many values."""
+    size = hi - lo
+    if size <= max(arith.BLOCK, _PAIRWISE_LEAF):
+        return np.add.reduce(np.asarray(obs.eval_many(ps.view(lo, hi)), dtype=complex))
+    mid = lo + (size - size % 8) // 2
+    return _node_sum(ps, obs, lo, mid) + _node_sum(ps, obs, mid, hi)
 
 
 def weyl_sums_all_residues(n: int) -> np.ndarray:

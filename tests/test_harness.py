@@ -23,7 +23,7 @@ from horopoints.harness import (
     run,
 )
 from horopoints.observables import HeightBand, TorusChar
-from horopoints.points import VARIANTS
+from horopoints.points import VARIANTS, PointSetSpec
 from horopoints.svg import NoData
 
 
@@ -47,6 +47,47 @@ def test_config_validation():
         load_config(_base("generate", n_schedule=[10 ** 9]))
     cfg = load_config(_base("kloosterman"))
     assert cfg.n_schedule == [5, 7]
+
+
+def _first_spec_error(point_set: dict, n_schedule) -> str:
+    """The error of the first n at which a spec of the point_set record is
+    invalid, one spec per n."""
+    spec = load_config(_base("generate", n_schedule=[1], point_set=point_set)).spec
+    for n in n_schedule:
+        try:
+            dataclasses.replace(spec, n=n)
+        except (ValueError, ArithmeticError) as exc:
+            return f"point_set: {exc}"
+    raise AssertionError("every n is valid")
+
+
+# at alpha = 40 the height is too small from n = 7010 on
+@pytest.mark.parametrize("point_set", [{}, {"a": 7, "b": 11}, {"alpha": "40"},
+                                       {"alpha": "40", "b": 7001}, {"alpha": "40", "b": 7013}],
+                         ids=["valid", "multipliers", "height", "multipliers_first",
+                              "height_first"])
+def test_load_config_checks_a_long_schedule_without_a_spec_per_n(point_set, monkeypatch):
+    # 100000 scheduled n cost a gcd each, the height one bisection, and a
+    # failing schedule one spec more, at its first failing n
+    schedule = {"stop": 100000}
+    want = None if not point_set else _first_spec_error(point_set, range(1, 100001))
+    built = []
+    post_init = PointSetSpec.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(PointSetSpec, "__post_init__", counting)
+    cfg = _base("generate", n_schedule=schedule, point_set=point_set)
+    if want is None:
+        assert len(load_config(cfg).n_schedule) == 100000
+        assert built == [1]
+    else:
+        with pytest.raises(ConfigInvalid) as exc:
+            load_config(cfg)
+        assert str(exc.value) == want
+        assert len(built) == 2 and built[0] == 1
 
 
 def test_schedule_ramp_snaps_to_primes():

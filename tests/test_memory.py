@@ -5,11 +5,14 @@ numpy reports its array buffers to tracemalloc, so the peaks below count
 the bytes a call allocates, whatever the machine or allocator.  Each
 ceiling is the call's output plus a few MiB of per-block temporaries: a
 full-length temporary (8 MB of int64 or float64 per million points) breaks
-it.  The dump's ceiling is its one point set plus a few MiB of encoded
+it.  An average outputs one number, so its ceiling is the temporaries
+alone, and an equidist run's is the set it holds.  The dump's ceiling is its one point set plus a few MiB of encoded
 text: a block of 16384 encoded rows instead of a chunk of 1024 breaks it.
 """
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from horopoints.stats import empirical_average
 
 N = 1000003
 MIB = 1 << 20
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _peak_bytes(call):
@@ -61,9 +65,20 @@ def test_empirical_average_peak(mod):
     ps = gen_monomial(PointSetSpec(n=N), mod)
     ps.reduced_xy()
     obs = Product((TorusChar(1), AutomorphicKernel(1.0, "smooth")))
-    # one complex value per point, which the mean reads
+    # one leaf of at most arith.BLOCK values and the kernel's buffers, not
+    # one complex value per point (16 MB)
     _, peak = _peak_bytes(lambda: empirical_average(ps, obs))
-    assert peak <= 16 * len(ps) + 4 * MIB, peak
+    assert peak <= 4 * MIB, peak
+
+
+def test_equidist_run_peak(tmp_path, mod):
+    # c08 at n = 1000003 holds the d = 1 set's units and its reduced x and y,
+    # and a few MiB beside them; a full-length array of values breaks it
+    cfg = json.loads((CONFIG_DIR / "c08_equidist_trend.json").read_text())
+    assert max(cfg["n_schedule"]) == N
+    man, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))
+    assert man.all_passed
+    assert peak <= mod.units.nbytes + 16 * len(mod.units) + 4 * MIB, peak
 
 
 def test_inverses_peak():

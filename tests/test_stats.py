@@ -2,7 +2,9 @@
 estimation."""
 
 import cmath
-from dataclasses import replace
+import gc
+import weakref
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -93,6 +95,74 @@ def test_blocked_average_is_bit_identical_to_the_whole_array(gen, spec, obs, mon
     want = complex(np.asarray(obs.eval_many(whole), dtype=complex).mean())
     assert repr(got) == repr(want)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ps.reduced_xy(), whole.reduced_xy()))
+
+
+@dataclass(frozen=True, eq=False)
+class _Lookup:
+    """A test double of an observable: the value at a point is values[key]."""
+
+    values: np.ndarray
+
+    def _slots(self):
+        return {"t1"}
+
+    def eval_many(self, ps: PointSet) -> np.ndarray:
+        return self.values[ps.residues]
+
+
+def _wide_values(length: int) -> np.ndarray:
+    """Complex values whose parts have magnitudes across 1e-8..1e8 and
+    either sign, so the order of their additions shows in the last bits."""
+    rng = np.random.default_rng(length)
+    parts = 10.0 ** rng.uniform(-8.0, 8.0, size=(2, length))
+    parts *= rng.choice([-1.0, 1.0], size=(2, length))
+    return parts[0] + 1j * parts[1]
+
+
+_PRIME_NEAR_1E6 = 999983
+
+
+# around numpy's split rule: one point past a leaf, two leaves and 7 over,
+# a length with m % 8 != 0 whose first split is not a multiple of BLOCK,
+# and a prime near 1e6 (a tree six levels deep)
+@pytest.mark.parametrize("length", [arith.BLOCK + 1, 2 * arith.BLOCK + 7,
+                                    5 * arith.BLOCK + 3, _PRIME_NEAR_1E6])
+def test_tree_walk_is_bit_identical_to_mean(length):
+    values = _wide_values(length)
+    ps = PointSet(PointSetSpec(n=1000003), np.arange(length, dtype=np.int64), x_mult=1)
+    assert length % 8 != 0
+    assert repr(empirical_average(ps, _Lookup(values))) == repr(complex(values.mean()))
+
+
+def test_tree_walk_with_blocks_below_numpys_unsplit_node(monkeypatch):
+    # numpy adds a node of up to 64 values unsplit, so smaller blocks may not
+    # split it either
+    monkeypatch.setattr(arith, "BLOCK", 8)
+    values = _wide_values(1003)
+    ps = PointSet(PointSetSpec(n=1009), np.arange(len(values), dtype=np.int64), x_mult=1)
+    assert repr(empirical_average(ps, _Lookup(values))) == repr(complex(values.mean()))
+
+
+def test_average_leaves_no_cycle_holding_the_set():
+    # the set dies when its holder drops it, without waiting for the cycle
+    # collector, so an equidist run frees it before the next n
+    gc.disable()
+    try:
+        ps = gen_monomial(PointSetSpec(n=_BLOCKED_N))
+        ref = weakref.ref(ps)
+        empirical_average(ps, Product((TorusChar(1), AutomorphicKernel(1.0, "smooth"))))
+        del ps
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_summing_block_sums_in_a_row_is_not_mean():
+    # what the tree walk guards against: the same leaves added left to right
+    values = _wide_values(_PRIME_NEAR_1E6)
+    in_a_row = sum(np.add.reduce(values[lo:lo + arith.BLOCK])
+                   for lo in range(0, len(values), arith.BLOCK))
+    assert complex(in_a_row / len(values)) != complex(values.mean())
 
 
 def test_average_is_the_same_before_and_after_the_set_is_reduced(monkeypatch):
