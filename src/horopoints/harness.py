@@ -43,7 +43,6 @@ from .observables import (
 from .points import (
     VARIANTS,
     PointSetSpec,
-    gen_monomial,
     gen_point_set,
     gen_triple,
     project_level,
@@ -302,6 +301,7 @@ def _parse_schedule(raw) -> list[int]:
 
 
 _SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
+_M_RANGE = Param("m_range", _m_range, 2)
 _RUN_PARAMS = (Param("seed", _int, 0, test=lambda s: s >= 0, need=">= 0"),
                Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
                      need="csv or json"))
@@ -410,6 +410,14 @@ def load_config(source) -> ExperimentConfig:
         spec=spec,
         params=params,
     )
+
+
+def _ignored_keys(cfg: ExperimentConfig) -> list[str]:
+    """The sorted top-level keys of the config that load_config did not read."""
+    kind = KINDS[cfg.kind]
+    read = [p.key for p in (*kind.params, *_RUN_PARAMS, _SCHEDULE)
+            if p is not _SCHEDULE or kind.items == "n_schedule"]
+    return sorted(set(cfg.raw) - {"schema_version", "kind", "point_set", "out_dir", *read})
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +602,7 @@ class RunManifest:
     all_passed: bool
     wall_clock_s: dict = field(default_factory=dict)
     out_dir: Path | None = None
+    ignored_keys: list[str] = field(default_factory=list)
 
     def write(self, path: Path) -> None:
         payload = {
@@ -604,6 +613,7 @@ class RunManifest:
             "outputs": self.outputs,
             "all_passed": self.all_passed,
             "wall_clock_s": {k: round(v, 6) for k, v in self.wall_clock_s.items()},
+            "ignored_keys": self.ignored_keys,
         }
         write_json(path, payload)
 
@@ -699,21 +709,21 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
     """The encoded sample rows of the set of n, at most _ROWS_PER_WRITE at a
     time; the numeric columns are computed once per block view.
 
-    The set is generated and reduced once and dies with this generator, so
-    one set is alive at a time along the schedule.
+    The set is generated unreduced, each block view reduces its own points
+    as it is encoded, and one set is alive at a time along the schedule.
     """
     fmt = cfg.format
     cell, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
-    ps = _staged_point_set(cfg, replace(cfg.spec, n=n), clocks)
-    spec = ps.spec
-    n_cell, alpha_cell, d_cell = cell(n), cell(spec.alpha), cell(spec.d)
+    ps = _staged_point_set(cfg, replace(cfg.spec, n=n), clocks, reduce=False)
+    n_cell, alpha_cell, d_cell = cell(n), cell(cfg.spec.alpha), cell(cfg.spec.d)
     im_z_cell, no_torus2 = cell(float(ps.scale_height)), cell("")
     for block in ps.blocks():
+        with _stage(clocks, "reduce"):
+            heights = block.heights()
         with _stage(clocks, "generate"):
             t1s = block.torus1_numerators()
             t2s = block.torus2_numerators() if ps.with_second else None
             xs = block.x_reals()
-            heights = block.heights()
         for lo in range(0, len(block), _ROWS_PER_WRITE):
             rows = slice(lo, lo + _ROWS_PER_WRITE)
             with _stage(clocks, "format"):
@@ -848,9 +858,14 @@ def _kloosterman_rows(cfg: ExperimentConfig, item):
     return rows, []
 
 
+def _admit_m_range(n_schedule: list[int], params: dict) -> None:
+    if params["weyl_full"] and params["m_range"] != _M_RANGE.default:
+        raise ConfigInvalid("weyl_full sums every residue frequency and reads no m_range")
+
+
 def _invariance_rows(cfg: ExperimentConfig, mod: Modulus):
     n = mod.n
-    return ([(n, p, d, verify_invariance(replace(cfg.spec, n=n, d=d), p, mod))
+    return ([(n, p, d, verify_invariance(mod, d, p))
              for d in cfg.params["d_values"] for p in cfg.params["primes"]
              if n % p],)
 
@@ -882,13 +897,11 @@ def _toral_rows(cfg: ExperimentConfig):
 
 
 def _cardinality_rows(cfg: ExperimentConfig, mod: Modulus):
-    n = mod.n
-    rows = []
-    for d in cfg.params["d_values"]:
-        generated = len(gen_monomial(PointSetSpec(n=n, d=d), mod))
-        formula = residue_count_formula(mod, d)
-        rows.append((n, d, generated, formula, generated == formula))
-    return (rows,)
+    # the degree-d residue set is the key array of every point set of (n, d)
+    sizes = ((d, len(mod.residues(d)), residue_count_formula(mod, d))
+             for d in cfg.params["d_values"])
+    return ([(mod.n, d, generated, formula, generated == formula)
+             for d, generated, formula in sizes],)
 
 
 def _discrepancy_rows(cfg: ExperimentConfig, n: int):
@@ -977,10 +990,9 @@ KINDS: dict[str, Kind] = {
         _d_values(None), Param("require_decay", _bool, False))),
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
-        hard=True, rows=_kloosterman_rows,
+        hard=True, rows=_kloosterman_rows, admit=_admit_m_range,
         on_modulus=lambda cfg: not cfg.params["weyl_full"],
-        params=(Param("m_range", _m_range, 2),
-                Param("weyl_full", _bool, False)),
+        params=(_M_RANGE, Param("weyl_full", _bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
@@ -1040,6 +1052,7 @@ def run(config, out_dir=None) -> RunManifest:
         all_passed=bool(ok),
         wall_clock_s=clocks,
         out_dir=out,
+        ignored_keys=_ignored_keys(cfg),
     )
     manifest.write(out / "manifest.json")
     return manifest

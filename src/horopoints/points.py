@@ -109,8 +109,8 @@ class PointSet:
     ascending), so averages downstream are order-stable.  inverses, the
     read-only inverses of the keys mod n aligned with them, carry the second
     torus; a set without them has none.  modulus is the arithmetic table of
-    n that the set was generated from when its caller handed one over, else
-    None; the torus characters read its root table.  view(lo, hi) is a
+    n that a triple set was generated from when its caller handed one over,
+    else None; the torus characters read its root table.  view(lo, hi) is a
     slice of the set, and blocks() walks it as views of arith.BLOCK
     consecutive points.
     """
@@ -202,24 +202,13 @@ def gen_full(n: int, alpha: Fraction | float) -> PointSet:
     return PointSet(spec, np.arange(n, dtype=np.int64), x_mult=1)
 
 
-def _modulus_of(spec: PointSetSpec, modulus: Modulus | None) -> Modulus:
-    """The arithmetic table of spec.n: the one given, else a new one."""
-    if modulus is None:
-        return Modulus(spec.n)
-    if modulus.n != spec.n:
-        raise ValueError(f"the table of n={modulus.n} was given for n={spec.n}")
-    return modulus
-
-
-def gen_monomial(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
+def gen_monomial(spec: PointSetSpec) -> PointSet:
     """Deduplicated pairs (a*k^d/n, u_{b*k^d/n} a_{n^alpha}^{-1}) over units k.
 
     The second coefficient of a pair set rides on the surface coordinate.
-    len equals residue_count_formula(Modulus(n), d).  The residues come from modulus,
-    the arithmetic table of n, when one is given, and the set keeps it.
+    len equals residue_count_formula(Modulus(n), d).
     """
-    res = _modulus_of(spec, modulus).residues(spec.d)
-    return PointSet(spec, res, x_mult=spec.b, modulus=modulus)
+    return PointSet(spec, Modulus(spec.n).residues(spec.d), x_mult=spec.b)
 
 
 def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
@@ -230,7 +219,9 @@ def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
     the arithmetic table of n, when one is given, and the set keeps it; the
     set holds the inverses read-only (the table's own at d = 1).
     """
-    mod = _modulus_of(spec, modulus)
+    mod = Modulus(spec.n) if modulus is None else modulus
+    if mod.n != spec.n:
+        raise ValueError(f"the table of n={mod.n} was given for n={spec.n}")
     res = mod.residues(spec.d)
     inverses = mod.inverses if spec.d == 1 else arith._read_only(mod.invert(res))
     return PointSet(spec, res, x_mult=spec.c, inverses=inverses, modulus=modulus)
@@ -260,28 +251,22 @@ def gen_point_set(spec: PointSetSpec, variant: str) -> PointSet:
 # ---------------------------------------------------------------------------
 # multiplication actions
 
-def _check_prime_action(p: int, n: int) -> None:
+def verify_invariance(mod: Modulus, d: int, p: int) -> bool:
+    """True iff multiplication by p^(2d) permutes mod.residues(d) exactly,
+    and so every point set of (n, d): with unit multipliers a point's
+    coordinates are a bijective function of its residue key.
+
+    p is a unit mod n (else PrimeDividesModulus), so multiplying by p^(2d)
+    is injective, and the image equals the set exactly when it lies in it:
+    each image key is looked up in a bool mask of the set over [0, n).
+    """
+    n = mod.n
     if gcd(p, n) != 1:
         raise PrimeDividesModulus(f"p={p} divides n={n}")
-
-
-def verify_invariance(spec: PointSetSpec, p: int, modulus: Modulus | None = None) -> bool:
-    """True iff multiplication by p^(2d) permutes the generated set exactly.
-
-    Equality is checked on exact coordinates: with unit multipliers the
-    coordinate tuple of a sample is a bijective function of its residue key,
-    so set equality of residue sets is set equality of the samples.  p is a
-    unit mod n, so multiplying by p^(2d) is injective, and the image equals
-    the set exactly when it lies in it: each image key is looked up in a
-    bool mask of the set over [0, n) (n bytes).  The residues come from
-    modulus, the arithmetic table of n, when one is given.
-    """
-    _check_prime_action(p, spec.n)
-    n = spec.n
-    res = _modulus_of(spec, modulus).residues(spec.d)
+    res = mod.residues(d)
     member = np.zeros(n, dtype=bool)
     member[res] = True
-    return bool(member[res * pow(p, 2 * spec.d, n) % n].all())
+    return bool(member[res * pow(p, 2 * d, n) % n].all())
 
 
 # ---------------------------------------------------------------------------

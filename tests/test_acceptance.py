@@ -163,7 +163,7 @@ def test_criterion_05_invariance(capsys):
                 continue
             for d in (1, 2, 3, 4):
                 checked += 1
-                if not verify_invariance(PointSetSpec(n=n, d=d), p, mod):
+                if not verify_invariance(mod, d, p):
                     ok = False
     _criterion(capsys, 5, ok, f"{checked} multiplication-invariance checks, n<=5000")
 

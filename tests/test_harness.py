@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from oracles import ramanujan_sum
 
-from horopoints import arith, harness
+from horopoints import arith, harness, points
 from horopoints.arith import totient
 from horopoints.cli import main
 from horopoints.harness import (
@@ -373,10 +373,52 @@ COMMON_KEYS = {"schema_version", "kind", "n_schedule", "point_set", "seed", "for
 @pytest.mark.parametrize("path", sorted(
     (Path(__file__).resolve().parent.parent / "configs").glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_config_keys_are_declared(path):
-    # a dead or misspelt key would be ignored silently by the loader
+    # a dead or misspelt key would be ignored by the loader, and listed in
+    # the manifest's ignored_keys
     raw = json.loads(path.read_text())
     declared = COMMON_KEYS | {p.key for p in harness.KINDS[raw["kind"]].params}
     assert set(raw) <= declared, sorted(set(raw) - declared)
+    assert harness._ignored_keys(load_config(raw)) == []
+
+
+def test_manifest_lists_the_ignored_keys(tmp_path):
+    # a misspelt key runs with the default of the key it misses; the
+    # manifest names it, sorted, beside keys the kind does not read
+    man = run(_base("kloosterman", m_rang=7, threads=4, cross_check=True),
+              out_dir=tmp_path / "k")
+    manifest = json.loads((tmp_path / "k" / "manifest.json").read_text())
+    assert manifest["ignored_keys"] == man.ignored_keys == ["cross_check", "m_rang", "threads"]
+    # a projection reads its cases and no schedule
+    case = {"n": 5, "places": [2], "l": [1], "m": [0]}
+    man = run({"schema_version": 1, "kind": "projection", "cases": [case],
+               "n_schedule": [5], "seed": 3}, out_dir=tmp_path / "p")
+    assert man.ignored_keys == ["n_schedule"]
+    assert run(_base("cardinality", format="json"), out_dir=tmp_path / "c").ignored_keys == []
+
+
+def test_weyl_full_loads_without_an_m_range():
+    # c09 and the benchmark's weyl shape set no m_range; the default loads too
+    for extra in ({}, {"m_range": 2}):
+        assert load_config(_base("kloosterman", weyl_full=True, **extra)).params["weyl_full"]
+
+
+@pytest.mark.parametrize("stem", ["c04_cardinality", "c05_invariance"])
+def test_residue_set_kinds_build_no_point_set(tmp_path, monkeypatch, stem):
+    # the cardinality and invariance rows read the residue sets of the table
+    # of n: once the config is loaded, no spec and no point set is made
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / f"{stem}.json")
+                     .read_text())
+    cfg = load_config({**raw, "n_schedule": [1, 2, 12, 45, 101, 210]})
+    made = []
+    for cls in (points.PointSetSpec, points.PointSet):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    assert points.PointSetSpec(n=3) and made == ["PointSetSpec"]
+    made.clear()
+    man = run(cfg, out_dir=tmp_path)
+    assert man.all_passed and made == []
 
 
 def test_config_without_schedule_is_invalid():
@@ -551,6 +593,8 @@ BAD_CONFIGS = {
     "alpha_negative": _base("generate", point_set={"alpha": "-1"}),
     "degree_zero": _base("generate", point_set={"d": 0}),
     "m_range_not_an_integer": _base("kloosterman", m_range="x"),
+    # weyl_full sums every residue frequency, so an m_range was dropped
+    "m_range_under_weyl_full": _base("kloosterman", weyl_full=True, m_range=3),
     "beta_beyond_one_half": _base("discrepancy", betas=[0.9]),
     # 5^0.2 < 2, so P(5, 5^0.2) holds no prime
     "empty_prime_window": _base("discrepancy", n_schedule=[5, 1009], betas=[0.2]),

@@ -6,8 +6,10 @@ the bytes a call allocates, whatever the machine or allocator.  Each
 ceiling is the call's output plus a few MiB of per-block temporaries: a
 full-length temporary (8 MB of int64 or float64 per million points) breaks
 it.  An average outputs one number, so its ceiling is the temporaries
-alone, and an equidist run's is the set it holds.  The dump's ceiling is its one point set plus a few MiB of encoded
-text: a block of 16384 encoded rows instead of a chunk of 1024 breaks it.
+alone, and an equidist run's is the set it holds.  The dump's ceiling is
+its one unreduced point set plus about a MiB of encoded text and block
+temporaries: a block of 16384 encoded rows instead of a chunk of 1024
+breaks it, and so do full-length reduced coordinates.
 """
 
 import json
@@ -19,7 +21,7 @@ import pytest
 from horopoints.arith import Modulus
 from horopoints.harness import run
 from horopoints.observables import AutomorphicKernel, Product, TorusChar
-from horopoints.points import PointSetSpec, gen_monomial
+from horopoints.points import PointSetSpec, gen_triple
 from horopoints.stats import empirical_average
 
 N = 1000003
@@ -55,14 +57,15 @@ def test_residue_set_peak(mod):
 
 
 def test_reduced_xy_peak(mod):
-    ps = gen_monomial(PointSetSpec(n=N), mod)
+    # a set that holds its table, whose inverses are built before the call
+    ps = gen_triple(PointSetSpec(n=N), mod)
     (xs, ys), peak = _peak_bytes(ps.reduced_xy)
     assert xs.nbytes + ys.nbytes == 16 * len(ps)
     assert peak <= 16 * len(ps) + 8 * MIB, peak
 
 
 def test_empirical_average_peak(mod):
-    ps = gen_monomial(PointSetSpec(n=N), mod)
+    ps = gen_triple(PointSetSpec(n=N), mod)
     ps.reduced_xy()
     obs = Product((TorusChar(1), AutomorphicKernel(1.0, "smooth")))
     # one leaf of at most arith.BLOCK values and the kernel's buffers, not
@@ -96,12 +99,15 @@ def test_invert_peak(mod):
     assert peak <= inv.nbytes + 2 * MIB, peak
 
 
-# a triple set of 200002 points: its table, inverses and reduced coordinates
-# take 8.2 MB; its csv dump is 22 MB and its json dump 38 MB.  Rows are
-# encoded 1024 at a time, each 100-250 bytes across its cells, its line and
-# the joined chunk; the traced peaks are 7.3 MiB (json) and 7.1 MiB (csv)
+# a triple set of 200002 points: its units and inverses take 3.2 MB, and
+# reduced coordinates would take 3.2 MB more, but each block view reduces its
+# own points as it is encoded; its csv dump is 22 MB and its json dump 38 MB.
+# Rows are encoded 1024 at a time, each 100-250 bytes across its cells, its
+# line and the joined chunk; the traced peaks are 4.6 MiB (json) and 4.5 MiB
+# (csv), 7.3 and 7.1 MiB with the set reduced whole, and 16.4 and 14.0 MiB
+# with chunks of 16384 rows
 DUMP_N = 200003
-DUMP_CEILING = 12 * MIB
+DUMP_CEILING = 6 * MIB
 
 
 # the two-n schedule holds n = 200003 in csv (a schedule is a set of n, so

@@ -172,48 +172,49 @@ def test_views_of_an_unreduced_set_reduce_to_its_slices(monkeypatch):
 
 
 def test_verify_invariance_examples():
-    assert verify_invariance(PointSetSpec(n=7, d=1), 2)
+    assert verify_invariance(Modulus(7), 1, 2)
     with pytest.raises(PrimeDividesModulus):
-        verify_invariance(PointSetSpec(n=9, d=1), 3)
+        verify_invariance(Modulus(9), 1, 3)
+    # the degree is checked by the table's residue sets
+    with pytest.raises(ValueError, match="d >= 1"):
+        verify_invariance(Modulus(7), 0, 2)
 
 
-def test_generators_read_a_given_table():
-    # with the table of n, the sets and the verdicts are those built without
-    # one; a table of another n is refused
+def test_triple_reads_a_given_table():
+    # with the table of n, the triple set is the one built without one, and
+    # a table of another n is refused
     for n, d in ((1, 1), (12, 1), (45, 2), (101, 3)):
         mod = Modulus(n)
         spec = PointSetSpec(n=n, d=d)
-        for gen in (gen_monomial, gen_triple):
-            assert np.array_equal(gen(spec, mod).residues, gen(spec).residues)
-        triple = gen_triple(spec, mod)
-        assert np.array_equal(triple.torus2_numerators(), gen_triple(spec).torus2_numerators())
-        assert verify_invariance(spec, 7, mod) == verify_invariance(spec, 7)
-    other = Modulus(13)
-    for call in (lambda: gen_monomial(PointSetSpec(n=12), other),
-                 lambda: gen_triple(PointSetSpec(n=12), other),
-                 lambda: verify_invariance(PointSetSpec(n=12), 5, other)):
-        with pytest.raises(ValueError):
-            call()
+        held, bare = gen_triple(spec, mod), gen_triple(spec)
+        assert np.array_equal(held.residues, bare.residues)
+        assert np.array_equal(held.residues, gen_monomial(spec).residues)
+        assert np.array_equal(held.torus2_numerators(), bare.torus2_numerators())
+    with pytest.raises(ValueError):
+        gen_triple(PointSetSpec(n=12), Modulus(13))
 
 
 def test_verify_invariance_sweep():
     for n in range(1, 300):
+        mod = Modulus(n)
         for p in (2, 3, 5):
             if n % p == 0:
                 continue
             for d in (1, 2, 3):
-                assert verify_invariance(PointSetSpec(n=n, d=d), p), (n, p, d)
+                assert verify_invariance(mod, d, p), (n, p, d)
 
 
 def test_verify_invariance_matches_the_sorting_oracle():
     for n in range(1, 2001):
         mod = Modulus(n)
         for d in range(1, 5):
-            spec = PointSetSpec(n=n, d=d)
             for p in (2, 3, 5, 7):
                 if n % p:
                     want = invariant_by_sorting(mod.residues(d), pow(p, 2 * d, n), n)
-                    assert verify_invariance(spec, p, mod) is want, (n, p, d)
+                    assert verify_invariance(mod, d, p) is want, (n, p, d)
+                else:
+                    with pytest.raises(PrimeDividesModulus):
+                        verify_invariance(mod, d, p)
 
 
 class _PlantedTable:
@@ -236,8 +237,7 @@ class _PlantedTable:
 ])
 def test_verify_invariance_on_a_planted_residue_set(n, residues, p, d, invariant):
     table = _PlantedTable(n, residues)
-    spec = PointSetSpec(n=n, d=d)
-    assert verify_invariance(spec, p, table) is invariant
+    assert verify_invariance(table, d, p) is invariant
     assert invariant_by_sorting(table.planted, pow(p, 2 * d, n), n) is invariant
 
 
