@@ -27,7 +27,6 @@ from .arith import (
     Modulus,
     is_prime,
     kloosterman_sum,
-    next_prime,
     primes_coprime,
     residue_count_formula,
     weil_bound,
@@ -101,12 +100,9 @@ class ExperimentConfig:
     kind: str
     raw: dict
     n_schedule: list[int]
-    point_set: dict
     observables: list[Observable]
     out_dir: Path | None
-    seed: int
     format: str
-    spec: PointSetSpec
     params: dict
 
     @property
@@ -261,9 +257,8 @@ def _check_length(length: int, what: str = "n_schedule") -> None:
 
 
 def _parse_schedule(raw) -> list[int]:
-    """The sorted distinct n of a list, a range or a ramp.  The length is
-    checked before a range or a ramp is listed, and a ramp stops at the
-    first n beyond the 1e8 guard, before snapping it."""
+    """The sorted distinct n of a list or a range.  The length is checked
+    before a range is listed."""
     if isinstance(raw, list):
         _check_length(len(raw))
         sched = [_int(n) for n in raw]
@@ -274,23 +269,8 @@ def _parse_schedule(raw) -> list[int]:
         span = range(start, _int(raw["stop"]) + 1, step)
         _check_length(len(span))
         sched = list(span)
-    elif isinstance(raw, dict) and "count" in raw:
-        start, count = _int(raw["start"]), _int(raw["count"])
-        factor = _float(raw.get("factor", 10))
-        if start < 1 or factor <= 0:
-            raise ValueError("a ramp needs start >= 1 and factor > 0")
-        _check_length(count)
-        snap = _bool(raw.get("snap_to_prime", False))
-        sched = []
-        val = float(start)
-        for _ in range(count):
-            if val > _N_GUARD:
-                raise ResourceExhausted(f"n = {val:.0f} exceeds the 1e8 guard")
-            n = int(round(val))
-            sched.append(next_prime(n) if snap else n)
-            val *= factor
     else:
-        raise ValueError("must be a list, a range, or a ramp object")
+        raise ValueError("must be a list or a range object")
     if not sched:
         raise ConfigInvalid("n schedule is empty")
     if min(sched) < 1:
@@ -300,11 +280,6 @@ def _parse_schedule(raw) -> list[int]:
     return sorted(set(sched))
 
 
-_SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
-_M_RANGE = Param("m_range", _m_range, 2)
-_RUN_PARAMS = (Param("seed", _int, 0, test=lambda s: s >= 0, need=">= 0"),
-               Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
-                     need="csv or json"))
 _POINT_SET_DEFAULTS = {"alpha": "1/2", "d": 1, "a": 1, "b": 1, "c": 1,
                        "primitive": True, "variant": "monomial"}
 
@@ -314,21 +289,37 @@ def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
     report, which writes it verbatim; and its spec at n = 1."""
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"point_set must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(_POINT_SET_DEFAULTS))
+    if unknown:
+        raise ConfigInvalid(f"point_set has no field {', '.join(map(repr, unknown))}")
     ps = {**_POINT_SET_DEFAULTS, **raw}
     if not isinstance(ps["variant"], str) or ps["variant"] not in VARIANTS:
         raise ConfigInvalid(f"unknown point set variant {ps['variant']!r}")
     if ps["primitive"] is not True:
         raise ConfigInvalid(f"primitive must be true, got {ps['primitive']!r}; "
                             'variant "full" gives every residue')
-    with _invalid("point_set"):
-        spec = PointSetSpec(n=1, alpha=_parse_fraction(ps["alpha"]), d=_int(ps["d"]),
-                            a=_int(ps["a"]), b=_int(ps["b"]), c=_int(ps["c"]))
+    spec = PointSetSpec(n=1, alpha=_parse_fraction(ps["alpha"]), d=_int(ps["d"]),
+                        a=_int(ps["a"]), b=_int(ps["b"]), c=_int(ps["c"]))
     return ps, spec
 
 
-def _admit_variant(variant: str, spec: PointSetSpec, params: dict) -> None:
-    """Raise ConfigInvalid for a point_set field or d_values that the variant
-    does not read, and for an observable of a coordinate its points lack."""
+_SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
+# a (record, spec) pair; only the kinds that build point sets declare it
+_POINT_SET = Param("point_set", _parse_point_set, _parse_point_set({}))
+_M_RANGE = Param("m_range", _m_range, 2)
+_FORMAT = Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
+                need="csv or json")
+
+
+def _admit_point_set(params: dict) -> None:
+    """Raise ConfigInvalid for the first scheduled n at which the spec fails,
+    for a point_set field or d_values that the variant does not read, and
+    for an observable of a coordinate its points lack."""
+    record, spec = params["point_set"]
+    # the spec at each scheduled n checks its multipliers and its height
+    with _invalid("point_set"):
+        spec.check_schedule(params["n_schedule"])
+    variant = record["variant"]
     reads, carries = VARIANTS[variant]
     unread = [f for f in ("d", "a", "b", "c")
               if f not in reads and getattr(spec, f) != _POINT_SET_DEFAULTS[f]]
@@ -343,38 +334,20 @@ def _admit_variant(variant: str, spec: PointSetSpec, params: dict) -> None:
                                 f"which the points of variant {variant!r} do not carry")
 
 
-def _path_exists(source) -> bool:
-    try:
-        return Path(source).exists()
-    except (OSError, ValueError):
-        # a JSON string can be longer than a file name may be, or hold a NUL
-        return False
-
-
-def _parse_json(text: str, what: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    return raw
-
-
 def load_config(source) -> ExperimentConfig:
-    """Parse and validate a config from a dict, a path, or a JSON string."""
-    if isinstance(source, (str, Path)) and _path_exists(source):
+    """Parse and validate a config from a dict or from the path of a JSON file;
+    of the kind's keys, only those it declares are read."""
+    if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
+            raw = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"config file {source} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError, ValueError) as exc:
             raise ConfigInvalid(f"cannot read config {source}: {exc}") from exc
-        raw = _parse_json(text, f"config file {source}")
-    elif isinstance(source, str):
-        raw = _parse_json(source, "config string (not an existing file)")
-    elif isinstance(source, dict):
-        raw = source
     else:
-        raise ConfigInvalid(f"cannot load config from {source!r}")
+        raw = source
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"config must be a JSON object or the path of one, got {raw!r}")
 
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigInvalid(f"schema_version must be {SCHEMA_VERSION}")
@@ -382,42 +355,27 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigInvalid(f"unknown kind {kind!r}")
 
-    n_schedule = _SCHEDULE.read(raw) if KINDS[kind].items == "n_schedule" else []
-
-    point_set, spec = _parse_point_set(raw.get("point_set", {}))
-    # the spec at each scheduled n checks its multipliers and its height
-    with _invalid("point_set"):
-        spec.check_schedule(n_schedule)
     params = {p.key: p.read(raw) for p in KINDS[kind].params}
-    if KINDS[kind].on_point_set:
-        _admit_variant(point_set["variant"], spec, params)
     if KINDS[kind].admit is not None:
-        KINDS[kind].admit(n_schedule, params)
-
-    seed, fmt = (p.read(raw) for p in _RUN_PARAMS)
+        KINDS[kind].admit(params)
     out_dir = raw.get("out_dir") or os.environ.get(ENV_OUT_DIR)
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigInvalid(f"out_dir must be a path string, got {out_dir!r}")
     return ExperimentConfig(
         kind=kind,
         raw=raw,
-        n_schedule=n_schedule,
-        point_set=point_set,
+        n_schedule=params.get("n_schedule", []),
         observables=params.get("observables", []),
         out_dir=Path(out_dir) if out_dir else None,
-        seed=seed,
-        format=fmt,
-        spec=spec,
+        format=_FORMAT.read(raw),
         params=params,
     )
 
 
 def _ignored_keys(cfg: ExperimentConfig) -> list[str]:
     """The sorted top-level keys of the config that load_config did not read."""
-    kind = KINDS[cfg.kind]
-    read = [p.key for p in (*kind.params, *_RUN_PARAMS, _SCHEDULE)
-            if p is not _SCHEDULE or kind.items == "n_schedule"]
-    return sorted(set(cfg.raw) - {"schema_version", "kind", "point_set", "out_dir", *read})
+    declared = {p.key for p in (*KINDS[cfg.kind].params, _FORMAT)}
+    return sorted(set(cfg.raw) - declared - {"schema_version", "kind", "out_dir"})
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +593,16 @@ class Table:
 class Kind:
     """An experiment kind, declared once in KINDS.
 
-    The driver maps rows(cfg, item), one row list per table, over the items:
-    the n schedule, the param named by items, with on_point_set the point
-    set of each n, generated and reduced, or, where on_modulus(cfg) holds,
-    the arithmetic table (arith.Modulus) of each n, dropped with its rows.
-    on_point_set also marks a kind with a body that builds point sets: the
-    config of such a kind must suit its variant (points.VARIANTS).
-    once(cfg) makes the last table's rows once per run; check(cfg, tables)
-    is a whole-table check beside the verdict columns.  A hard kind checks
-    exact identities, so a failure flips the CLI status.  A kind with a body
-    runs body(cfg, out) instead.  admit(n_schedule, params) raises
-    ConfigInvalid or ResourceExhausted at load time for an item that cannot
-    run.
+    params are the config keys the kind declares; load_config reads these
+    and no others.  The driver maps rows(cfg, item), one row list per table,
+    over the items, the param named by items: with a declared point_set,
+    the point set of each n, generated and reduced, or, where on_modulus(cfg)
+    holds, the arithmetic table (arith.Modulus) of each n, dropped with its
+    rows.  once(cfg) makes the last table's rows once per run; check(cfg,
+    tables) is a whole-table check beside the verdict columns.  A hard kind
+    checks exact identities, so a failure flips the CLI status.  A kind with
+    a body runs body(cfg, out) instead.  admit(params) raises ConfigInvalid
+    or ResourceExhausted at load time for an item that cannot run.
     """
 
     params: tuple[Param, ...] = ()
@@ -656,16 +612,18 @@ class Kind:
     check: Callable | None = None
     once: Callable | None = None
     items: str = "n_schedule"
-    on_point_set: bool = False
     on_modulus: Callable | None = None
     body: Callable | None = None
     admit: Callable | None = None
 
 
-def _staged_point_set(cfg: ExperimentConfig, spec, clocks: dict, reduce=True):
-    """The point set of spec, generated and, if asked, reduced; timed into clocks."""
+def _staged_point_set(cfg: ExperimentConfig, clocks: dict, reduce=True, **at):
+    """The point set of the config's spec at n (and d), generated and, if
+    asked, reduced; timed into clocks."""
+    record, spec = cfg.params["point_set"]
+    spec = replace(spec, **at)
     with _stage(clocks, "generate"):
-        ps = gen_point_set(spec, cfg.point_set["variant"])
+        ps = gen_point_set(spec, record["variant"])
     if reduce:
         with _stage(clocks, "reduce"):
             ps.reduced_xy()
@@ -675,13 +633,13 @@ def _staged_point_set(cfg: ExperimentConfig, spec, clocks: dict, reduce=True):
 def _run_tables(cfg: ExperimentConfig, out: Path):
     """The driver of every kind without a body."""
     kind = KINDS[cfg.kind]
-    items = cfg.n_schedule if kind.items == "n_schedule" else cfg.params[kind.items]
+    items = cfg.params[kind.items]
     tables: list[list] = [[] for _ in kind.tables]
     clocks: dict = {}
     # rebinding item drops the previous point set or table before the next
     for item in items:
-        if kind.on_point_set:
-            item = _staged_point_set(cfg, replace(cfg.spec, n=item), clocks)
+        if "point_set" in cfg.params:
+            item = _staged_point_set(cfg, clocks, n=item)
         elif kind.on_modulus is not None and kind.on_modulus(cfg):
             with _stage(clocks, "table"):
                 item = Modulus(item)
@@ -714,8 +672,8 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
     """
     fmt = cfg.format
     cell, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
-    ps = _staged_point_set(cfg, replace(cfg.spec, n=n), clocks, reduce=False)
-    n_cell, alpha_cell, d_cell = cell(n), cell(cfg.spec.alpha), cell(cfg.spec.d)
+    ps = _staged_point_set(cfg, clocks, reduce=False, n=n)
+    n_cell, alpha_cell, d_cell = cell(n), cell(ps.spec.alpha), cell(ps.spec.d)
     im_z_cell, no_torus2 = cell(float(ps.scale_height)), cell("")
     for block in ps.blocks():
         with _stage(clocks, "reduce"):
@@ -757,8 +715,8 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
 def _run_equidist(cfg: ExperimentConfig, out: Path):
     """Generates the set of one (d, n) at a time and averages every observable
     over it; the set dies when averages returns, before the next is generated."""
-    variant = cfg.point_set["variant"]
-    d_values = cfg.params["d_values"] or [cfg.spec.d]
+    record, spec = cfg.params["point_set"]
+    d_values = cfg.params["d_values"] or [spec.d]
     # the surface points are reduced up front only if an observable reads them
     on_surface = any("x" in obs._slots() for obs in cfg.observables)
     targets = [obs.haar() for obs in cfg.observables]
@@ -768,7 +726,7 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     clocks: dict = {}
     for d in d_values:
         def averages(n):
-            ps = _staged_point_set(cfg, replace(cfg.spec, n=n, d=d), clocks, on_surface)
+            ps = _staged_point_set(cfg, clocks, on_surface, n=n, d=d)
             values = []
             for obs in cfg.observables:
                 with _stage(clocks, "evaluate", f"evaluate:{obs.describe()}"):
@@ -821,8 +779,8 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "equidist",
-        "variant": variant,
-        "point_set": cfg.point_set,
+        "variant": record["variant"],
+        "point_set": record,
         "observables": obs_payload,
     }
     with _stage(clocks, "write"):
@@ -858,7 +816,7 @@ def _kloosterman_rows(cfg: ExperimentConfig, item):
     return rows, []
 
 
-def _admit_m_range(n_schedule: list[int], params: dict) -> None:
+def _admit_m_range(params: dict) -> None:
     if params["weyl_full"] and params["m_range"] != _M_RANGE.default:
         raise ConfigInvalid("weyl_full sums every residue frequency and reads no m_range")
 
@@ -877,7 +835,7 @@ def _toral_rows(cfg: ExperimentConfig):
     if toral is None:
         return []
     max_entry = toral["max_entry"]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.params["seed"])
     val = toral_correlation([[3, 1], [1, 2]], [1, 0], [3, 1])
     rows = [(-1, True, val, val == 1.0)]
     while len(rows) <= toral["count"]:
@@ -914,12 +872,12 @@ def _discrepancy_rows(cfg: ExperimentConfig, n: int):
     return (rows,)
 
 
-def _prime_windows(n_schedule: list[int], params: dict) -> None:
+def _prime_windows(params: dict) -> None:
     # the prime set that discrepancy_l2 averages over, by the same rule, and
     # a bound on the bits of its largest frequency m * p^(2d)
     m_bits = max(abs(m) for m in params["m_values"]).bit_length()
     d = max(params["d_values"])
-    for n in n_schedule:
+    for n in params["n_schedule"]:
         for beta in params["betas"]:
             primes = primes_coprime(n, float(n) ** beta)
             if not primes:
@@ -983,31 +941,36 @@ def _d_values(default) -> Param:
     return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1")
 
 
-# in the order of the CLI subcommands
+# in the order of the CLI subcommands; the kinds that build point sets
+# declare a point_set, and invariance, which draws its toral instances, a seed
 KINDS: dict[str, Kind] = {
-    "equidist": Kind(body=_run_equidist, on_point_set=True, params=(
+    "equidist": Kind(body=_run_equidist, admit=_admit_point_set, params=(
+        _SCHEDULE, _POINT_SET,
         Param("observables", parse_observable, many=True, required=True),
         _d_values(None), Param("require_decay", _bool, False))),
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
         hard=True, rows=_kloosterman_rows, admit=_admit_m_range,
         on_modulus=lambda cfg: not cfg.params["weyl_full"],
-        params=(_M_RANGE, Param("weyl_full", _bool, False)),
+        params=(_SCHEDULE, _M_RANGE, Param("weyl_full", _bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
         hard=True, rows=_invariance_rows, once=_toral_rows, on_modulus=_always,
-        params=(Param("primes", _int, [2, 3, 5], many=True, test=is_prime, need="prime"),
-                _d_values([1]), Param("toral", _toral)),
+        params=(_SCHEDULE,
+                Param("primes", _int, [2, 3, 5], many=True, test=is_prime, need="prime"),
+                _d_values([1]), Param("toral", _toral),
+                Param("seed", _int, 0, test=lambda s: s >= 0, need=">= 0")),
         tables=(Table("invariance", ("n", "p", "d", "invariant")),
                 Table("toral", ("instance", "expanding", "rule_value", "match"), True))),
     "cardinality": Kind(
         hard=True, rows=_cardinality_rows, on_modulus=_always,
-        params=(_d_values(list(range(1, 13))),),
+        params=(_SCHEDULE, _d_values(list(range(1, 13)))),
         tables=(Table("cardinality", ("n", "d", "generated", "formula", "match")),)),
     "discrepancy": Kind(
         hard=True, rows=_discrepancy_rows, check=_discrepancy_falls, admit=_prime_windows,
-        params=(Param("betas", _float, [0.2, 0.4], many=True, test=lambda b: 0 < b < 0.5,
+        params=(_SCHEDULE,
+                Param("betas", _float, [0.2, 0.4], many=True, test=lambda b: 0 < b < 0.5,
                       need="in (0, 1/2)"),
                 _d_values([1]),
                 Param("m_values", _int, [1], many=True, test=bool, need="nonzero"),
@@ -1016,9 +979,10 @@ KINDS: dict[str, Kind] = {
         tables=(Table("discrepancy", ("n", "beta", "d", "m", "l2", "closed_form",
                                       "prime_count", "match")),)),
     "cusp_mass": Kind(
-        rows=_cusp_mass_rows, on_point_set=True,
+        rows=_cusp_mass_rows, admit=_admit_point_set,
         # the mass above T is 3/(pi T) only for T >= 1, the range of HeightBand
-        params=(Param("thresholds", _float, [2.0, 4.0, 8.0], many=True,
+        params=(_SCHEDULE, _POINT_SET,
+                Param("thresholds", _float, [2.0, 4.0, 8.0], many=True,
                       test=lambda t: t >= 1, need=">= 1"),
                 Param("rel_tol", _float, test=lambda t: t >= 0, need=">= 0"),
                 Param("expect_full_mass", _bool, False),
@@ -1030,9 +994,10 @@ KINDS: dict[str, Kind] = {
         params=(Param("cases", _case, many=True, required=True),),
         tables=(Table("projection", ("n", "places", "l", "m", "pairs", "agree")),)),
     "intersection": Kind(
-        hard=True, rows=_intersection_rows, on_modulus=_always,
+        hard=True, rows=_intersection_rows, on_modulus=_always, params=(_SCHEDULE,),
         tables=(Table("intersection", ("n", "units_checked", "verified", "ok")),)),
-    "generate": Kind(body=_run_generate, on_point_set=True),
+    "generate": Kind(body=_run_generate, admit=_admit_point_set,
+                     params=(_SCHEDULE, _POINT_SET)),
 }
 
 
@@ -1040,7 +1005,10 @@ def run(config, out_dir=None) -> RunManifest:
     """Execute one experiment config and persist CSV/JSON plus a manifest."""
     cfg = config if isinstance(config, ExperimentConfig) else load_config(config)
     out = Path(out_dir) if out_dir else (cfg.out_dir or Path.cwd() / "horopoints-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot make output directory {out}: {exc}") from exc
     t0 = time.monotonic()
     outputs, ok, clocks = (KINDS[cfg.kind].body or _run_tables)(cfg, out)
     clocks["total"] = time.monotonic() - t0

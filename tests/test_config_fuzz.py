@@ -26,8 +26,8 @@ from horopoints.harness import KINDS, ConfigInvalid, ResourceExhausted, load_con
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
 
-# keys of drawn objects; the range and ramp keys are left out, since a drawn
-# ramp such as start 12, factor 3, count 12 would schedule n near 2e6
+# keys of drawn objects; the range keys and count are left out, so that a
+# drawn object is neither a schedule nor a toral block of many entries
 _NAMES = ["alpha", "d", "a", "b", "c", "variant", "primitive", "max_entry", "n",
           "places", "l", "m", "type", "m1", "m2", "radius", "profile", "center",
           "lower", "upper", "factors"]

@@ -33,6 +33,13 @@ def _base(kind, **extra):
     return cfg
 
 
+def _config_file(tmp_path, cfg: dict, name: str = "cfg.json") -> str:
+    """The path of a file holding cfg as JSON, as the CLI's --config takes it."""
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
         load_config(_base("nonsense"))
@@ -52,7 +59,8 @@ def test_config_validation():
 def _first_spec_error(point_set: dict, n_schedule) -> str:
     """The error of the first n at which a spec of the point_set record is
     invalid, one spec per n."""
-    spec = load_config(_base("generate", n_schedule=[1], point_set=point_set)).spec
+    _, spec = load_config(_base("generate", n_schedule=[1], point_set=point_set)) \
+        .params["point_set"]
     for n in n_schedule:
         try:
             dataclasses.replace(spec, n=n)
@@ -88,12 +96,6 @@ def test_load_config_checks_a_long_schedule_without_a_spec_per_n(point_set, monk
             load_config(cfg)
         assert str(exc.value) == want
         assert len(built) == 2 and built[0] == 1
-
-
-def test_schedule_ramp_snaps_to_primes():
-    cfg = load_config(_base("kloosterman", n_schedule={
-        "start": 1000, "factor": 10, "count": 4, "snap_to_prime": True}))
-    assert cfg.n_schedule == [1009, 10007, 100003, 1000003]
 
 
 def test_parse_observables():
@@ -281,14 +283,15 @@ def test_cli_roundtrip(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()
-    # missing config, and generate with neither a config nor a modulus
+    # every experiment, the sample dump included, needs a config
     assert main(["equidist"]) == 2
     assert main(["generate"]) == 2
 
 
 def test_cli_generate_and_plot(tmp_path):
-    assert main(["generate", "--n", "7", "--variant", "triple",
-                 "--out", str(tmp_path / "gen")]) == 0
+    gen = _config_file(tmp_path, _base("generate", n_schedule=[7],
+                                       point_set={"variant": "triple"}), "gen.json")
+    assert main(["generate", "--config", gen, "--out", str(tmp_path / "gen")]) == 0
     assert (tmp_path / "gen" / "samples.csv").exists()
 
     cfg_path = tmp_path / "eq.json"
@@ -366,8 +369,7 @@ def test_discrepancy_prime_windows_admit_the_shipped_schedules():
         load_config(_base("discrepancy", n_schedule=[31], betas=[0.2]))
 
 
-COMMON_KEYS = {"schema_version", "kind", "n_schedule", "point_set", "seed", "format",
-               "out_dir"}
+COMMON_KEYS = {"schema_version", "kind", "format", "out_dir"}
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -388,12 +390,83 @@ def test_manifest_lists_the_ignored_keys(tmp_path):
               out_dir=tmp_path / "k")
     manifest = json.loads((tmp_path / "k" / "manifest.json").read_text())
     assert manifest["ignored_keys"] == man.ignored_keys == ["cross_check", "m_rang", "threads"]
-    # a projection reads its cases and no schedule
+    # a projection reads its cases, and neither a schedule nor a seed
     case = {"n": 5, "places": [2], "l": [1], "m": [0]}
     man = run({"schema_version": 1, "kind": "projection", "cases": [case],
                "n_schedule": [5], "seed": 3}, out_dir=tmp_path / "p")
-    assert man.ignored_keys == ["n_schedule"]
+    assert man.ignored_keys == ["n_schedule", "seed"]
     assert run(_base("cardinality", format="json"), out_dir=tmp_path / "c").ignored_keys == []
+
+
+# keys a kind does not declare, even ones that would not load where declared
+UNDECLARED = {
+    "point_set": {"variant": "triple", "primitive": True},
+    "point_set_invalid": {"variant": "nonsense", "alpha": "abc"},
+    "seed": 3,
+    "seed_invalid": -1,
+}
+
+
+@pytest.mark.parametrize("kind", ["cardinality", "kloosterman"])
+@pytest.mark.parametrize("name", sorted(UNDECLARED))
+def test_undeclared_keys_load_and_are_listed_as_ignored(tmp_path, kind, name):
+    # point_set is declared by the kinds that build point sets and seed by
+    # invariance only; any other kind loads either unread, lists it in the
+    # manifest's ignored_keys, and writes the payload of the run without it
+    key = name.removesuffix("_invalid")
+    assert key not in {p.key for p in harness.KINDS[kind].params}
+    cfg = _base(kind, n_schedule=[5, 12])
+    plain = run(cfg, out_dir=tmp_path / "plain")
+    extra = run({**cfg, key: UNDECLARED[name]}, out_dir=tmp_path / "extra")
+    assert plain.ignored_keys == [] and extra.ignored_keys == [key]
+    assert plain.all_passed and extra.all_passed and plain.outputs == extra.outputs
+    for out in plain.outputs:
+        assert (tmp_path / "plain" / out).read_bytes() == (tmp_path / "extra" / out).read_bytes()
+
+
+def test_declared_point_set_and_seed_are_read():
+    # where declared, the same blocks are parsed and refused
+    for kind in ("equidist", "cusp_mass", "generate"):
+        assert "point_set" in {p.key for p in harness.KINDS[kind].params}
+    with pytest.raises(ConfigInvalid, match="variant"):
+        load_config(_base("generate", point_set=UNDECLARED["point_set_invalid"]))
+    with pytest.raises(ConfigInvalid, match="seed"):
+        load_config(_base("invariance", seed=-1))
+    assert load_config(_base("invariance", seed=3)).params["seed"] == 3
+    # the benchmark's invariance shape sends a point_set, which it ignores
+    cfg = load_config(_base("invariance", point_set=UNDECLARED["point_set"], threads=1))
+    assert harness._ignored_keys(cfg) == ["point_set", "threads"]
+
+
+@pytest.mark.parametrize("via", ["out_dir", "flag"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, via):
+    # a regular file where the directory, or one of its parents, would go
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = _base("cardinality")
+    if via == "out_dir":
+        cfg["out_dir"] = str(afile / "x")
+        argv = ["cardinality", "--config", _config_file(tmp_path, cfg)]
+    else:
+        argv = ["cardinality", "--config", _config_file(tmp_path, cfg), "--out", str(afile)]
+    with pytest.raises(ConfigInvalid, match="cannot make output directory"):
+        run(load_config(cfg), out_dir=None if via == "out_dir" else afile)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory")
+    assert len(err.strip().splitlines()) == 1
+    assert afile.read_text() == "" and sorted(p.name for p in tmp_path.iterdir()) == \
+        ["afile", "cfg.json"]
+
+
+def test_config_commands_take_only_config_and_out(capsys):
+    # a config file states the whole experiment: no flag sets a key of it
+    for command in [k.replace("_", "-") for k in harness.KINDS]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = {word.strip("[],") for word in capsys.readouterr().out.split()
+                   if word.startswith(("--", "[--"))}
+        assert options == {"--help", "--config", "--out"}, (command, options)
 
 
 def test_weyl_full_loads_without_an_m_range():
@@ -426,49 +499,48 @@ def test_config_without_schedule_is_invalid():
         load_config({"schema_version": 1, "kind": "generate"})
 
 
-def test_long_json_string_config():
-    # longer than a file name may be; must not reach the OS as a path
-    observables = [{"type": "torus_char", "m": m} for m in range(1, 30)]
-    text = json.dumps(_base("equidist", observables=observables))
-    assert len(text) > 255
-    assert len(load_config(text).observables) == 29
-    with pytest.raises(ConfigInvalid):
-        load_config(json.dumps(_base("nonsense", observables=observables)))
-
-
 def test_malformed_json_config(tmp_path, capsys):
-    with pytest.raises(ConfigInvalid, match="not valid JSON"):
-        load_config('{"schema_version": 1, "kind": ')
-    with pytest.raises(ConfigInvalid, match="JSON object"):
-        load_config("[1, 2]")
+    # a config is a dict or the path of a JSON file holding an object
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1,,}')
     with pytest.raises(ConfigInvalid, match="not valid JSON"):
         load_config(bad)
-    assert main(["kloosterman", "--config", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigInvalid, match="JSON object"):
+        load_config(str(bad))
+    for source in ([1, 2], None, 5):
+        with pytest.raises(ConfigInvalid, match="JSON object"):
+            load_config(source)
+    # JSON text is not a path: it fails as a file that cannot be read
+    missing = tmp_path / "missing.json"
+    for source in (missing, '{"schema_version": 1, "kind": "kloosterman"}', "x\0y"):
+        with pytest.raises(ConfigInvalid, match="^cannot read config "):
+            load_config(source)
+    for path in (bad, missing):
+        assert main(["kloosterman", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_resource_exhausted_exits_2(tmp_path, capsys):
-    assert main(["generate", "--n", str(10 ** 9), "--out", str(tmp_path)]) == 2
+    big = _config_file(tmp_path, _base("generate", n_schedule=[10 ** 9]))
+    assert main(["generate", "--config", big, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("resource error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_generate_honours_format(tmp_path):
-    assert main(["generate", "--n", "7", "--variant", "triple", "--format", "json",
-                 "--out", str(tmp_path / "flags")]) == 0
-    assert (tmp_path / "flags" / "samples.json").exists()
-    assert not (tmp_path / "flags" / "samples.csv").exists()
-    payload = json.loads((tmp_path / "flags" / "samples.json").read_text())
+    cfg = _base("generate", n_schedule=[7], point_set={"variant": "triple"}, format="json")
+    assert main(["generate", "--config", _config_file(tmp_path, cfg),
+                 "--out", str(tmp_path / "json")]) == 0
+    assert (tmp_path / "json" / "samples.json").exists()
+    assert not (tmp_path / "json" / "samples.csv").exists()
+    payload = json.loads((tmp_path / "json" / "samples.json").read_text())
     assert payload["rows"][0][:6] == [1, 7, "1/2", 1, "1/7", "1/7"]
-
-    cfg_path = tmp_path / "gen.json"
-    cfg_path.write_text(json.dumps(_base("generate", n_schedule=[7])))
-    assert main(["generate", "--config", str(cfg_path), "--format", "json",
-                 "--out", str(tmp_path / "cfg")]) == 0
-    assert (tmp_path / "cfg" / "samples.json").exists()
+    # the manifest hashes the config as written in its file
+    manifest = json.loads((tmp_path / "json" / "manifest.json").read_text())
+    assert manifest["config_sha256"] == load_config(cfg).config_hash
 
 
 def test_generate_manifest_stage_clocks(tmp_path):
@@ -479,27 +551,6 @@ def test_generate_manifest_stage_clocks(tmp_path):
     # the writer pulls the blocks, but the four stages do not overlap
     stages = clocks["generate"] + clocks["reduce"] + clocks["format"] + clocks["write"]
     assert stages <= clocks["total"] + 3e-6
-
-
-def test_cli_format_flag_is_in_the_config_hash(tmp_path):
-    cfg = _base("kloosterman", m_range=0)
-    cfg_path = tmp_path / "k.json"
-    cfg_path.write_text(json.dumps(cfg))
-    hashes = {}
-    for fmt in ("csv", "json"):
-        assert main(["kloosterman", "--config", str(cfg_path), "--format", fmt,
-                     "--out", str(tmp_path / fmt)]) == 0
-        manifest = json.loads((tmp_path / fmt / "manifest.json").read_text())
-        assert manifest["outputs"] == [f"kloosterman.{fmt}"]
-        hashes[fmt] = manifest["config_sha256"]
-    assert hashes["csv"] != hashes["json"]
-    assert hashes["json"] == load_config({**cfg, "format": "json"}).config_hash
-    # no flag: the hash of the file as written
-    assert main(["kloosterman", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
-    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
-    assert manifest["config_sha256"] == load_config(cfg).config_hash
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        load_config(cfg).format = "json"
 
 
 def test_range_schedule_fails_closed():
@@ -516,19 +567,12 @@ def test_range_schedule_fails_closed():
     # the guard applies to the largest scheduled n, not to stop
     cfg = load_config(_base("generate", n_schedule={"stop": 10 ** 12, "step": 10 ** 12}))
     assert cfg.n_schedule == [1]
-    # the length is bounded before a range or a ramp is listed
+    # the length is bounded before a range is listed
     guard = harness._SCHEDULE_GUARD
     assert len(load_config(_base("generate", n_schedule={"stop": guard})).n_schedule) == guard
-    for too_long in ({"stop": guard + 1}, {"stop": 10 ** 8},
-                     {"start": 1, "factor": 1, "count": guard + 1},
-                     {"start": 1, "factor": 1, "count": 10 ** 12},
-                     list(range(1, guard + 2))):
+    for too_long in ({"stop": guard + 1}, {"stop": 10 ** 8}, list(range(1, guard + 2))):
         with pytest.raises(ResourceExhausted):
             load_config(_base("generate", n_schedule=too_long))
-    # a ramp stops at the first n beyond the 1e8 guard, before snapping it
-    with pytest.raises(ResourceExhausted):
-        load_config(_base("generate", n_schedule={
-            "start": 10, "factor": 10, "count": 400, "snap_to_prime": True}))
 
 
 def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
@@ -585,9 +629,9 @@ def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
 
 # each must fail at load time as ConfigInvalid, and on the CLI exit 2, not a traceback
 BAD_CONFIGS = {
-    "ramp_without_start": _base("generate", n_schedule={"factor": 10, "count": 3}),
-    "ramp_factor_not_a_number": _base("generate", n_schedule={
-        "start": 10, "factor": "x", "count": 3}),
+    # a schedule is a list or a range; the geometric ramp form is gone
+    "ramp_schedule": _base("generate", n_schedule={
+        "start": 1000, "factor": 10, "count": 4, "snap_to_prime": True}),
     "schedule_entry_not_an_integer": _base("generate", n_schedule=["x"]),
     "alpha_not_a_fraction": _base("generate", point_set={"alpha": "abc"}),
     "alpha_negative": _base("generate", point_set={"alpha": "-1"}),
@@ -636,8 +680,6 @@ BAD_CONFIGS = {
     # 3/(pi T) is the mass above T only for T >= 1: T = 0.5 wrote an expected
     # mass of 1.91 and, without rel_tol, passed
     "cusp_mass_threshold_below_one": _base("cusp_mass", thresholds=[0.5]),
-    "ramp_snap_to_prime_string": _base("generate", n_schedule={
-        "start": 10, "count": 3, "snap_to_prime": "false"}),
     # observable fields are not truncated or read from a boolean
     "torus_char_m_fractional": _base("equidist", observables=[
         {"type": "torus_char", "m": 1.5}]),
@@ -665,6 +707,8 @@ BAD_CONFIGS = {
     "full_with_degrees": _base("equidist", point_set={"variant": "full"}, d_values=[1, 2],
                                observables=[{"type": "height_band", "lower": 2.0}]),
     "monomial_with_surface_multiplier": _base("generate", point_set={"c": 3}),
+    # a misspelt field was dropped: this ran at alpha = 1/2 and passed
+    "point_set_unknown_field": _base("cusp_mass", point_set={"alpah": "5/4"}),
 }
 
 
@@ -697,12 +741,11 @@ def test_flags_and_observable_fields_load_from_json_types():
         {"type": "height_band", "lower": 2, "upper": None}]))
     assert cfg.params["require_decay"] is False
     assert cfg.observables == [TorusChar(2), HeightBand(2.0, math.inf)]
-    ramp = {"start": 10, "count": 2, "snap_to_prime": False}
-    assert load_config(_base("generate", n_schedule=ramp)).n_schedule == [10, 100]
 
 
 def test_primitive_accepts_only_true():
-    assert load_config(_base("generate", point_set={"primitive": True})).point_set["primitive"]
+    record, _ = load_config(_base("generate", point_set={"primitive": True})).params["point_set"]
+    assert record["primitive"]
     for value in (False, 1, "true", None):
         with pytest.raises(ConfigInvalid, match='variant "full"'):
             load_config(_base("generate", point_set={"primitive": value}))
@@ -787,8 +830,9 @@ def test_variants_declare_what_they_read_and_carry(tmp_path):
     # every field a variant reads changes its payload, and only the triple
     # set carries the second torus; the CLI refuses a field its variant ignores
     assert set(VARIANTS) == {"full", "monomial", "triple"}
-    assert main(["generate", "--n", "7", "--variant", "full", "--d", "2",
-                 "--out", str(tmp_path / "bad")]) == 2
+    bad = _config_file(tmp_path, _base("generate", n_schedule=[7],
+                                       point_set={"variant": "full", "d": 2}))
+    assert main(["generate", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
     assert not (tmp_path / "bad").exists()
     for variant, (reads, carries) in VARIANTS.items():
         base = run(_base("generate", point_set={"variant": variant}), out_dir=tmp_path / variant)
