@@ -31,6 +31,7 @@ __all__ = [
     "primes_coprime",
     "powmod",
     "roots_of_unity",
+    "power_mask",
     "Modulus",
     "residue_count_formula",
     "kloosterman_sum",
@@ -46,10 +47,11 @@ class NotCoprime(ValueError):
 _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
-# blocks (the residue sets and inverses here, and PointSet.blocks, which
-# PointSet.reduced_xy, stats.empirical_average and the sample dump walk;
-# the harness writers write harness._ROWS_PER_WRITE rows at a time): 16384
-# float64 temporaries stay in cache; 4096 and 65536 were both slower on large_n
+# blocks (the residue sets, power masks and inverses here, PointSet.blocks,
+# which PointSet.reduced_xy and the sample dump walk, and the leaves of the
+# summation tree that the averages of stats walk; the harness writers write
+# harness._ROWS_PER_WRITE rows at a time): 16384 float64 temporaries stay in
+# cache; 4096 and 65536 were both slower on large_n
 BLOCK = 16384
 
 
@@ -198,6 +200,17 @@ def roots_of_unity(phases: np.ndarray, n: int) -> np.ndarray:
     return np.exp((2j * np.pi / n) * phases)
 
 
+def power_mask(keys: np.ndarray, e: int, n: int) -> np.ndarray:
+    """The bool mask over [0, n) (n bytes) that marks k^e mod n for each of
+    the int64 keys, raised one block of BLOCK keys at a time by
+    :func:`powmod`.  Over the units and e = d it marks the degree-d residue
+    set; over the keys of the degree-g set and e = d / g, the same one."""
+    seen = np.zeros(n, dtype=bool)
+    for lo in range(0, len(keys), BLOCK):
+        seen[powmod(keys[lo:lo + BLOCK], e, n)] = True
+    return seen
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays, shared by every later reader: the tables of a Modulus
     # and the reduced coordinates of a PointSet
@@ -253,12 +266,10 @@ class Modulus:
     def residues(self, d: int) -> np.ndarray:
         """Sorted unique int64 array of k^d mod n over the units k.
 
-        The d = 1 set is the units array itself.  Otherwise the powers come
-        from :func:`powmod`, one block of BLOCK units at a time; they are
-        deduplicated and sorted by marking each value in a boolean "seen"
-        mask over [0, n) (n bytes) and reading the marks back in ascending
-        order, which is linear in n where a sort-based unique is
-        O(phi(n) log phi(n)).
+        The d = 1 set is the units array itself.  Otherwise the powers are
+        marked in the :func:`power_mask` of the units (n bytes) and read back
+        in ascending order, which deduplicates and sorts them in time linear
+        in n where a sort-based unique is O(phi(n) log phi(n)).
         """
         if d < 1:
             raise ValueError("need d >= 1")
@@ -266,11 +277,8 @@ class Modulus:
             return self.units
         res = self._residues.get(d)
         if res is None:
-            seen = np.zeros(self.n, dtype=bool)
-            for lo in range(0, len(self.units), BLOCK):
-                seen[powmod(self.units[lo:lo + BLOCK], d, self.n)] = True
-            res = self._residues[d] = _read_only(
-                np.flatnonzero(seen).astype(np.int64, copy=False))
+            res = self._residues[d] = _read_only(np.flatnonzero(
+                power_mask(self.units, d, self.n)).astype(np.int64, copy=False))
         return res
 
 

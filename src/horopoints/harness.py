@@ -27,6 +27,7 @@ from .arith import (
     Modulus,
     is_prime,
     kloosterman_sum,
+    power_mask,
     primes_coprime,
     residue_count_formula,
     weil_bound,
@@ -54,8 +55,8 @@ from .stats import (
     NotExpanding,
     cusp_mass,
     discrepancy_l2,
-    empirical_average,
     rate_fit,
+    subset_averages,
     toral_correlation,
     weyl_sums_all_residues,
 )
@@ -157,8 +158,9 @@ def _parse_fraction(x) -> Fraction:
 @dataclass(frozen=True)
 class Param:
     """A config key of a kind.  parse reads one value (many: each entry of a
-    non-empty list), test must hold for it (need says what it asks), and an
-    absent or null key takes the default, unless it is required."""
+    non-empty list, with no entry repeated where distinct), test must hold
+    for it (need says what it asks), and an absent or null key takes the
+    default, unless it is required."""
 
     key: str
     parse: Callable
@@ -167,6 +169,7 @@ class Param:
     test: Callable | None = None
     need: str = ""
     required: bool = False
+    distinct: bool = False
 
     def read(self, raw: dict):
         value = raw.get(self.key)
@@ -179,7 +182,10 @@ class Param:
                 return self._one(value)
             if not isinstance(value, list) or not value:
                 raise ValueError(f"expected a non-empty list, got {value!r}")
-            return [self._one(v) for v in value]
+            parsed = [self._one(v) for v in value]
+            if self.distinct and len(set(parsed)) < len(parsed):
+                raise ValueError(f"{value!r} repeats an entry")
+            return parsed
 
     def _one(self, value):
         parsed = self.parse(value)
@@ -617,13 +623,12 @@ class Kind:
     admit: Callable | None = None
 
 
-def _staged_point_set(cfg: ExperimentConfig, clocks: dict, reduce=True, **at):
-    """The point set of the config's spec at n (and d), generated and, if
-    asked, reduced; timed into clocks."""
+def _staged_point_set(cfg: ExperimentConfig, clocks: dict, n: int, reduce=True):
+    """The point set of the config's spec at n, generated and, if asked,
+    reduced; timed into clocks."""
     record, spec = cfg.params["point_set"]
-    spec = replace(spec, **at)
     with _stage(clocks, "generate"):
-        ps = gen_point_set(spec, record["variant"])
+        ps = gen_point_set(replace(spec, n=n), record["variant"])
     if reduce:
         with _stage(clocks, "reduce"):
             ps.reduced_xy()
@@ -639,7 +644,7 @@ def _run_tables(cfg: ExperimentConfig, out: Path):
     # rebinding item drops the previous point set or table before the next
     for item in items:
         if "point_set" in cfg.params:
-            item = _staged_point_set(cfg, clocks, n=item)
+            item = _staged_point_set(cfg, clocks, item)
         elif kind.on_modulus is not None and kind.on_modulus(cfg):
             with _stage(clocks, "table"):
                 item = Modulus(item)
@@ -672,7 +677,7 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
     """
     fmt = cfg.format
     cell, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
-    ps = _staged_point_set(cfg, clocks, reduce=False, n=n)
+    ps = _staged_point_set(cfg, clocks, n, reduce=False)
     n_cell, alpha_cell, d_cell = cell(n), cell(ps.spec.alpha), cell(ps.spec.d)
     im_z_cell, no_torus2 = cell(float(ps.scale_height)), cell("")
     for block in ps.blocks():
@@ -713,10 +718,17 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
 
 
 def _run_equidist(cfg: ExperimentConfig, out: Path):
-    """Generates the set of one (d, n) at a time and averages every observable
-    over it; the set dies when averages returns, before the next is generated."""
+    """Walks one point set per n, that of d = g, the gcd of d_values: the
+    set of each d is the subset of its keys that are (d/g)-th powers, marked
+    in one n-byte mask per d other than g, and a point's coordinates depend
+    on its key alone, not on d.  subset_averages averages every observable
+    over every d-subset in that one walk, evaluating each distinct factor
+    once per leaf, with the bits of an average over the set of each d
+    generated on its own.  The set and its masks die when averages
+    returns, before the next set is generated."""
     record, spec = cfg.params["point_set"]
     d_values = cfg.params["d_values"] or [spec.d]
+    g = math.gcd(*d_values)
     # the surface points are reduced up front only if an observable reads them
     on_surface = any("x" in obs._slots() for obs in cfg.observables)
     targets = [obs.haar() for obs in cfg.observables]
@@ -724,17 +736,26 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     outputs = []
     obs_payload = []
     clocks: dict = {}
-    for d in d_values:
-        def averages(n):
-            ps = _staged_point_set(cfg, clocks, on_surface, n=n, d=d)
-            values = []
-            for obs in cfg.observables:
-                with _stage(clocks, "evaluate", f"evaluate:{obs.describe()}"):
-                    values.append(empirical_average(ps, obs))
-            return values
 
-        per_n = [averages(n) for n in n_values]
-        for i, (obs, target, empirical) in enumerate(zip(cfg.observables, targets, zip(*per_n))):
+    def evaluate(factor, view):
+        with _stage(clocks, f"evaluate:{factor.describe()}"):
+            return factor.eval_many(view)
+
+    def averages(n):
+        with _stage(clocks, "generate"):
+            ps = gen_point_set(replace(spec, n=n, d=g), record["variant"])
+            masks = [None if d == g else power_mask(ps.residues, d // g, n)
+                     for d in d_values]
+        if on_surface:
+            with _stage(clocks, "reduce"):
+                ps.reduced_xy()
+        with _stage(clocks, "evaluate"):
+            return subset_averages(ps, cfg.observables, masks, evaluate)
+
+    per_n = [averages(n) for n in n_values]
+    for k, d in enumerate(d_values):
+        for i, (obs, target) in enumerate(zip(cfg.observables, targets)):
+            empirical = [avgs[k][i] for avgs in per_n]
             haar = target.value
             errors = [abs(z - haar) for z in empirical]
             # errors at or below 10 eps |haar| (and rate_fit's floor) are exact
@@ -805,10 +826,12 @@ def _kloosterman_rows(cfg: ExperimentConfig, item):
     m_range, tol = cfg.params["m_range"], 1e-9
     mod = item
     n, phi = mod.n, mod.phi
-    ps = gen_triple(PointSetSpec(n=n), mod)
+    freqs = list(product(range(-m_range, m_range + 1), repeat=2))
+    # every character of the grid averaged in one walk of the set
+    averages = subset_averages(gen_triple(PointSetSpec(n=n), mod),
+                               [TwoTorusChar(m1, m2) for m1, m2 in freqs])[0]
     rows = []
-    for m1, m2 in product(range(-m_range, m_range + 1), repeat=2):
-        avg = empirical_average(ps, TwoTorusChar(m1, m2))
+    for (m1, m2), avg in zip(freqs, averages):
         good = abs(avg - kloosterman_sum(m1, m2, mod) / phi) <= tol
         if (m1, m2) != (0, 0):
             good &= abs(avg) <= weil_bound(m1, m2, mod) / phi + tol
@@ -938,7 +961,9 @@ def _always(cfg: ExperimentConfig) -> bool:
 
 
 def _d_values(default) -> Param:
-    return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1")
+    # a repeated d would write its rows, or equidist its table, twice
+    return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1",
+                 distinct=True)
 
 
 # in the order of the CLI subcommands; the kinds that build point sets

@@ -419,9 +419,14 @@ class Product:
         return out
 
     def eval_many(self, ps: PointSet) -> np.ndarray:
+        return self.combine(f.eval_many(ps) for f in self.factors)
+
+    @staticmethod
+    def combine(values) -> np.ndarray:
+        """The values of a product from its factors' value arrays, given in
+        factor order: the first array itself, times each next one in turn."""
         out = None
-        for f in self.factors:
-            vals = f.eval_many(ps)
+        for vals in values:
             out = vals if out is None else out * vals
         return out
 

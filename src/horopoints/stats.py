@@ -6,13 +6,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import arith
 from .arith import primes_coprime
-from .observables import Observable
+from .observables import Observable, Product
 from .points import PointSet
 
 __all__ = [
@@ -21,7 +21,9 @@ __all__ = [
     "NoPrimesAvailable",
     "NotExpanding",
     "DiscrepancyResult",
+    "PairwiseMean",
     "empirical_average",
+    "subset_averages",
     "weyl_sums_all_residues",
     "toral_correlation",
     "discrepancy_l2",
@@ -53,42 +55,138 @@ class NotExpanding(ValueError):
 
 def empirical_average(ps: PointSet, obs: Observable) -> complex:
     """Arithmetic mean of the observable over the point set, bit for bit the
-    mean() of one complex array of all its values, without that array.
+    mean() of one complex array of all its values, without that array: the
+    one-set, one-observable case of :func:`subset_averages`.  Permuting the
+    points moves the value by at most O(len * eps)."""
+    return subset_averages(ps, [obs])[0][0]
 
-    numpy sums a contiguous complex array pairwise: a node of m > 64 values
-    splits after its first (m - m % 8) // 2 values (half its 2m doubles,
-    rounded down to a multiple of 8), so the tree is fixed by the length
-    alone.  The same tree is walked over the points in key order, and each
-    node of at most arith.BLOCK points is a leaf: the observable is
-    evaluated on that view of the set and summed by np.add.reduce, which
-    builds the leaf's subtree itself (from a +0.0 start, as mean() does at
-    the root, so at most the sign of a zero partial sum differs, and the
-    total's does not).  The child sums are added in tree order, and the
-    total is divided by the length as ndarray.mean divides.
 
-    Every value is computed on its own point, whatever slice it is
-    evaluated in, so the bits are those of the whole array, while only one
-    leaf of values (16 bytes per point) is alive.  Adding the leaves' sums
-    left to right instead would change the tree, and with it the last bits.
-    Permuting the points moves the value by at most O(len * eps).  An
+def subset_averages(ps: PointSet, observables, masks=(None,),
+                    evaluate: Callable | None = None) -> list[list[complex]]:
+    """The average of each observable over each subset of the point set, in
+    one walk of the set: entry [s][j] is, bit for bit, empirical_average of
+    observable j over subset s, taken as a set of its own.
+
+    A mask is None for the whole set, else a bool mask over [0, n) that
+    marks the keys of a subset of the set (marking a key the set lacks
+    raises ValueError).  The set is walked in the views that are the leaves
+    of its own summation tree (see :class:`PairwiseMean`); on each, every
+    distinct factor of the observables (the factors of a Product, or the
+    observable itself) is evaluated once, by evaluate(factor, view), by
+    default factor.eval_many(view), and each observable's values are formed
+    from them as Product.eval_many forms them.  The values of each subset's
+    points, picked out by its mask in key order, feed its own accumulator.
+    Every value is computed on its own point, whatever view it is evaluated
+    in, so each subset's average has the bits of its own set's.  An
     observable of the surface reduces the set first, for its views to share.
     """
     if len(ps) == 0:
         raise EmptySet("point set is empty")
-    if "x" in obs._slots():
+    if any("x" in obs._slots() for obs in observables):
         ps.reduced_xy()
-    total = _node_sum(ps, obs, 0, len(ps))
-    return complex(total.dtype.type(total / len(ps)))
+    if evaluate is None:
+        evaluate = _eval_many
+    # the distinct factors, numbered, and each observable as its factors' numbers
+    number: dict = {}
+    terms = [[number.setdefault(f, len(number)) for f in _factors_of(obs)]
+             for obs in observables]
+    factors = list(number)
+    sums = [[PairwiseMean(len(ps) if mask is None else int(np.count_nonzero(mask)))
+             for _ in observables] for mask in masks]
+    lo = 0
+    for size, _ in _leaf_plan(len(ps)):
+        _feed_leaf(ps.view(lo, lo + size), factors, terms, masks, sums, evaluate)
+        lo += size
+    return [[acc.mean() for acc in per_obs] for per_obs in sums]
 
 
-def _node_sum(ps: PointSet, obs: Observable, lo: int, hi: int) -> np.complex128:
-    """The sum of the observable over the points lo..hi-1 of the set, added
-    as numpy's pairwise sum adds a node of that many values."""
-    size = hi - lo
-    if size <= max(arith.BLOCK, _PAIRWISE_LEAF):
-        return np.add.reduce(np.asarray(obs.eval_many(ps.view(lo, hi)), dtype=complex))
-    mid = lo + (size - size % 8) // 2
-    return _node_sum(ps, obs, lo, mid) + _node_sum(ps, obs, mid, hi)
+def _factors_of(obs: Observable) -> tuple:
+    return obs.factors if isinstance(obs, Product) else (obs,)
+
+
+def _eval_many(obs: Observable, ps: PointSet) -> np.ndarray:
+    return obs.eval_many(ps)
+
+
+def _feed_leaf(view: PointSet, factors, terms, masks, sums, evaluate: Callable) -> None:
+    """Evaluate each factor on the view once, and feed each observable's
+    values on it to the accumulators of every subset; the view's values die
+    on return, before the next leaf is evaluated."""
+    values = [evaluate(f, view) for f in factors]
+    members = [None if mask is None else mask[view.residues] for mask in masks]
+    for j, term in enumerate(terms):
+        obs_values = Product.combine(values[i] for i in term)
+        for per_obs, member in zip(sums, members):
+            per_obs[j].add(obs_values if member is None else obs_values[member])
+
+
+def _leaf_plan(length: int) -> list[list[int]]:
+    """The leaves of numpy's pairwise-summation tree over length values, in
+    order, as [size, merges]: a node of at most max(arith.BLOCK, 64) values
+    is a leaf, any other splits after its first (m - m % 8) // 2, and after a
+    leaf is summed, merges pending pairs of sibling sums are added."""
+    if length <= max(arith.BLOCK, _PAIRWISE_LEAF):
+        return [[length, 0]]
+    half = (length - length % 8) // 2
+    left, right = _leaf_plan(half), _leaf_plan(length - half)
+    right[-1][1] += 1
+    return left + right
+
+
+class PairwiseMean:
+    """The mean of length values fed in order, in chunks of any sizes, bit
+    for bit the mean() of one contiguous complex array of them.
+
+    numpy sums a contiguous complex array pairwise: a node of m > 64 values
+    splits after its first (m - m % 8) // 2 values (half its 2m doubles,
+    rounded down to a multiple of 8), so the tree is fixed by the length
+    alone.  Each node of at most arith.BLOCK values is a leaf here: the
+    values fed are held as they come until a leaf is whole, then the leaf is
+    converted to complex and summed by np.add.reduce, which builds its
+    subtree itself (from a +0.0 start, as mean() does at the root, so at
+    most the sign of a zero partial sum differs, and the total's does not).
+    Sibling sums are added in tree order, and the total is divided by the
+    length as ndarray.mean divides.  At most a leaf of values, and the
+    chunk that completes it, is held at a time.  Adding the leaves' sums
+    left to right instead would change the tree, and with it the last bits.
+    """
+
+    def __init__(self, length: int):
+        if length < 1:
+            raise EmptySet("point set is empty")
+        self.length = length
+        self._plan = _leaf_plan(length)
+        self._leaf = 0
+        self._held: list[np.ndarray] = []
+        self._count = 0
+        self._sums: list[np.complex128] = []
+
+    def add(self, values: np.ndarray) -> None:
+        """Feed the next values, a 1-D array of any length and numeric dtype."""
+        while len(values):
+            if self._leaf == len(self._plan):
+                raise ValueError(f"more than {self.length} values fed")
+            size, merges = self._plan[self._leaf]
+            take = size - self._count
+            if len(values) < take:
+                self._held.append(values)
+                self._count += len(values)
+                return
+            leaf, values = values[:take], values[take:]
+            if self._held:
+                leaf = np.concatenate([*self._held, leaf], dtype=complex)
+                self._held, self._count = [], 0
+            self._sums.append(np.add.reduce(np.asarray(leaf, dtype=complex)))
+            for _ in range(merges):
+                right = self._sums.pop()
+                self._sums[-1] = self._sums[-1] + right
+            self._leaf += 1
+
+    def mean(self) -> complex:
+        if self._leaf < len(self._plan):
+            raise ValueError(f"fewer than {self.length} values fed")
+        total = self._sums[0]
+        return complex(total.dtype.type(total / self.length))
 
 
 def weyl_sums_all_residues(n: int) -> np.ndarray:

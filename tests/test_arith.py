@@ -214,6 +214,18 @@ def test_residue_sets_of_several_blocks_match_unique_oracle(n):
         _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
 
 
+@pytest.mark.parametrize("n", [1729, 2017, 255255])
+def test_power_mask_marks_the_residue_sets(n):
+    # the d-th powers are the (d/g)-th powers of the degree-g set, so the mask
+    # of the degree-g keys marks the degree-d set, a subset of them
+    mod = Modulus(n)
+    for g, d in ((1, 2), (1, 6), (2, 4), (2, 6), (3, 6)):
+        mask = arith.power_mask(mod.residues(g), d // g, n)
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert np.array_equal(np.flatnonzero(mask), mod.residues(d)), (g, d)
+        assert mask[mod.residues(g)].sum() == len(mod.residues(d))
+
+
 def test_primes_and_factors_near_one_million_match_brute_force():
     primes = arith.primes_upto(1_000_000)
     assert primes.dtype == np.int64 and len(primes) == 78498 and primes[-1] == 999983

@@ -155,13 +155,41 @@ def _spy_on_point_sets(monkeypatch) -> list:
 
 
 def test_equidist_holds_one_point_set_at_a_time(tmp_path, monkeypatch):
-    # each set must be dead by the time the next one is generated
+    # each set must be dead by the time the next one is generated; the d = 2
+    # points are a subset of the d = 1 set, so one set per n is generated
     alive = _spy_on_point_sets(monkeypatch)
     man = run(_base("equidist", n_schedule=[53, 101, 199, 401], d_values=[1, 2],
                     observables=[{"type": "kernel", "radius": 1.0},
                                  {"type": "torus_char", "m": 1}]),
               out_dir=tmp_path)
-    assert man.all_passed and len(alive) == 8
+    assert man.all_passed and len(alive) == 4
+
+
+@pytest.mark.parametrize("variant, d_values", [("monomial", [3, 1, 2]), ("monomial", [2, 4]),
+                                               ("triple", [2, 3]), ("triple", [6, 2])])
+def test_equidist_over_several_d_writes_each_d_as_alone(tmp_path, monkeypatch, variant,
+                                                        d_values):
+    # the sets of several d, averaged in one walk of the set of their gcd,
+    # write the rows and records that a run of each d alone writes
+    monkeypatch.setattr(arith, "BLOCK", 64)
+    point_set = {"variant": variant, "b": 3} if variant == "monomial" else \
+        {"variant": variant, "c": 2}
+    observables = [{"type": "kernel", "radius": 1.0},
+                   {"type": "product", "factors": [{"type": "torus_char", "m": 1},
+                                                   {"type": "kernel", "radius": 1.0}]},
+                   {"type": "height_band", "lower": 1.5}]
+    cfg = _base("equidist", n_schedule=[1009, 1729, 2017], point_set=point_set,
+                observables=observables, d_values=d_values)
+    run(cfg, out_dir=tmp_path / "all")
+    records = json.loads((tmp_path / "all" / "equidist.json").read_text())["observables"]
+    assert [rec["d"] for rec in records] == [d for d in d_values for _ in observables]
+    for d in d_values:
+        run({**cfg, "d_values": [d]}, out_dir=tmp_path / f"d{d}")
+        alone = json.loads((tmp_path / f"d{d}" / "equidist.json").read_text())["observables"]
+        assert [rec for rec in records if rec["d"] == d] == alone
+        for i in range(len(observables)):
+            assert (tmp_path / "all" / f"equidist_d{d}_{i}.csv").read_bytes() == \
+                (tmp_path / f"d{d}" / f"equidist_{i}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("variant", ["full", "monomial", "triple"])
@@ -577,6 +605,7 @@ def test_range_schedule_fails_closed():
 
 def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
     kernel = {"type": "kernel", "radius": 1.0}
+    product = {"type": "product", "factors": [{"type": "torus_char", "m": 1}, kernel]}
     cases = {
         "cusp": (_base("cusp_mass", n_schedule=[101, 103]),
                  {"generate", "reduce", "evaluate", "write", "total"}),
@@ -586,8 +615,9 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
         "torus": (_base("equidist", n_schedule=[101, 103],
                         observables=[{"type": "torus_char", "m": 1}]),
                   {"generate", "evaluate", "evaluate:torus_char(m=1)", "write", "total"}),
-        "both": (_base("equidist", n_schedule=[101, 103],
-                       observables=[kernel, {"type": "torus_char", "m": 1}]),
+        # one clock per distinct factor: the product's kernel is the bare one
+        "both": (_base("equidist", n_schedule=[101, 103], d_values=[1, 2],
+                       observables=[kernel, product]),
                  {"generate", "reduce", "evaluate", "evaluate:kernel(R=1.0,smooth)",
                   "evaluate:torus_char(m=1)", "write", "total"}),
         # the arithmetic kinds build one table per n; the FFT check reads none
@@ -603,10 +633,10 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
         clocks = json.loads((tmp_path / name / "manifest.json").read_text())["wall_clock_s"]
         assert set(clocks) == stages, name
         assert all(v >= 0 for v in clocks.values())
-        # equidist's per-observable clocks split its evaluate stage
-        per_obs = [v for k, v in clocks.items() if k.startswith("evaluate:")]
-        if per_obs:
-            assert abs(sum(per_obs) - clocks["evaluate"]) <= 2e-6, name
+        # equidist's per-factor clocks are parts of its evaluate stage
+        per_factor = [v for k, v in clocks.items() if k.startswith("evaluate:")]
+        if per_factor:
+            assert sum(per_factor) <= clocks["evaluate"] + 2e-6, name
 
 
 def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
@@ -621,10 +651,11 @@ def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
              out_dir=tmp_path / "eq").wall_clock_s
     m = len(schedule)
     assert [cusp[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, m, 1]
-    # one evaluate span per (d, n), as for cusp_mass
-    assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == \
-        [2 * m, 2 * m, 2 * m, 3]
-    assert eq["evaluate:height_band(2.0,inf)"] == 2 * m
+    # one generate, reduce and evaluate span per n for both d, as for
+    # cusp_mass; each set is one leaf, whose one factor span and its two
+    # readings fall inside the evaluate span of its n
+    assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, 3 * m, 3]
+    assert eq["evaluate:height_band(2.0,inf)"] == m
 
 
 # each must fail at load time as ConfigInvalid, and on the CLI exit 2, not a traceback
@@ -707,6 +738,10 @@ BAD_CONFIGS = {
     "full_with_degrees": _base("equidist", point_set={"variant": "full"}, d_values=[1, 2],
                                observables=[{"type": "height_band", "lower": 2.0}]),
     "monomial_with_surface_multiplier": _base("generate", point_set={"c": 3}),
+    # a repeated d wrote its table twice, or its rows twice
+    "equidist_d_values_repeated": _base("equidist", d_values=[2, 1, 2], observables=[
+        {"type": "height_band", "lower": 2.0}]),
+    "cardinality_d_values_repeated": _base("cardinality", d_values=[2, 2]),
     # a misspelt field was dropped: this ran at alpha = 1/2 and passed
     "point_set_unknown_field": _base("cusp_mass", point_set={"alpah": "5/4"}),
 }

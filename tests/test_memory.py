@@ -76,7 +76,8 @@ def test_empirical_average_peak(mod):
 
 def test_equidist_run_peak(tmp_path, mod):
     # c08 at n = 1000003 holds the d = 1 set's units and its reduced x and y,
-    # and a few MiB beside them; a full-length array of values breaks it
+    # and a few MiB beside them, among them the n-byte mask of its d = 2
+    # subset; a full-length array of values breaks it
     cfg = json.loads((CONFIG_DIR / "c08_equidist_trend.json").read_text())
     assert max(cfg["n_schedule"]) == N
     man, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))

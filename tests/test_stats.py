@@ -17,16 +17,25 @@ from oracles import weyl_sum_full
 from horopoints import arith
 from horopoints.arith import Modulus, kloosterman_sum, weil_bound
 from horopoints.observables import AutomorphicKernel, HeightBand, Product, TorusChar, TwoTorusChar
-from horopoints.points import PointSet, PointSetSpec, gen_full, gen_monomial, gen_triple
+from horopoints.points import (
+    PointSet,
+    PointSetSpec,
+    gen_full,
+    gen_monomial,
+    gen_point_set,
+    gen_triple,
+)
 from horopoints.stats import (
     EmptySet,
     InsufficientData,
     NoPrimesAvailable,
     NotExpanding,
+    PairwiseMean,
     cusp_mass,
     discrepancy_l2,
     empirical_average,
     rate_fit,
+    subset_averages,
     toral_correlation,
     weyl_sums_all_residues,
 )
@@ -141,6 +150,129 @@ def test_tree_walk_with_blocks_below_numpys_unsplit_node(monkeypatch):
     values = _wide_values(1003)
     ps = PointSet(PointSetSpec(n=1009), np.arange(len(values), dtype=np.int64), x_mult=1)
     assert repr(empirical_average(ps, _Lookup(values))) == repr(complex(values.mean()))
+
+
+_ACCUMULATOR_LENGTHS = [1, 7, 8, 63, 64, 65, 127, 128, 129, arith.BLOCK - 1, arith.BLOCK,
+                        arith.BLOCK + 1, 3 * arith.BLOCK + 5]
+
+
+def _chunked_means(values: np.ndarray, seed: int):
+    """The accumulator's mean of values fed in chunks of random sizes, from
+    empty to past a leaf, for three bounds on the chunk size."""
+    rng = np.random.default_rng(seed)
+    for top in (3, 70, 2 * arith.BLOCK):
+        acc, lo = PairwiseMean(len(values)), 0
+        while lo < len(values):
+            hi = lo + int(rng.integers(0, top + 1))
+            acc.add(values[lo:hi])
+            lo = hi
+        yield top, acc.mean()
+
+
+@pytest.mark.parametrize("length", _ACCUMULATOR_LENGTHS)
+def test_accumulator_in_any_chunks_is_bit_identical_to_mean(length):
+    # the chunks straddle the leaves
+    values = _wide_values(length)
+    want = repr(complex(values.mean()))
+    for top, mean in _chunked_means(values, length + 1):
+        assert repr(mean) == want, top
+    # real values are held as they come and made complex one leaf at a time
+    acc = PairwiseMean(length)
+    for lo in range(0, length, 100):
+        acc.add(values.real[lo:lo + 100].copy())
+    assert repr(acc.mean()) == repr(complex(values.real.astype(complex).mean()))
+
+
+@pytest.mark.parametrize("length", [1003, 4099])
+def test_accumulator_with_leaves_below_numpys_unsplit_node(monkeypatch, length):
+    # blocks of 8 make leaves of numpy's unsplit 64, so the tree above them
+    # is many levels deep and its order of additions shows in the last bits
+    monkeypatch.setattr(arith, "BLOCK", 8)
+    values = _wide_values(length)
+    for top, mean in _chunked_means(values, length):
+        assert repr(mean) == repr(complex(values.mean())), top
+
+
+def test_accumulator_takes_exactly_its_length():
+    acc = PairwiseMean(3)
+    acc.add(np.ones(2))
+    with pytest.raises(ValueError, match="fewer"):
+        acc.mean()
+    with pytest.raises(ValueError, match="more"):
+        acc.add(np.ones(2))
+    with pytest.raises(EmptySet):
+        PairwiseMean(0)
+
+
+def _walk_observables(variant):
+    kernel = AutomorphicKernel(1.0, "smooth")
+    # the product shares its kernel with the bare one
+    if variant == "triple":
+        return [TwoTorusChar(1, -1), kernel, Product((TwoTorusChar(2, 1), kernel)),
+                HeightBand(1.5)]
+    return [TorusChar(3), kernel, Product((TorusChar(1), kernel)), HeightBand(1.5)]
+
+
+_WALK_SPECS = {"full": PointSetSpec(n=1), "monomial": PointSetSpec(n=1, b=3),
+               "triple": PointSetSpec(n=1, a=2, c=3)}
+
+
+def _walk_cases():
+    for variant in ("monomial", "triple"):
+        for d_values in ([1, 2], [2, 3], [1, 2, 3, 4]):
+            yield variant, d_values
+    yield "full", [1]
+
+
+@pytest.mark.parametrize("block", [3, 64, 100])
+@pytest.mark.parametrize("variant, d_values", list(_walk_cases()))
+def test_subset_walk_is_bit_identical(monkeypatch, block, variant, d_values):
+    # each d-set is the subset of the set of the gcd g whose keys are
+    # (d/g)-th powers; its averages in the shared walk, whose subset leaves
+    # straddle the walked set's leaves, are those of the d-set alone
+    monkeypatch.setattr(arith, "BLOCK", block)
+    observables = _walk_observables(variant)
+    g = gcd(*d_values)
+    for n in (1729, 2017):
+        spec = replace(_WALK_SPECS[variant], n=n)
+        ps = gen_point_set(replace(spec, d=g), variant)
+        masks = [None if d == g else arith.power_mask(ps.residues, d // g, n)
+                 for d in d_values]
+        got = subset_averages(ps, observables, masks)
+        for d, per_obs in zip(d_values, got):
+            alone = gen_point_set(replace(spec, d=d), variant)
+            assert [repr(z) for z in per_obs] == \
+                [repr(empirical_average(alone, obs)) for obs in observables], (n, d)
+
+
+def test_subset_walk_evaluates_each_distinct_factor_once_per_leaf(monkeypatch):
+    monkeypatch.setattr(arith, "BLOCK", 100)
+    ps = gen_monomial(PointSetSpec(n=2017))
+    calls = []
+
+    def evaluate(factor, view):
+        calls.append((factor.describe(), len(view)))
+        return factor.eval_many(view)
+
+    mask = arith.power_mask(ps.residues, 2, ps.n)
+    subset_averages(ps, _walk_observables("monomial"), [None, mask], evaluate)
+    # torus_char(m=3), the kernel, torus_char(m=1) and the band, per leaf of
+    # at most 100 points; the product reads the bare kernel's values
+    factors = ["torus_char(m=3)", "kernel(R=1.0,smooth)", "torus_char(m=1)",
+               "height_band(1.5,inf)"]
+    leaves = [calls[i:i + 4] for i in range(0, len(calls), 4)]
+    assert all([name for name, _ in leaf] == factors for leaf in leaves)
+    assert all(len({size for _, size in leaf}) == 1 for leaf in leaves)
+    sizes = [leaf[0][1] for leaf in leaves]
+    assert sum(sizes) == len(ps) == 2016 and max(sizes) <= 100
+
+
+def test_subset_walk_refuses_a_mask_beyond_the_set():
+    ps = gen_monomial(PointSetSpec(n=2017, d=2))
+    beyond = np.zeros(ps.n, dtype=bool)
+    beyond[[1, 5]] = True  # 5 is not a square mod 2017
+    with pytest.raises(ValueError, match="fewer"):
+        subset_averages(ps, [TorusChar(1)], [beyond])
 
 
 def test_average_leaves_no_cycle_holding_the_set():
