@@ -28,7 +28,6 @@ from .arith import (
     is_prime,
     kloosterman_sum,
     power_mask,
-    primes_coprime,
     residue_count_formula,
     weil_bound,
 )
@@ -52,6 +51,7 @@ from .points import (
 from .sl2 import verify_intersection
 from .stats import (
     InsufficientData,
+    NoPrimesAvailable,
     NotExpanding,
     cusp_mass,
     discrepancy_l2,
@@ -79,10 +79,6 @@ _N_GUARD = 10 ** 8
 # bounds the entries of a schedule, of the m_range frequency grid and of the
 # toral instances; the largest shipped one (c05's schedule) has 5000
 _SCHEDULE_GUARD = 10 ** 5
-# bounds bits(m) + 2d * bits(p) at the largest prime p of a discrepancy
-# window, which is at least the bit length of the exact frequencies
-# m * p^(2d) that discrepancy_l2 counts; c10's stay under 40 bits
-_FREQUENCY_BITS = 4096
 
 
 class ConfigInvalid(ValueError):
@@ -158,9 +154,9 @@ def _parse_fraction(x) -> Fraction:
 @dataclass(frozen=True)
 class Param:
     """A config key of a kind.  parse reads one value (many: each entry of a
-    non-empty list, with no entry repeated where distinct), test must hold
-    for it (need says what it asks), and an absent or null key takes the
-    default, unless it is required."""
+    non-empty list, with no entry repeated, which would write its rows or
+    table twice), test must hold for it (need says what it asks), and an
+    absent or null key takes the default, unless it is required."""
 
     key: str
     parse: Callable
@@ -169,7 +165,6 @@ class Param:
     test: Callable | None = None
     need: str = ""
     required: bool = False
-    distinct: bool = False
 
     def read(self, raw: dict):
         value = raw.get(self.key)
@@ -183,7 +178,7 @@ class Param:
             if not isinstance(value, list) or not value:
                 raise ValueError(f"expected a non-empty list, got {value!r}")
             parsed = [self._one(v) for v in value]
-            if self.distinct and len(set(parsed)) < len(parsed):
+            if len(set(parsed)) < len(parsed):
                 raise ValueError(f"{value!r} repeats an entry")
             return parsed
 
@@ -229,6 +224,9 @@ def _toral(value) -> dict | None:
         return None
     if not isinstance(value, dict):
         raise ValueError(f"expected an object, got {value!r}")
+    unknown = sorted(set(value) - {"count", "max_entry"})
+    if unknown:
+        raise ValueError(f"has no field {', '.join(map(repr, unknown))}")
     count, max_entry = _int(value.get("count", 1000)), _int(value.get("max_entry", 10))
     if count < 0 or max_entry < 1:
         raise ValueError("needs count >= 0 and max_entry >= 1")
@@ -886,30 +884,24 @@ def _cardinality_rows(cfg: ExperimentConfig, mod: Modulus):
 
 
 def _discrepancy_rows(cfg: ExperimentConfig, n: int):
+    # d and m do not enter the value, so each window is found once, and the
+    # rows keep the order of product(betas, d_values, m_values)
     rows = []
-    for beta, d, m in product(cfg.params["betas"], cfg.params["d_values"],
-                              cfg.params["m_values"]):
-        res = discrepancy_l2(n, beta, d, m)
-        rows.append((n, beta, d, m, res.l2_value, res.closed_form, res.prime_count,
-                     abs(res.l2_value - res.closed_form) <= 1e-9))
+    for beta in cfg.params["betas"]:
+        res = discrepancy_l2(n, beta, 1, 1)
+        match = abs(res.l2_value - res.closed_form) <= 1e-9
+        rows += [(n, beta, d, m, res.l2_value, res.closed_form, res.prime_count, match)
+                 for d, m in product(cfg.params["d_values"], cfg.params["m_values"])]
     return (rows,)
 
 
 def _prime_windows(params: dict) -> None:
-    # the prime set that discrepancy_l2 averages over, by the same rule, and
-    # a bound on the bits of its largest frequency m * p^(2d)
-    m_bits = max(abs(m) for m in params["m_values"]).bit_length()
-    d = max(params["d_values"])
-    for n in params["n_schedule"]:
-        for beta in params["betas"]:
-            primes = primes_coprime(n, float(n) ** beta)
-            if not primes:
-                raise ConfigInvalid(f"the prime window P({n}, {n}^{beta}) is empty")
-            bits = m_bits + 2 * d * primes[-1].bit_length()
-            if bits > _FREQUENCY_BITS:
-                raise ResourceExhausted(
-                    f"the frequencies m * p^(2d) of P({n}, {n}^{beta}) at d = {d} reach "
-                    f"{bits} bits, above the {_FREQUENCY_BITS}-bit guard")
+    # every prime window that discrepancy_l2 averages over holds a prime
+    for n, beta in product(params["n_schedule"], params["betas"]):
+        try:
+            discrepancy_l2(n, beta, 1, 1)
+        except NoPrimesAvailable:
+            raise ConfigInvalid(f"the prime window P({n}, {n}^{beta}) is empty") from None
 
 
 def _discrepancy_falls(cfg: ExperimentConfig, tables) -> bool:
@@ -961,9 +953,7 @@ def _always(cfg: ExperimentConfig) -> bool:
 
 
 def _d_values(default) -> Param:
-    # a repeated d would write its rows, or equidist its table, twice
-    return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1",
-                 distinct=True)
+    return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1")
 
 
 # in the order of the CLI subcommands; the kinds that build point sets

@@ -3,9 +3,7 @@ the prime-averaged discrepancy operator, and decay-rate estimation."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,8 +237,9 @@ def discrepancy_l2(n: int, beta: float, d: int, m: int) -> DiscrepancyResult:
     P(n, n^beta) and subtracts the mean.  On the character e_m (m != 0) the
     average is (1/pi_n) * sum_p e_{m p^(2d)}, so by orthogonality the norm
     squared is sum multiplicity^2 / pi_n^2 over the integer frequencies
-    m * p^(2d) -- equal to 1/pi_n since distinct primes give distinct
-    frequencies.  Everything is exact frequency bookkeeping, no sampling.
+    m * p^(2d).  By unique factorisation distinct primes give distinct
+    frequencies, so every multiplicity is 1 and the norm squared is exactly
+    1/pi_n: d and m do not enter the value, only the prime count does.
     """
     if not 0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
@@ -248,15 +247,12 @@ def discrepancy_l2(n: int, beta: float, d: int, m: int) -> DiscrepancyResult:
         raise ValueError("m must be nonzero")
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    ps = primes_coprime(n, float(n) ** beta)
-    if len(ps) == 0:
+    count = len(primes_coprime(n, float(n) ** beta))
+    if count == 0:
         raise NoPrimesAvailable(f"P({n}, {n}^{beta}) is empty")
-    freqs = Counter(m * p ** (2 * d) for p in ps)
-    count = len(ps)
-    l2 = Fraction(sum(mult * mult for mult in freqs.values()), count * count)
     return DiscrepancyResult(
         n=n, beta=beta, d=d, m=m,
-        l2_value=float(l2),
+        l2_value=1.0 / count,
         closed_form=1.0 / count,
         prime_count=count,
     )
@@ -279,7 +275,7 @@ def rate_fit(n_values: Sequence[int], errors: Sequence[float]) -> tuple[float, f
 
 
 def cusp_mass(ps: PointSet, T: float) -> float:
-    """Fraction of the points whose invariant height exceeds T."""
+    """Share of the points whose invariant height exceeds T."""
     if len(ps) == 0:
         raise EmptySet("point set is empty")
     return float((ps.heights() > T).mean())

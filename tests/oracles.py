@@ -6,6 +6,7 @@ computes the same quantities through its bulk paths only.
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -58,6 +59,17 @@ def kloosterman_sum_reference(m1: int, m2: int, n: int) -> complex:
     if m2 % n:
         phase = (phase + (m2 % n) * powmod(u, totient(n) - 1, n)) % n
     return complex(np.exp((2j * np.pi / n) * phase).sum())
+
+
+def discrepancy_l2_reference(n: int, beta: float, d: int, m: int) -> float:
+    """sum multiplicity^2 / count^2 over the integer frequencies m * p^(2d),
+    p over the primes below n^beta that do not divide n (found by trial
+    division), counted in a multiset and divided exactly."""
+    cutoff = float(n) ** beta
+    primes = [p for p in range(2, math.ceil(cutoff))
+              if p < cutoff and n % p and all(p % q for q in range(2, math.isqrt(p) + 1))]
+    freqs = Counter(m * p ** (2 * d) for p in primes)
+    return float(Fraction(sum(k * k for k in freqs.values()), len(primes) ** 2))
 
 
 def invariant_by_sorting(residues: np.ndarray, factor: int, n: int) -> bool:

@@ -742,8 +742,13 @@ BAD_CONFIGS = {
     "equidist_d_values_repeated": _base("equidist", d_values=[2, 1, 2], observables=[
         {"type": "height_band", "lower": 2.0}]),
     "cardinality_d_values_repeated": _base("cardinality", d_values=[2, 2]),
+    # every list key refuses a repeat: these wrote each row twice
+    "cusp_mass_thresholds_repeated": _base("cusp_mass", thresholds=[2.0, 2.0]),
+    "invariance_primes_repeated": _base("invariance", primes=[2, 2]),
     # a misspelt field was dropped: this ran at alpha = 1/2 and passed
     "point_set_unknown_field": _base("cusp_mass", point_set={"alpah": "5/4"}),
+    # this loaded as count 2 with the default max_entry 10
+    "toral_unknown_field": _base("invariance", toral={"max_entyr": 3, "count": 2}),
 }
 
 
@@ -806,9 +811,6 @@ def test_degenerate_reduction_fails_closed(tmp_path, capsys):
 OVERSIZED_CONFIGS = {
     "m_range": _base("kloosterman", m_range=10 ** 4),
     "toral_count": _base("invariance", toral={"count": 10 ** 9}),
-    # m * p^(2d) would hold millions of bits; [10 ** 5] took 3.1 s to run
-    "discrepancy_degree": _base("discrepancy", n_schedule=[1000003], betas=[0.4],
-                                d_values=[10 ** 6]),
     # both projection paths hold up to n pairs: n = 300007 took 14 s and 277 MiB
     "projection_n": {"schema_version": 1, "kind": "projection",
                      "cases": [{"n": 10 ** 7 + 19, "places": [2], "l": [1], "m": [0]}]},
@@ -848,17 +850,17 @@ def test_work_guards_sit_at_the_schedule_guard():
                      "cases": [{**case, "n": 100003}]})
 
 
-def test_discrepancy_frequency_guard_sits_at_its_bound():
-    # P(101, 101^0.2) = {2}: m = 1 and p = 2 give 1 + 2d * 2 bits
-    bits = harness._FREQUENCY_BITS
-    cfg = _base("discrepancy", n_schedule=[101], betas=[0.2])
-    d = (bits - 1) // 4
-    assert load_config({**cfg, "d_values": [d]}).params["d_values"] == [d]
-    with pytest.raises(ResourceExhausted, match="bits"):
-        load_config({**cfg, "d_values": [d + 1]})
-    # c10 and the benchmark's discrepancy shape stay far below it
-    load_config(_base("discrepancy", n_schedule=[10 ** 6 + 3], betas=[0.2, 0.4],
-                      d_values=[1, 2], m_values=[1, 5]))
+def test_discrepancy_at_a_large_degree_writes_one_over_the_prime_count(tmp_path):
+    # d does not enter the value, so no frequency m * p^(2d) is built and a
+    # degree of a million loads and runs at once
+    n, beta = 1000003, 0.4
+    cfg = _base("discrepancy", n_schedule=[n], betas=[beta], d_values=[10 ** 6])
+    assert load_config(cfg).params["d_values"] == [10 ** 6]
+    man = run(cfg, out_dir=tmp_path)
+    assert man.all_passed
+    count = len(arith.primes_coprime(n, float(n) ** beta))
+    rows = (tmp_path / "discrepancy.csv").read_text().splitlines()
+    assert rows[1:] == [f"{n},{beta},{10 ** 6},1,{1 / count!r},{1 / count!r},{count},true"]
 
 
 def test_variants_declare_what_they_read_and_carry(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import weyl_sum_full
+from oracles import discrepancy_l2_reference, weyl_sum_full
 
 from horopoints import arith
 from horopoints.arith import Modulus, kloosterman_sum, weil_bound
@@ -441,6 +441,18 @@ def test_discrepancy_matches_closed_form_and_shrinks():
         assert abs(res.l2_value - 1.0 / res.prime_count) < 1e-15
         values.append(res.l2_value)
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("n", [101, 1003, 1009, 10007, 100003, 1000003])
+def test_discrepancy_equals_the_frequency_multiset(n):
+    # c10's four primes, a small prime and a composite: the multiset of the
+    # frequencies m * p^(2d) gives the same float, whatever d and m are
+    for beta in (0.2, 0.4):
+        for d in (1, 2, 7):
+            for m in (1, -1, 5):
+                res = discrepancy_l2(n, beta, d, m)
+                assert res.l2_value == discrepancy_l2_reference(n, beta, d, m), (beta, d, m)
+                assert res.closed_form == res.l2_value == 1.0 / res.prime_count
 
 
 def test_rate_fit():
