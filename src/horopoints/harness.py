@@ -317,8 +317,8 @@ _FORMAT = Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
 
 def _admit_point_set(params: dict) -> None:
     """Raise ConfigInvalid for the first scheduled n at which the spec fails,
-    for a point_set field or d_values that the variant does not read, and
-    for an observable of a coordinate its points lack."""
+    for a point_set field or d_values that the variant does not read or a d
+    beside d_values, and for an observable of a coordinate its points lack."""
     record, spec = params["point_set"]
     # the spec at each scheduled n checks its multipliers and its height
     with _invalid("point_set"):
@@ -331,6 +331,9 @@ def _admit_point_set(params: dict) -> None:
         unread.append("d_values")
     if unread:
         raise ConfigInvalid(f"variant {variant!r} reads no {', '.join(unread)}")
+    if params.get("d_values") is not None and spec.d != _POINT_SET_DEFAULTS["d"]:
+        raise ConfigInvalid(f"point_set d={spec.d} is not read beside d_values; "
+                            "list every degree in d_values")
     for obs in params.get("observables", []):
         lacking = obs._slots() - set(carries)
         if lacking:
@@ -600,7 +603,7 @@ class Kind:
     params are the config keys the kind declares; load_config reads these
     and no others.  The driver maps rows(cfg, item), one row list per table,
     over the items, the param named by items: with a declared point_set,
-    the point set of each n, generated and reduced, or, where on_modulus(cfg)
+    the unreduced point set of each n, or, where on_modulus(cfg)
     holds, the arithmetic table (arith.Modulus) of each n, dropped with its
     rows.  once(cfg) makes the last table's rows once per run; check(cfg,
     tables) is a whole-table check beside the verdict columns.  A hard kind
@@ -621,16 +624,12 @@ class Kind:
     admit: Callable | None = None
 
 
-def _staged_point_set(cfg: ExperimentConfig, clocks: dict, n: int, reduce=True):
-    """The point set of the config's spec at n, generated and, if asked,
-    reduced; timed into clocks."""
+def _staged_point_set(cfg: ExperimentConfig, clocks: dict, n: int):
+    """The point set of the config's spec at n, unreduced; its generation
+    timed into clocks."""
     record, spec = cfg.params["point_set"]
     with _stage(clocks, "generate"):
-        ps = gen_point_set(replace(spec, n=n), record["variant"])
-    if reduce:
-        with _stage(clocks, "reduce"):
-            ps.reduced_xy()
-    return ps
+        return gen_point_set(replace(spec, n=n), record["variant"])
 
 
 def _run_tables(cfg: ExperimentConfig, out: Path):
@@ -675,7 +674,7 @@ def _samples_of(cfg: ExperimentConfig, n: int, clocks: dict) -> Iterator[list[st
     """
     fmt = cfg.format
     cell, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
-    ps = _staged_point_set(cfg, clocks, n, reduce=False)
+    ps = _staged_point_set(cfg, clocks, n)
     n_cell, alpha_cell, d_cell = cell(n), cell(ps.spec.alpha), cell(ps.spec.d)
     im_z_cell, no_torus2 = cell(float(ps.scale_height)), cell("")
     for block in ps.blocks():
@@ -727,8 +726,6 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     record, spec = cfg.params["point_set"]
     d_values = cfg.params["d_values"] or [spec.d]
     g = math.gcd(*d_values)
-    # the surface points are reduced up front only if an observable reads them
-    on_surface = any("x" in obs._slots() for obs in cfg.observables)
     targets = [obs.haar() for obs in cfg.observables]
     n_values = cfg.n_schedule
     outputs = []
@@ -744,9 +741,6 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
             ps = gen_point_set(replace(spec, n=n, d=g), record["variant"])
             masks = [None if d == g else power_mask(ps.residues, d // g, n)
                      for d in d_values]
-        if on_surface:
-            with _stage(clocks, "reduce"):
-                ps.reduced_xy()
         with _stage(clocks, "evaluate"):
             return subset_averages(ps, cfg.observables, masks, evaluate)
 
@@ -919,8 +913,8 @@ def _discrepancy_falls(cfg: ExperimentConfig, tables) -> bool:
 def _cusp_mass_rows(cfg: ExperimentConfig, ps):
     n = ps.n
     rows = []
-    for T in cfg.params["thresholds"]:
-        mass = cusp_mass(ps, T)
+    masses, lowest = cusp_mass(ps, cfg.params["thresholds"])
+    for T, mass in zip(cfg.params["thresholds"], masses):
         expected = 3.0 / (math.pi * T)
         rel = abs(mass - expected) / expected
         rel_tol = cfg.params["rel_tol"]
@@ -929,7 +923,6 @@ def _cusp_mass_rows(cfg: ExperimentConfig, ps):
         rows.append((n, T, mass, expected, rel, good))
     if not cfg.params["min_height_sqrt_n"]:
         return rows, []
-    lowest = float(ps.heights().min())
     return rows, [(n, lowest, math.sqrt(n), lowest >= math.sqrt(n) * (1.0 - 1e-6))]
 
 

@@ -173,19 +173,14 @@ class PointSet:
     def view(self, lo: int, hi: int) -> PointSet:
         """The points lo..hi-1 of this set, in key order, as a view.
 
-        A view holds slices of this set's keys, of its inverses and, once
-        this set is reduced, of its reduced coordinates, and shares its
-        table; it refers to no set.  A view of a set not yet reduced reduces
-        its own points, so whoever walks a set more than once reduces it
-        first.
+        A view holds slices of this set's keys and of its inverses, and
+        shares its table; it refers to no set.  It reduces its own points
+        when first read on the surface, with the bits of this set's reduced_xy.
         """
         window = slice(lo, hi)
-        view = PointSet(self.spec, self.residues[window], self.x_mult,
+        return PointSet(self.spec, self.residues[window], self.x_mult,
                         None if self.inverses is None else self.inverses[window],
                         self.modulus)
-        if self._reduced is not None:
-            view._reduced = (self._reduced[0][window], self._reduced[1][window])
-        return view
 
     def blocks(self) -> Iterator[PointSet]:
         """Views of arith.BLOCK consecutive points each, in key order."""

@@ -75,13 +75,11 @@ def subset_averages(ps: PointSet, observables, masks=(None,),
     from them as Product.eval_many forms them.  The values of each subset's
     points, picked out by its mask in key order, feed its own accumulator.
     Every value is computed on its own point, whatever view it is evaluated
-    in, so each subset's average has the bits of its own set's.  An
-    observable of the surface reduces the set first, for its views to share.
+    in, so each subset's average has the bits of its own set's.  A leaf view
+    reduces its own points once, for all the factors that read the surface.
     """
     if len(ps) == 0:
         raise EmptySet("point set is empty")
-    if any("x" in obs._slots() for obs in observables):
-        ps.reduced_xy()
     if evaluate is None:
         evaluate = _eval_many
     # the distinct factors, numbered, and each observable as its factors' numbers
@@ -274,8 +272,16 @@ def rate_fit(n_values: Sequence[int], errors: Sequence[float]) -> tuple[float, f
     return float(-slope), float(np.sqrt(np.mean(resid ** 2)))
 
 
-def cusp_mass(ps: PointSet, T: float) -> float:
-    """Share of the points whose invariant height exceeds T."""
+def cusp_mass(ps: PointSet, thresholds: Sequence[float]) -> tuple[list[float], float]:
+    """The share of the points whose height exceeds each threshold, as the
+    exact count over len(ps) (the bits of numpy's bool mean() over the set),
+    and the lowest height, in one walk of the set's block views."""
     if len(ps) == 0:
         raise EmptySet("point set is empty")
-    return float((ps.heights() > T).mean())
+    above = [0] * len(thresholds)
+    lowest = np.inf
+    for block in ps.blocks():
+        h = block.heights()
+        above = [count + int(np.count_nonzero(h > T)) for count, T in zip(above, thresholds)]
+        lowest = min(lowest, h.min())
+    return [count / len(ps) for count in above], float(lowest)

@@ -203,6 +203,26 @@ def test_generate_holds_one_point_set_at_a_time(tmp_path, monkeypatch, variant):
     assert len(alive) == 3
 
 
+@pytest.mark.parametrize("stem", ["c06_cusp_mass_half", "c07_cusp_escape",
+                                  "c08_equidist_trend"])
+def test_surface_criteria_reduce_no_whole_set(tmp_path, monkeypatch, stem):
+    # the view that reads a point reduces it: at n = 2003 the d = 1 set has
+    # 2002 points, and no reduction may span more than a view of BLOCK
+    monkeypatch.setattr(arith, "BLOCK", 64)
+    reduced_xy = points.PointSet.reduced_xy
+    sizes = []
+
+    def spy(ps):
+        sizes.append(len(ps))
+        return reduced_xy(ps)
+
+    monkeypatch.setattr(points.PointSet, "reduced_xy", spy)
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" /
+                      f"{stem}.json").read_text())
+    run({**cfg, "n_schedule": [2003]}, out_dir=tmp_path)
+    assert sizes and max(sizes) <= 64, max(sizes)
+
+
 # one small config per kind mapped over items, both kloosterman modes
 PER_ITEM_CONFIGS = {
     "kloosterman": _base("kloosterman", n_schedule=[5, 7, 12, 30], m_range=1),
@@ -607,10 +627,11 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
     kernel = {"type": "kernel", "radius": 1.0}
     product = {"type": "product", "factors": [{"type": "torus_char", "m": 1}, kernel]}
     cases = {
+        # each view reduces the points it reads, inside the evaluate stage
         "cusp": (_base("cusp_mass", n_schedule=[101, 103]),
-                 {"generate", "reduce", "evaluate", "write", "total"}),
+                 {"generate", "evaluate", "write", "total"}),
         "surface": (_base("equidist", n_schedule=[101, 103], observables=[kernel]),
-                    {"generate", "reduce", "evaluate", "evaluate:kernel(R=1.0,smooth)",
+                    {"generate", "evaluate", "evaluate:kernel(R=1.0,smooth)",
                      "write", "total"}),
         "torus": (_base("equidist", n_schedule=[101, 103],
                         observables=[{"type": "torus_char", "m": 1}]),
@@ -618,7 +639,7 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
         # one clock per distinct factor: the product's kernel is the bare one
         "both": (_base("equidist", n_schedule=[101, 103], d_values=[1, 2],
                        observables=[kernel, product]),
-                 {"generate", "reduce", "evaluate", "evaluate:kernel(R=1.0,smooth)",
+                 {"generate", "evaluate", "evaluate:kernel(R=1.0,smooth)",
                   "evaluate:torus_char(m=1)", "write", "total"}),
         # the arithmetic kinds build one table per n; the FFT check reads none
         "kloosterman": (_base("kloosterman", n_schedule=[101, 103], m_range=1),
@@ -650,11 +671,11 @@ def test_stage_clocks_keep_every_n_across_threads(tmp_path, monkeypatch):
                    observables=[{"type": "height_band", "lower": 2.0}]),
              out_dir=tmp_path / "eq").wall_clock_s
     m = len(schedule)
-    assert [cusp[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, m, 1]
-    # one generate, reduce and evaluate span per n for both d, as for
-    # cusp_mass; each set is one leaf, whose one factor span and its two
-    # readings fall inside the evaluate span of its n
-    assert [eq[k] for k in ("generate", "reduce", "evaluate", "write")] == [m, m, 3 * m, 3]
+    assert [cusp[k] for k in ("generate", "evaluate", "write")] == [m, m, 1]
+    # one generate and evaluate span per n for both d, as for cusp_mass;
+    # each set is one leaf, whose one factor span and its two readings fall
+    # inside the evaluate span of its n
+    assert [eq[k] for k in ("generate", "evaluate", "write")] == [m, 3 * m, 3]
     assert eq["evaluate:height_band(2.0,inf)"] == m
 
 
@@ -738,6 +759,9 @@ BAD_CONFIGS = {
     "full_with_degrees": _base("equidist", point_set={"variant": "full"}, d_values=[1, 2],
                                observables=[{"type": "height_band", "lower": 2.0}]),
     "monomial_with_surface_multiplier": _base("generate", point_set={"c": 3}),
+    # d_values replace point_set d: this ran d = 1 and 2 and recorded d = 3
+    "degree_beside_d_values": _base("equidist", point_set={"d": 3}, d_values=[1, 2],
+                                    observables=[{"type": "height_band", "lower": 2.0}]),
     # a repeated d wrote its table twice, or its rows twice
     "equidist_d_values_repeated": _base("equidist", d_values=[2, 1, 2], observables=[
         {"type": "height_band", "lower": 2.0}]),

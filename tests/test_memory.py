@@ -6,10 +6,11 @@ the bytes a call allocates, whatever the machine or allocator.  Each
 ceiling is the call's output plus a few MiB of per-block temporaries: a
 full-length temporary (8 MB of int64 or float64 per million points) breaks
 it.  An average outputs one number, so its ceiling is the temporaries
-alone, and an equidist run's is the set it holds.  The dump's ceiling is
-its one unreduced point set plus about a MiB of encoded text and block
-temporaries: a block of 16384 encoded rows instead of a chunk of 1024
-breaks it, and so do full-length reduced coordinates.
+alone, and an equidist or cusp_mass run's is the units of the set it
+holds.  The dump's ceiling is its one unreduced point set plus about a MiB
+of encoded text and block temporaries: a block of 16384 encoded rows
+instead of a chunk of 1024 breaks it, and so do full-length reduced
+coordinates.
 """
 
 import json
@@ -74,15 +75,28 @@ def test_empirical_average_peak(mod):
     assert peak <= 4 * MIB, peak
 
 
-def test_equidist_run_peak(tmp_path, mod):
-    # c08 at n = 1000003 holds the d = 1 set's units and its reduced x and y,
-    # and a few MiB beside them, among them the n-byte mask of its d = 2
-    # subset; a full-length array of values breaks it
-    cfg = json.loads((CONFIG_DIR / "c08_equidist_trend.json").read_text())
+def _shipped_run_peak(tmp_path, stem: str) -> int:
+    cfg = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
     assert max(cfg["n_schedule"]) == N
     man, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))
     assert man.all_passed
-    assert peak <= mod.units.nbytes + 16 * len(mod.units) + 4 * MIB, peak
+    return peak
+
+
+def test_equidist_run_peak(tmp_path, mod):
+    # c08 at n = 1000003 holds the d = 1 set's units and a few MiB beside
+    # them, among them the n-byte mask of its d = 2 subset: each view reduces
+    # the points it reads, so the set's reduced x and y (16 MB) or a
+    # full-length array of values breaks it
+    peak = _shipped_run_peak(tmp_path, "c08_equidist_trend")
+    assert peak <= mod.units.nbytes + 4 * MIB, peak
+
+
+def test_cusp_mass_run_peak(tmp_path, mod):
+    # c06 at n = 1000003, under the ceiling of c08: its units, and the
+    # heights of one view at a time
+    peak = _shipped_run_peak(tmp_path, "c06_cusp_mass_half")
+    assert peak <= mod.units.nbytes + 4 * MIB, peak
 
 
 def test_inverses_peak():

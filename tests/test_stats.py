@@ -298,8 +298,8 @@ def test_summing_block_sums_in_a_row_is_not_mean():
 
 
 def test_average_is_the_same_before_and_after_the_set_is_reduced(monkeypatch):
-    # empirical_average reduces the set itself, so whether the caller did
-    # first does not move a bit
+    # each leaf view reduces its own points, whether or not the caller
+    # reduced the set first, so that does not move a bit
     monkeypatch.setattr(arith, "BLOCK", 1000)
     spec = PointSetSpec(n=10007, d=2, c=3)
     for obs in (AutomorphicKernel(1.0, "smooth"), Product((TwoTorusChar(1, 2),
@@ -476,12 +476,35 @@ def test_rate_fit():
 
 def test_cusp_mass_examples():
     ps = gen_full(2, Fraction(1, 2))  # heights {2, 1}
-    assert cusp_mass(ps, 1.5) == 0.5
-    assert cusp_mass(ps, 0.5) == 1.0
+    assert cusp_mass(ps, [1.5, 0.5]) == ([0.5, 1.0], 1.0)
     with pytest.raises(EmptySet):
-        cusp_mass(_empty_set(), 1.0)
+        cusp_mass(_empty_set(), [1.0])
 
 
 def test_cusp_mass_high_alpha():
     ps = gen_monomial(PointSetSpec(n=401, alpha=Fraction(5, 4), d=1))
-    assert cusp_mass(ps, 10.0) == 1.0
+    assert cusp_mass(ps, [10.0])[0] == [1.0]
+
+
+def _cusp_mass_cases():
+    # with BLOCK = 64, full sets of 127 to 129 points and of 1000, and at the
+    # shipped BLOCK a monomial set of 32770 points, 2 above 2 * BLOCK
+    for alpha in (Fraction(1, 2), Fraction(5, 4)):
+        for n in (127, 128, 129, 1000):
+            yield pytest.param(64, lambda n=n, alpha=alpha: gen_full(n, alpha),
+                               id=f"full-{n}-alpha{alpha}")
+        yield pytest.param(arith.BLOCK, lambda alpha=alpha: gen_monomial(
+            PointSetSpec(n=32771, alpha=alpha)), id=f"monomial-32771-alpha{alpha}")
+
+
+@pytest.mark.parametrize("block, make", list(_cusp_mass_cases()))
+def test_cusp_mass_is_the_whole_bool_mean(monkeypatch, block, make):
+    # each share is numpy's mean() of the whole bool array h > T, bit for
+    # bit: it sums the bools as doubles, exactly, and divides by the length
+    monkeypatch.setattr(arith, "BLOCK", block)
+    h = make().reduced_xy()[1]
+    thresholds = [*np.random.default_rng(len(h)).choice(h, 6), h.min(), h.max(), 1.0]
+    shares, lowest = cusp_mass(make(), thresholds)
+    assert [share.hex() for share in shares] == \
+        [float((h > T).mean()).hex() for T in thresholds]
+    assert lowest == h.min()
