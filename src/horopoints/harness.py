@@ -356,7 +356,7 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"config must be a JSON object or the path of one, got {raw!r}")
 
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    if raw.get("schema_version") != SCHEMA_VERSION or isinstance(raw["schema_version"], bool):
         raise ConfigInvalid(f"schema_version must be {SCHEMA_VERSION}")
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
@@ -435,13 +435,12 @@ _ROW_ENCODERS = {"csv": ",".join, "json": lambda cells: _json_array(cells, 2)}
 class RowStream:
     """A row table made one chunk at a time while it is written.
 
-    Iterating yields lists of rows already encoded for fmt (each by
-    _ROW_ENCODERS[fmt]); it can be read once.  len() is the number of rows
-    yielded so far, so the row count once the table is written.
+    Iterating yields lists of rows already encoded for the format they are
+    written in; it can be read once.  len() is the number of rows yielded
+    so far, so the row count once the table is written.
     """
 
-    def __init__(self, fmt: str, chunks: Iterator[list[str]]):
-        self.fmt = fmt
+    def __init__(self, chunks: Iterator[list[str]]):
         self._chunks = chunks
         self._count = 0
 
@@ -473,8 +472,6 @@ def _encoded_blocks(rows, fmt: str) -> Iterator[list[str]]:
     """The rows of a table as lists of encoded rows, at most _ROWS_PER_WRITE
     each; rows of Python values are encoded as the lists are made."""
     if isinstance(rows, RowStream):
-        if rows.fmt != fmt:
-            raise ValueError(f"rows are encoded for {rows.fmt}, not {fmt}")
         return iter(rows)
     encode, join = _CELL_ENCODERS[fmt], _ROW_ENCODERS[fmt]
     lines = (join([encode(v) for v in row]) for row in rows)
@@ -547,15 +544,13 @@ def write_rows(out: Path, stem: str, header: list[str], rows, fmt: str) -> str:
 
 
 @contextmanager
-def _stage(clocks: dict, *names: str):
-    """Add the wall time of the block to clocks[name] for each name."""
+def _stage(clocks: dict, name: str):
+    """Add the wall time of the block to clocks[name]."""
     t0 = time.monotonic()
     try:
         yield
     finally:
-        seconds = time.monotonic() - t0
-        for name in names:
-            clocks[name] = clocks.get(name, 0.0) + seconds
+        clocks[name] = clocks.get(name, 0.0) + (time.monotonic() - t0)
 
 
 @dataclass
@@ -705,8 +700,7 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
     clocks = {"generate": 0.0, "reduce": 0.0, "format": 0.0}
     chunks = (rows for n in cfg.n_schedule for rows in _samples_of(cfg, n, clocks))
     with _stage(clocks, "write"):
-        name = write_rows(out, "samples", _SAMPLE_HEADER, RowStream(cfg.format, chunks),
-                          cfg.format)
+        name = write_rows(out, "samples", _SAMPLE_HEADER, RowStream(chunks), cfg.format)
     # the writer pulls every chunk, so the write stage holds the generate,
     # reduce and format stages; take them out, so that no two stages overlap
     pulled = clocks["generate"] + clocks["reduce"] + clocks["format"]
@@ -745,6 +739,7 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
             return subset_averages(ps, cfg.observables, masks, evaluate)
 
     per_n = [averages(n) for n in n_values]
+    ok = True
     for k, d in enumerate(d_values):
         for i, (obs, target) in enumerate(zip(cfg.observables, targets)):
             empirical = [avgs[k][i] for avgs in per_n]
@@ -758,6 +753,15 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
                 kappa, residual = rate_fit([n for n, _ in usable], [e for _, e in usable])
             except InsufficientData:
                 kappa = residual = None
+            if cfg.params["require_decay"]:
+                # the smallest n is pre-asymptotic: the trend and the decay fit
+                # both start at the second point
+                ok &= all(a >= b for a, b in zip(errors[1:], errors[2:]))
+                try:
+                    tail_kappa, tail_residual = rate_fit(n_values[1:], errors[1:])
+                    ok &= tail_kappa > 0 and tail_residual < 0.5
+                except InsufficientData:
+                    ok = False
             stem = f"equidist_{i}" if len(d_values) == 1 else f"equidist_d{d}_{i}"
             with _stage(clocks, "write"):
                 outputs.append(write_rows(
@@ -777,18 +781,6 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
                 "fitted_kappa": kappa,
                 "fit_residual": residual,
             })
-    ok = True
-    if cfg.params["require_decay"]:
-        # the smallest n is pre-asymptotic: the trend and the decay fit both
-        # start at the second point
-        for rec in obs_payload:
-            errs = rec["errors"]
-            ok &= all(a >= b for a, b in zip(errs[1:], errs[2:]))
-            try:
-                kappa, resid = rate_fit(rec["n_values"][1:], errs[1:])
-                ok &= kappa > 0 and resid < 0.5
-            except InsufficientData:
-                ok = False
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "equidist",
@@ -882,7 +874,7 @@ def _discrepancy_rows(cfg: ExperimentConfig, n: int):
     # rows keep the order of product(betas, d_values, m_values)
     rows = []
     for beta in cfg.params["betas"]:
-        res = discrepancy_l2(n, beta, 1, 1)
+        res = discrepancy_l2(n, beta)
         match = abs(res.l2_value - res.closed_form) <= 1e-9
         rows += [(n, beta, d, m, res.l2_value, res.closed_form, res.prime_count, match)
                  for d, m in product(cfg.params["d_values"], cfg.params["m_values"])]
@@ -893,7 +885,7 @@ def _prime_windows(params: dict) -> None:
     # every prime window that discrepancy_l2 averages over holds a prime
     for n, beta in product(params["n_schedule"], params["betas"]):
         try:
-            discrepancy_l2(n, beta, 1, 1)
+            discrepancy_l2(n, beta)
         except NoPrimesAvailable:
             raise ConfigInvalid(f"the prime window P({n}, {n}^{beta}) is empty") from None
 
@@ -1034,16 +1026,28 @@ def run(config, out_dir=None) -> RunManifest:
     return manifest
 
 
+def _plottable(rec) -> bool:
+    """Whether rec is an object with a string observable, d and fitted_kappa null or
+    numbers, and n_values and errors equal-length lists of numbers; no bool or inf."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("observable"), str):
+        return False
+    ns, errors = rec.get("n_values"), rec.get("errors")
+    scalars = [rec[key] for key in ("d", "fitted_kappa") if rec.get(key) is not None]
+    return (isinstance(ns, list) and isinstance(errors, list) and len(ns) == len(errors)
+            and all(type(x) in (int, float) and abs(x) != math.inf for x in scalars + ns + errors))
+
+
 def emit_plot(report_paths, out_path) -> Path:
     """Render equidist JSON reports into one standalone log-log SVG."""
     paths = [Path(p) for p in (report_paths if isinstance(report_paths, (list, tuple))
                                else [report_paths])]
-    if not paths:
-        raise NoData("no report files given")
     curves = []
     for p in paths:
         payload = json.loads(p.read_text())
         records = payload.get("observables", []) if isinstance(payload, dict) else []
+        if not isinstance(records, list) or not all(map(_plottable, records)):
+            raise NoData(f"{p}: observables is not a list of records with n_values "
+                         "and errors as equal-length lists of numbers")
         many_d = len({rec.get("d") for rec in records}) > 1
         for rec in records:
             label = rec["observable"]

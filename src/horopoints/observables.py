@@ -111,14 +111,10 @@ def _enumerate_orbit(radius: float, center: complex, slack: float) -> tuple[np.n
             hi = math.ceil(-c * xc + span)
             ds = [d for d in range(lo, hi + 1) if math.gcd(c, d) == 1]
         for d in ds:
-            if c == 0:
-                a0, b0 = 1, 0
-            else:
-                # a*d - b*c = 1 (normalize the gcd sign so the determinant is +1)
-                g, x0, y0 = _ext_gcd(d, -c)
-                if g == -1:
-                    x0, y0 = -x0, -y0
-                a0, b0 = x0, y0
+            # a*d - b*c = 1 (normalize the gcd sign so the determinant is +1)
+            g, a0, b0 = _ext_gcd(d, -c)
+            if g == -1:
+                a0, b0 = -a0, -b0
             denom = complex(c, 0) * zc + d
             if abs(denom) ** 2 > q_cap * (1 + 1e-9):
                 continue

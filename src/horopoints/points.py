@@ -46,9 +46,7 @@ class PrimeDividesModulus(ValueError):
 
 
 def _scale_height(n: int, alpha: Fraction | float) -> float:
-    # n^(-2 alpha) via exp/log; relative error ~1e-16, well under the 1e-13 budget
-    if n == 1:
-        return 1.0
+    # n^(-2 alpha) via exp/log, 1.0 at n = 1; relative error ~1e-16, under the 1e-13 budget
     return math.exp(-2.0 * float(alpha) * math.log(n))
 
 
@@ -267,10 +265,6 @@ def verify_invariance(mod: Modulus, d: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # finite-level projections
 
-def _mod_frac(q: Fraction, modulus: int) -> Fraction:
-    return q - (q / modulus).__floor__() * modulus
-
-
 def validate_projection(n: int, places, l, m) -> tuple[tuple, tuple, tuple]:
     """(places, l, m) as tuples, once n >= 1, l and m align with places,
     every exponent is >= 0 and every place is a prime not dividing n
@@ -302,7 +296,7 @@ def project_level_stated(n: int, finite_places, l, m) -> frozenset:
     pairs = set()
     for k in range(n):
         t = Fraction(s_join * k, n)
-        pairs.add((_mod_frac(t, s_l), _mod_frac(t, s_m)))
+        pairs.add((t % s_l, t % s_m))
     return frozenset(pairs)
 
 
@@ -313,12 +307,12 @@ def project_level_direct(n: int, finite_places, l, m) -> frozenset:
     divisible by S^(lvm); the pair is (k/n - r) mod S^l and mod S^m.
     """
     s_join, s_l, s_m = _levels(n, finite_places, l, m)
-    n_inv = mod_inverse(n % s_join, s_join) if s_join > 1 else 0
+    n_inv = mod_inverse(n % s_join, s_join)
     pairs = set()
     for k in range(n):
         r = (k * n_inv) % s_join
         t = Fraction(k, n) - r
-        pairs.add((_mod_frac(t, s_l), _mod_frac(t, s_m)))
+        pairs.add((t % s_l, t % s_m))
     return frozenset(pairs)
 
 

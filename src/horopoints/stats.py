@@ -80,8 +80,6 @@ def subset_averages(ps: PointSet, observables, masks=(None,),
     """
     if len(ps) == 0:
         raise EmptySet("point set is empty")
-    if evaluate is None:
-        evaluate = _eval_many
     # the distinct factors, numbered, and each observable as its factors' numbers
     number: dict = {}
     terms = [[number.setdefault(f, len(number)) for f in _factors_of(obs)]
@@ -100,15 +98,11 @@ def _factors_of(obs: Observable) -> tuple:
     return obs.factors if isinstance(obs, Product) else (obs,)
 
 
-def _eval_many(obs: Observable, ps: PointSet) -> np.ndarray:
-    return obs.eval_many(ps)
-
-
-def _feed_leaf(view: PointSet, factors, terms, masks, sums, evaluate: Callable) -> None:
+def _feed_leaf(view: PointSet, factors, terms, masks, sums, evaluate: Callable | None) -> None:
     """Evaluate each factor on the view once, and feed each observable's
     values on it to the accumulators of every subset; the view's values die
     on return, before the next leaf is evaluated."""
-    values = [evaluate(f, view) for f in factors]
+    values = [f.eval_many(view) if evaluate is None else evaluate(f, view) for f in factors]
     members = [None if mask is None else mask[view.residues] for mask in masks]
     for j, term in enumerate(terms):
         obs_values = Product.combine(values[i] for i in term)
@@ -221,14 +215,12 @@ class DiscrepancyResult:
 
     n: int
     beta: float
-    d: int
-    m: int
     l2_value: float
     closed_form: float
     prime_count: int
 
 
-def discrepancy_l2(n: int, beta: float, d: int, m: int) -> DiscrepancyResult:
+def discrepancy_l2(n: int, beta: float) -> DiscrepancyResult:
     """L^2 norm squared of the discrepancy operator applied to e_m.
 
     The operator averages F over the maps t -> p^(2d) t for primes p in
@@ -237,23 +229,17 @@ def discrepancy_l2(n: int, beta: float, d: int, m: int) -> DiscrepancyResult:
     squared is sum multiplicity^2 / pi_n^2 over the integer frequencies
     m * p^(2d).  By unique factorisation distinct primes give distinct
     frequencies, so every multiplicity is 1 and the norm squared is exactly
-    1/pi_n: d and m do not enter the value, only the prime count does.
+    1/pi_n for every d >= 1 and m != 0: only the prime count enters.
     """
     if not 0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if d < 1 or n < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     count = len(primes_coprime(n, float(n) ** beta))
     if count == 0:
         raise NoPrimesAvailable(f"P({n}, {n}^{beta}) is empty")
-    return DiscrepancyResult(
-        n=n, beta=beta, d=d, m=m,
-        l2_value=1.0 / count,
-        closed_form=1.0 / count,
-        prime_count=count,
-    )
+    return DiscrepancyResult(n=n, beta=beta, l2_value=1.0 / count,
+                             closed_form=1.0 / count, prime_count=count)
 
 
 def rate_fit(n_values: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:

@@ -254,7 +254,7 @@ def test_criterion_10_discrepancy(capsys):
             for m in (1, 5):
                 vals = []
                 for n in PRIME_SCHEDULE:
-                    res = discrepancy_l2(n, beta, d, m)
+                    res = discrepancy_l2(n, beta)
                     if abs(res.l2_value - res.closed_form) > 1e-9:
                         ok = False
                     vals.append(res.l2_value)

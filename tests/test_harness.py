@@ -353,14 +353,24 @@ def test_cli_generate_and_plot(tmp_path):
                  "--out", str(tmp_path / "eq" / "p.svg")]) == 0
 
 
-# a report that is missing, not JSON, JSON without observables, or a record
-# without its series
+_PLOT_RECORD = {"observable": "x", "n_values": [101, 401, 1009], "errors": [0.1, 0.01, 0.001]}
+# a report that is missing, not JSON, JSON without observables, observables
+# that are not a list of records, or a record without its series, with a
+# series that is not a list of finite numbers, with series of two lengths,
+# or with a fitted_kappa that is not a number
 PLOT_INPUTS = {
     "missing": None,
     "not_json": "n,abs_error\n101,0.5\n",
     "manifest": json.dumps({"schema_version": 1, "kind": "equidist", "outputs": []}),
     "not_an_object": "[1, 2]",
     "record_without_errors": json.dumps({"observables": [{"observable": "x"}]}),
+    "record_not_an_object": json.dumps({"observables": ["x"]}),
+    "observables_an_object": json.dumps({"observables": {"a": 1}}),
+    "n_values_not_a_list": json.dumps({"observables": [{**_PLOT_RECORD, "n_values": 5}]}),
+    "errors_not_numbers": json.dumps({"observables": [{**_PLOT_RECORD, "errors": ["a", 1, 2]}]}),
+    "error_infinite": json.dumps({"observables": [{**_PLOT_RECORD, "errors": [1e400, 1, 2]}]}),
+    "series_of_two_lengths": json.dumps({"observables": [{**_PLOT_RECORD, "errors": [0.1]}]}),
+    "kappa_not_a_number": json.dumps({"observables": [{**_PLOT_RECORD, "fitted_kappa": [1]}]}),
 }
 
 
@@ -773,7 +783,13 @@ BAD_CONFIGS = {
     "point_set_unknown_field": _base("cusp_mass", point_set={"alpah": "5/4"}),
     # this loaded as count 2 with the default max_entry 10
     "toral_unknown_field": _base("invariance", toral={"max_entyr": 3, "count": 2}),
+    # true == 1 in Python: this loaded as version 1
+    "schema_version_boolean": _base("cardinality", schema_version=True),
 }
+
+
+def test_schema_version_may_be_an_integral_float():
+    assert load_config(_base("cardinality", schema_version=1.0)).n_schedule == [5, 7]
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

@@ -1,6 +1,7 @@
 """Tests for the observable families and their Haar expectations."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -404,6 +405,53 @@ def test_kernel_orbit_is_read_only():
     with pytest.raises(ValueError):
         orbit[0] = 50j
     assert ker.values_at([1j])[0] == 10.0
+
+
+_RHO = complex(0.5, math.sqrt(3) / 2)
+# (radius, center, point count, stabilizer order, sha256 of the points'
+# complex128 bytes) of _enumerate_orbit at slack 1: i and rho are the elliptic
+# points of orders 2 and 3, 0.3 + 1.1i and 2i have trivial stabilizers
+PINNED_ORBITS = [
+    (0.5, 1j, 3, 2,
+     "d33a37e882c2b1ea992f602a59dd2ad9ec0d679d92086207152b3845e8f20965"),
+    (0.5, complex(0.3, 1.1), 6, 1,
+     "a79a937fa9a6e57c4df8ad61b2d72119ce2f0298c439aa8910990f5462b8f910"),
+    (0.5, 2j, 3, 1,
+     "ac8770830c6bc83e259a74451c406e8ed9ac460601f66d54faacf6f3178a3bc2"),
+    (0.5, _RHO, 2, 3,
+     "dd5532382b41d98ea7d791ee356a97acc9441283f92e8c9faca65543a72ee4d9"),
+    (1.0, 1j, 5, 2,
+     "081cf81a38adb43e3c42817dee3aa2d2075912aabd52f1538d4aa4b9082eba53"),
+    (1.0, complex(0.3, 1.1), 11, 1,
+     "90866a0c1bfde9186491e0d521cfd7558f705384df4590c8d1e8da28a026f484"),
+    (1.0, 2j, 12, 1,
+     "cf144f44fb62afdb2e5d8f2fa86a628af8f6bb7a6d7a0cc9f7d049a735377635"),
+    (1.0, _RHO, 4, 3,
+     "81cb9a66f6ec4ad206b3c64547592c15070e561390c759c2e39dd8b443791959"),
+    (2.0, 1j, 17, 2,
+     "37ee8a76ef27822c2af9ab2d84888fdd1074f974847c715c69f22636e4332575"),
+    (2.0, complex(0.3, 1.1), 37, 1,
+     "4f7fb38d2299d675b15af9cf4a1aeb118473381e88493a72ee59a0ba886afa96"),
+    (2.0, 2j, 42, 1,
+     "1a9a477f45ccf771a9200c2bdbe338e80d704094b04d1aba1833b1d200db77e8"),
+    (2.0, _RHO, 16, 3,
+     "c4d3d61032e013b662311bccf45dc47fb066703f583c07ac4addb561dfd48fa9"),
+    (3.0, 1j, 57, 2,
+     "b320668aa126b4b9a088934994ec64cb87b37295f90b740165e14ae5b38013c6"),
+    (3.0, complex(0.3, 1.1), 119, 1,
+     "1a3e09ebd07e0a229a145497cee1fc8f9ad00030a0d6084260ed9c4849770028"),
+    (3.0, 2j, 126, 1,
+     "6b62faadfd4425704374884aeadb1e388dbb7e46a66c387eae1fbe6236d51706"),
+    (3.0, _RHO, 40, 3,
+     "c914f57bc55793a3d8c83f6e448a63c1a38be42a20fbf8ddd1158a35c33b009a"),
+]
+
+
+@pytest.mark.parametrize("radius, center, count, stabilizer, digest", PINNED_ORBITS)
+def test_orbit_points_are_pinned(radius, center, count, stabilizer, digest):
+    pts, stab = observables._enumerate_orbit(radius, center, 1.0)
+    assert (len(pts), stab) == (count, stabilizer)
+    assert hashlib.sha256(pts.astype("<c16").tobytes()).hexdigest() == digest
 
 
 def test_product():

@@ -93,6 +93,7 @@ def _blocked_cases():
                        id=f"monomial-alpha5/4-{band.describe()}")
 
 
+@pytest.mark.numpy_tree
 @pytest.mark.parametrize("gen, spec, obs", list(_blocked_cases()))
 def test_blocked_average_is_bit_identical_to_the_whole_array(gen, spec, obs, monkeypatch):
     ps = gen(spec)
@@ -134,6 +135,7 @@ _PRIME_NEAR_1E6 = 999983
 # around numpy's split rule: one point past a leaf, two leaves and 7 over,
 # a length with m % 8 != 0 whose first split is not a multiple of BLOCK,
 # and a prime near 1e6 (a tree six levels deep)
+@pytest.mark.numpy_tree
 @pytest.mark.parametrize("length", [arith.BLOCK + 1, 2 * arith.BLOCK + 7,
                                     5 * arith.BLOCK + 3, _PRIME_NEAR_1E6])
 def test_tree_walk_is_bit_identical_to_mean(length):
@@ -143,6 +145,7 @@ def test_tree_walk_is_bit_identical_to_mean(length):
     assert repr(empirical_average(ps, _Lookup(values))) == repr(complex(values.mean()))
 
 
+@pytest.mark.numpy_tree
 def test_tree_walk_with_blocks_below_numpys_unsplit_node(monkeypatch):
     # numpy adds a node of up to 64 values unsplit, so smaller blocks may not
     # split it either
@@ -169,6 +172,7 @@ def _chunked_means(values: np.ndarray, seed: int):
         yield top, acc.mean()
 
 
+@pytest.mark.numpy_tree
 @pytest.mark.parametrize("length", _ACCUMULATOR_LENGTHS)
 def test_accumulator_in_any_chunks_is_bit_identical_to_mean(length):
     # the chunks straddle the leaves
@@ -183,6 +187,7 @@ def test_accumulator_in_any_chunks_is_bit_identical_to_mean(length):
     assert repr(acc.mean()) == repr(complex(values.real.astype(complex).mean()))
 
 
+@pytest.mark.numpy_tree
 @pytest.mark.parametrize("length", [1003, 4099])
 def test_accumulator_with_leaves_below_numpys_unsplit_node(monkeypatch, length):
     # blocks of 8 make leaves of numpy's unsplit 64, so the tree above them
@@ -193,6 +198,7 @@ def test_accumulator_with_leaves_below_numpys_unsplit_node(monkeypatch, length):
         assert repr(mean) == repr(complex(values.mean())), top
 
 
+@pytest.mark.numpy_tree
 def test_accumulator_takes_exactly_its_length():
     acc = PairwiseMean(3)
     acc.add(np.ones(2))
@@ -224,6 +230,7 @@ def _walk_cases():
     yield "full", [1]
 
 
+@pytest.mark.numpy_tree
 @pytest.mark.parametrize("block", [3, 64, 100])
 @pytest.mark.parametrize("variant, d_values", list(_walk_cases()))
 def test_subset_walk_is_bit_identical(monkeypatch, block, variant, d_values):
@@ -245,6 +252,7 @@ def test_subset_walk_is_bit_identical(monkeypatch, block, variant, d_values):
                 [repr(empirical_average(alone, obs)) for obs in observables], (n, d)
 
 
+@pytest.mark.numpy_tree
 def test_subset_walk_evaluates_each_distinct_factor_once_per_leaf(monkeypatch):
     monkeypatch.setattr(arith, "BLOCK", 100)
     ps = gen_monomial(PointSetSpec(n=2017))
@@ -267,6 +275,7 @@ def test_subset_walk_evaluates_each_distinct_factor_once_per_leaf(monkeypatch):
     assert sum(sizes) == len(ps) == 2016 and max(sizes) <= 100
 
 
+@pytest.mark.numpy_tree
 def test_subset_walk_refuses_a_mask_beyond_the_set():
     ps = gen_monomial(PointSetSpec(n=2017, d=2))
     beyond = np.zeros(ps.n, dtype=bool)
@@ -289,6 +298,7 @@ def test_average_leaves_no_cycle_holding_the_set():
         gc.enable()
 
 
+@pytest.mark.numpy_tree
 def test_summing_block_sums_in_a_row_is_not_mean():
     # what the tree walk guards against: the same leaves added left to right
     values = _wide_values(_PRIME_NEAR_1E6)
@@ -419,24 +429,22 @@ def test_toral_correlation_against_grid_quadrature():
 
 
 def test_discrepancy_examples():
-    res = discrepancy_l2(100, 0.4, 1, 1)
+    res = discrepancy_l2(100, 0.4)
     assert res.prime_count == 1 and res.l2_value == 1.0
 
-    res = discrepancy_l2(1009, 0.2, 1, 1)  # primes below 1009^0.2 ~ 3.99: {2, 3}
+    res = discrepancy_l2(1009, 0.2)  # primes below 1009^0.2 ~ 3.99: {2, 3}
     assert res.prime_count == 2 and abs(res.l2_value - 0.5) < 1e-15
 
     with pytest.raises(ValueError):
-        discrepancy_l2(100, 0.4, 1, 0)
-    with pytest.raises(ValueError):
-        discrepancy_l2(100, 0.6, 1, 1)
+        discrepancy_l2(100, 0.6)
     with pytest.raises(NoPrimesAvailable):
-        discrepancy_l2(6, 0.3, 1, 1)  # 6^0.3 < 2
+        discrepancy_l2(6, 0.3)  # 6^0.3 < 2
 
 
 def test_discrepancy_matches_closed_form_and_shrinks():
     values = []
     for n in (1003, 10003, 100003, 1000003):
-        res = discrepancy_l2(n, 0.4, 1, 1)
+        res = discrepancy_l2(n, 0.4)
         assert abs(res.l2_value - res.closed_form) < 1e-9
         assert abs(res.l2_value - 1.0 / res.prime_count) < 1e-15
         values.append(res.l2_value)
@@ -448,9 +456,9 @@ def test_discrepancy_equals_the_frequency_multiset(n):
     # c10's four primes, a small prime and a composite: the multiset of the
     # frequencies m * p^(2d) gives the same float, whatever d and m are
     for beta in (0.2, 0.4):
+        res = discrepancy_l2(n, beta)
         for d in (1, 2, 7):
             for m in (1, -1, 5):
-                res = discrepancy_l2(n, beta, d, m)
                 assert res.l2_value == discrepancy_l2_reference(n, beta, d, m), (beta, d, m)
                 assert res.closed_form == res.l2_value == 1.0 / res.prime_count
 
@@ -497,6 +505,7 @@ def _cusp_mass_cases():
             PointSetSpec(n=32771, alpha=alpha)), id=f"monomial-32771-alpha{alpha}")
 
 
+@pytest.mark.numpy_tree
 @pytest.mark.parametrize("block, make", list(_cusp_mass_cases()))
 def test_cusp_mass_is_the_whole_bool_mean(monkeypatch, block, make):
     # each share is numpy's mean() of the whole bool array h > T, bit for
