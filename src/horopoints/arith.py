@@ -36,6 +36,7 @@ __all__ = [
     "residue_count_formula",
     "kloosterman_sum",
     "weil_bound",
+    "weyl_means",
 ]
 
 
@@ -47,11 +48,11 @@ class NotCoprime(ValueError):
 _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
-# blocks (the residue sets, power masks and inverses here, PointSet.blocks,
-# which PointSet.reduced_xy and the sample dump walk, and the leaves of the
-# summation tree that the averages of stats walk; the harness writers write
-# harness._ROWS_PER_WRITE rows at a time): 16384 float64 temporaries stay in
-# cache; 4096 and 65536 were both slower on large_n
+# blocks (the residue sets, power masks, inverses and root table here,
+# PointSet.blocks, which PointSet.reduced_xy and the sample dump walk, and
+# the leaves of the summation tree that the averages of stats walk; the
+# harness writers write harness._ROWS_PER_WRITE rows at a time): 16384
+# float64 temporaries stay in cache; 4096 and 65536 were both slower on large_n
 BLOCK = 16384
 
 
@@ -260,8 +261,14 @@ class Modulus:
     @cached_property
     def roots(self) -> np.ndarray:
         """e(j/n) for j in [0, n), indexed by j: roots_of_unity over [0, n),
-        so a gather of phases gives their roots_of_unity bit for bit."""
-        return _read_only(roots_of_unity(np.arange(self.n), self.n))
+        so a gather of phases gives their roots_of_unity bit for bit.  It is
+        filled one block of BLOCK phases at a time (roots_of_unity works
+        elementwise, so the bits are those of one call over [0, n)), and the
+        temporaries stay one block long."""
+        out = np.empty(self.n, dtype=complex)
+        for lo in range(0, self.n, BLOCK):
+            out[lo:lo + BLOCK] = roots_of_unity(np.arange(lo, min(lo + BLOCK, self.n)), self.n)
+        return _read_only(out)
 
     def residues(self, d: int) -> np.ndarray:
         """Sorted unique int64 array of k^d mod n over the units k.
@@ -332,3 +339,18 @@ def weil_bound(m1: int, m2: int, mod: Modulus) -> float:
         raise ValueError("bound requires (m1, m2) != (0, 0)")
     g = gcd(gcd(abs(m1), abs(m2)), mod.n)
     return mod.tau * math.sqrt(g) * math.sqrt(mod.n)
+
+
+def weyl_means(mod: Modulus) -> dict[int, complex]:
+    """The full Weyl sums (1/n) sum_{k<n} e(mk/n), one per divisor g of n:
+    entry g is the sum of every m with gcd(m, n) = g (of m = 0 at g = n).
+
+    For such m, mk mod n runs over the multiples jg, j < n/g, each g times
+    as k runs over [0, n), so the sum is the mean of the root table of n at
+    stride g: 1 at g = n, 0 at every other g.  The divisors come from the
+    factorization in the table.
+    """
+    divisors = [1]
+    for p, e in mod.factors.items():
+        divisors = [g * p ** i for g in divisors for i in range(e + 1)]
+    return {g: complex(mod.roots[::g].mean()) for g in divisors}

@@ -30,6 +30,7 @@ from .arith import (
     power_mask,
     residue_count_formula,
     weil_bound,
+    weyl_means,
 )
 from .observables import (
     AutomorphicKernel,
@@ -58,7 +59,6 @@ from .stats import (
     rate_fit,
     subset_averages,
     toral_correlation,
-    weyl_sums_all_residues,
 )
 from .svg import NoData, render_loglog_plot
 
@@ -598,13 +598,13 @@ class Kind:
     params are the config keys the kind declares; load_config reads these
     and no others.  The driver maps rows(cfg, item), one row list per table,
     over the items, the param named by items: with a declared point_set,
-    the unreduced point set of each n, or, where on_modulus(cfg)
-    holds, the arithmetic table (arith.Modulus) of each n, dropped with its
-    rows.  once(cfg) makes the last table's rows once per run; check(cfg,
-    tables) is a whole-table check beside the verdict columns.  A hard kind
-    checks exact identities, so a failure flips the CLI status.  A kind with
-    a body runs body(cfg, out) instead.  admit(params) raises ConfigInvalid
-    or ResourceExhausted at load time for an item that cannot run.
+    the unreduced point set of each n, or, with on_modulus, the arithmetic
+    table (arith.Modulus) of each n, dropped with its rows.  once(cfg) makes
+    the last table's rows once per run; check(cfg, tables) is a whole-table
+    check beside the verdict columns.  A hard kind checks exact identities,
+    so a failure flips the CLI status.  A kind with a body runs body(cfg,
+    out) instead.  admit(params) raises ConfigInvalid or ResourceExhausted
+    at load time for an item that cannot run.
     """
 
     params: tuple[Param, ...] = ()
@@ -614,7 +614,7 @@ class Kind:
     check: Callable | None = None
     once: Callable | None = None
     items: str = "n_schedule"
-    on_modulus: Callable | None = None
+    on_modulus: bool = False
     body: Callable | None = None
     admit: Callable | None = None
 
@@ -637,7 +637,7 @@ def _run_tables(cfg: ExperimentConfig, out: Path):
     for item in items:
         if "point_set" in cfg.params:
             item = _staged_point_set(cfg, clocks, item)
-        elif kind.on_modulus is not None and kind.on_modulus(cfg):
+        elif kind.on_modulus:
             with _stage(clocks, "table"):
                 item = Modulus(item)
         with _stage(clocks, "evaluate"):
@@ -794,22 +794,18 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     return outputs, ok, clocks
 
 
-def _kloosterman_rows(cfg: ExperimentConfig, item):
-    # item is n under weyl_full, which reads no table, else the table of n
+def _kloosterman_rows(cfg: ExperimentConfig, mod: Modulus):
+    n = mod.n
     if cfg.params["weyl_full"]:
-        # full-set character sums for every residue frequency at once must match
-        # the 0/1 closed form; periodicity in m covers |m| <= 2n
-        n = item
-        vals = weyl_sums_all_residues(n)
-        dev = float(abs(vals[0] - 1.0))
-        if n > 1:
-            dev = max(dev, float(np.abs(vals[1:]).max()))
+        # the full Weyl sum of every frequency m, read from the root table that
+        # the Kloosterman rows gather from, one sum per divisor gcd(m, n), must
+        # match the 0/1 closed form
+        dev = max(abs(mean - (g == n)) for g, mean in weyl_means(mod).items())
         return [], [(n, dev, dev <= 1e-10)]
     # the triple set's two-torus averages against S(m1, m2; n) / phi(n), and
     # the Weil bound off the trivial frequency
     m_range, tol = cfg.params["m_range"], 1e-9
-    mod = item
-    n, phi = mod.n, mod.phi
+    phi = mod.phi
     freqs = list(product(range(-m_range, m_range + 1), repeat=2))
     # every character of the grid averaged in one walk of the set
     averages = subset_averages(gen_triple(PointSetSpec(n=n), mod),
@@ -933,10 +929,6 @@ def _intersection_rows(cfg: ExperimentConfig, mod: Modulus):
     return ([(mod.n, checked, passed, checked == passed)],)
 
 
-def _always(cfg: ExperimentConfig) -> bool:
-    return True
-
-
 def _d_values(default) -> Param:
     return Param("d_values", _int, default, many=True, test=lambda d: d >= 1, need=">= 1")
 
@@ -950,13 +942,12 @@ KINDS: dict[str, Kind] = {
         _d_values(None), Param("require_decay", _bool, False))),
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
-        hard=True, rows=_kloosterman_rows, admit=_admit_m_range,
-        on_modulus=lambda cfg: not cfg.params["weyl_full"],
+        hard=True, rows=_kloosterman_rows, admit=_admit_m_range, on_modulus=True,
         params=(_SCHEDULE, _M_RANGE, Param("weyl_full", _bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
-        hard=True, rows=_invariance_rows, once=_toral_rows, on_modulus=_always,
+        hard=True, rows=_invariance_rows, once=_toral_rows, on_modulus=True,
         params=(_SCHEDULE,
                 Param("primes", _int, [2, 3, 5], many=True, test=is_prime, need="prime"),
                 _d_values([1]), Param("toral", _toral),
@@ -964,7 +955,7 @@ KINDS: dict[str, Kind] = {
         tables=(Table("invariance", ("n", "p", "d", "invariant")),
                 Table("toral", ("instance", "expanding", "rule_value", "match"), True))),
     "cardinality": Kind(
-        hard=True, rows=_cardinality_rows, on_modulus=_always,
+        hard=True, rows=_cardinality_rows, on_modulus=True,
         params=(_SCHEDULE, _d_values(list(range(1, 13)))),
         tables=(Table("cardinality", ("n", "d", "generated", "formula", "match")),)),
     "discrepancy": Kind(
@@ -994,7 +985,7 @@ KINDS: dict[str, Kind] = {
         params=(Param("cases", _case, many=True, required=True),),
         tables=(Table("projection", ("n", "places", "l", "m", "pairs", "agree")),)),
     "intersection": Kind(
-        hard=True, rows=_intersection_rows, on_modulus=_always, params=(_SCHEDULE,),
+        hard=True, rows=_intersection_rows, on_modulus=True, params=(_SCHEDULE,),
         tables=(Table("intersection", ("n", "units_checked", "verified", "ok")),)),
     "generate": Kind(body=_run_generate, admit=_admit_point_set,
                      params=(_SCHEDULE, _POINT_SET)),

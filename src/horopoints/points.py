@@ -110,7 +110,9 @@ class PointSet:
     n that a triple set was generated from when its caller handed one over,
     else None; the torus characters read its root table.  view(lo, hi) is a
     slice of the set, and blocks() walks it as views of arith.BLOCK
-    consecutive points.
+    consecutive points.  A view computes each torus numerator array once,
+    for all the characters evaluated on it; a whole set keeps none, so no
+    full-length numerator array outlives its call.
     """
 
     def __init__(self, spec: PointSetSpec, residues: np.ndarray, x_mult: int,
@@ -121,6 +123,9 @@ class PointSet:
         self.inverses = inverses
         self.modulus = modulus
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
+        # the torus numerator arrays a view has computed, by slot; None on a
+        # whole set, which keeps none
+        self._numerators: dict[str, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -138,12 +143,21 @@ class PointSet:
         return _scale_height(self.spec.n, self.spec.alpha)
 
     def torus1_numerators(self) -> np.ndarray:
-        return (self.spec.a % self.n) * self.residues % self.n
+        return self._torus_numerators("t1", self.spec.a, self.residues)
 
     def torus2_numerators(self) -> np.ndarray:
         if self.inverses is None:
             raise ValueError("point set has no second torus coordinate")
-        return (self.spec.b % self.n) * self.inverses % self.n
+        return self._torus_numerators("t2", self.spec.b, self.inverses)
+
+    def _torus_numerators(self, slot: str, mult: int, keys: np.ndarray) -> np.ndarray:
+        """mult * keys mod n; a view keeps it, read-only, for its later readers."""
+        held = self._numerators
+        if held is None:
+            return (mult % self.n) * keys % self.n
+        if slot not in held:
+            held[slot] = arith._read_only((mult % self.n) * keys % self.n)
+        return held[slot]
 
     def x_reals(self) -> np.ndarray:
         return ((self.x_mult % self.n) * self.residues % self.n) / float(self.n)
@@ -173,12 +187,15 @@ class PointSet:
 
         A view holds slices of this set's keys and of its inverses, and
         shares its table; it refers to no set.  It reduces its own points
-        when first read on the surface, with the bits of this set's reduced_xy.
+        when first read on the surface, with the bits of this set's reduced_xy,
+        and keeps the torus numerators it computes.
         """
         window = slice(lo, hi)
-        return PointSet(self.spec, self.residues[window], self.x_mult,
+        view = PointSet(self.spec, self.residues[window], self.x_mult,
                         None if self.inverses is None else self.inverses[window],
                         self.modulus)
+        view._numerators = {}
+        return view
 
     def blocks(self) -> Iterator[PointSet]:
         """Views of arith.BLOCK consecutive points each, in key order."""

@@ -1,5 +1,5 @@
-"""Empirical averages against Haar targets, exponential-sum identities,
-the prime-averaged discrepancy operator, and decay-rate estimation."""
+"""Empirical averages against Haar targets, toral correlations, the
+prime-averaged discrepancy operator, and decay-rate estimation."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ __all__ = [
     "PairwiseMean",
     "empirical_average",
     "subset_averages",
-    "weyl_sums_all_residues",
     "toral_correlation",
     "discrepancy_l2",
     "rate_fit",
@@ -177,16 +176,6 @@ class PairwiseMean:
             raise ValueError(f"fewer than {self.length} values fed")
         total = self._sums[0]
         return complex(total.dtype.type(total / self.length))
-
-
-def weyl_sums_all_residues(n: int) -> np.ndarray:
-    """All n full Weyl sums at once: entry m holds (1/n) sum_k e(mk/n).
-
-    This is the DFT of the all-ones vector, 1 at m = 0 and 0 elsewhere;
-    e(mk/n) depends on m only mod n, so the residues cover every integer m.
-    """
-    ones = np.ones(n)
-    return np.conj(np.fft.fft(ones)) / n
 
 
 def toral_correlation(matrix, m_in, m_out) -> float:

@@ -46,6 +46,13 @@ def weyl_sum_full(n: int, m: int) -> complex:
     return sum(cmath.exp(2j * cmath.pi * (m * k % n) / n) for k in range(n)) / n
 
 
+def weyl_sums_all_residues(n: int) -> np.ndarray:
+    """All n full Weyl sums at once: entry m holds (1/n) sum_k e(mk/n), the
+    conjugated DFT of the all-ones vector over n, 1 at m = 0 and 0 elsewhere;
+    e(mk/n) depends on m only mod n, so the residues cover every integer m."""
+    return np.conj(np.fft.fft(np.ones(n))) / n
+
+
 def kloosterman_sum_reference(m1: int, m2: int, n: int) -> complex:
     """S(m1, m2; n) with one direct exp per unit, over units found by a gcd
     scan and their inverses by powmod (no table)."""

@@ -20,6 +20,7 @@ from horopoints.arith import (
     kloosterman_sum,
     residue_count_formula,
     totient,
+    weyl_means,
 )
 from horopoints.harness import load_config, run
 from horopoints.observables import AutomorphicKernel, Product, TorusChar, TwoTorusChar
@@ -39,7 +40,6 @@ from horopoints.stats import (
     empirical_average,
     rate_fit,
     toral_correlation,
-    weyl_sums_all_residues,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -219,21 +219,18 @@ def test_criterion_08_equidistribution_trend(capsys):
 
 
 def test_criterion_09_weyl_exactness(capsys):
-    # every residue frequency for every n <= 1e4 via the bulk evaluation;
-    # in this implementation e(mk/n) is reduced mod n exactly, so coverage
-    # of the residues covers all |m| <= 2n
+    # every frequency for every n <= 1e4 via the root table of n, one sum per
+    # divisor gcd(m, n) of n; e(mk/n) depends on m only through gcd(m, n), so
+    # the divisors cover every integer m, all |m| <= 2n among them
     worst = 0.0
     ok = True
     for n in range(1, 10001):
-        vals = weyl_sums_all_residues(n)
-        dev = abs(vals[0] - 1.0)
-        if n > 1:
-            dev = max(dev, float(np.abs(vals[1:]).max()))
+        dev = max(abs(mean - (g == n)) for g, mean in weyl_means(Modulus(n)).items())
         worst = max(worst, dev)
         if dev > 1e-10:
             ok = False
     # term-by-term spot checks across the full |m| <= 2n range, read from the
-    # bulk values at the residue m mod n
+    # table's sum at gcd(m, n)
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(1, 10001))
@@ -241,9 +238,9 @@ def test_criterion_09_weyl_exactness(capsys):
         expected = 1.0 if m % n == 0 else 0.0
         if abs(weyl_sum_full(n, m) - expected) > 1e-10:
             ok = False
-        if abs(weyl_sums_all_residues(n)[m % n] - weyl_sum_full(n, m)) > 1e-10:
+        if abs(weyl_means(Modulus(n))[gcd(m, n)] - weyl_sum_full(n, m)) > 1e-10:
             ok = False
-    _criterion(capsys, 9, ok, f"n<=10^4 all residues, worst deviation {worst:.2e}")
+    _criterion(capsys, 9, ok, f"n<=10^4 every divisor gcd(m, n), worst deviation {worst:.2e}")
 
 
 def test_criterion_10_discrepancy(capsys):

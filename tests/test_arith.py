@@ -185,6 +185,14 @@ def test_units_and_inverses():
                     or mod.residues(2).flags.writeable)
 
 
+@pytest.mark.parametrize("n", [1, 7, arith.BLOCK, arith.BLOCK + 1, 3 * arith.BLOCK + 5])
+def test_root_table_filled_by_blocks_is_one_call_over_all_phases(n):
+    # the table is filled one block of phases at a time, with the bits of one
+    # roots_of_unity call over [0, n)
+    want = arith.roots_of_unity(np.arange(n), n)
+    assert np.array_equal(Modulus(n).roots.view(np.uint64), want.view(np.uint64))
+
+
 def test_units_match_gcd_scan_oracle():
     for n in range(1, 2001):
         _assert_same_sorted_int64(Modulus(n).units, gcd_scan_units(n), n)

@@ -651,13 +651,13 @@ def test_cusp_mass_and_equidist_manifest_stage_clocks(tmp_path):
                        observables=[kernel, product]),
                  {"generate", "evaluate", "evaluate:kernel(R=1.0,smooth)",
                   "evaluate:torus_char(m=1)", "write", "total"}),
-        # the arithmetic kinds build one table per n; the FFT check reads none
+        # the arithmetic kinds build one table per n, the full Weyl check too
         "kloosterman": (_base("kloosterman", n_schedule=[101, 103], m_range=1),
                         {"table", "evaluate", "write", "total"}),
         "cardinality": (_base("cardinality", n_schedule=[101, 103]),
                         {"table", "evaluate", "write", "total"}),
         "weyl": (_base("kloosterman", n_schedule=[101, 103], weyl_full=True),
-                 {"evaluate", "write", "total"}),
+                 {"table", "evaluate", "write", "total"}),
     }
     for name, (cfg, stages) in cases.items():
         run(cfg, out_dir=tmp_path / name)

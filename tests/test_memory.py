@@ -6,8 +6,8 @@ the bytes a call allocates, whatever the machine or allocator.  Each
 ceiling is the call's output plus a few MiB of per-block temporaries: a
 full-length temporary (8 MB of int64 or float64 per million points) breaks
 it.  An average outputs one number, so its ceiling is the temporaries
-alone, and an equidist or cusp_mass run's is the units of the set it
-holds.  The dump's ceiling is its one unreduced point set plus about a MiB
+alone, an equidist or cusp_mass run's is the units of the set it holds,
+and a full Weyl row's is the units and root table of its table.  The dump's ceiling is its one unreduced point set plus about a MiB
 of encoded text and block temporaries: a block of 16384 encoded rows
 instead of a chunk of 1024 breaks it, and so do full-length reduced
 coordinates.
@@ -17,13 +17,14 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from horopoints.arith import Modulus
 from horopoints.harness import run
-from horopoints.observables import AutomorphicKernel, Product, TorusChar
+from horopoints.observables import AutomorphicKernel, Product, TorusChar, TwoTorusChar
 from horopoints.points import PointSetSpec, gen_triple
-from horopoints.stats import empirical_average
+from horopoints.stats import empirical_average, subset_averages
 
 N = 1000003
 MIB = 1 << 20
@@ -73,6 +74,30 @@ def test_empirical_average_peak(mod):
     # one complex value per point (16 MB)
     _, peak = _peak_bytes(lambda: empirical_average(ps, obs))
     assert peak <= 4 * MIB, peak
+
+
+def test_average_leaves_no_numerator_array_on_the_set(mod):
+    # each leaf view computes its torus numerators once for every character
+    # and drops them with the view: the set holds its keys and inverses only
+    ps = gen_triple(PointSetSpec(n=N), mod)
+    subset_averages(ps, [TwoTorusChar(1, 2), TwoTorusChar(-1, 1), TorusChar(3)])
+    held = []
+    for value in vars(ps).values():
+        if isinstance(value, dict):
+            value = tuple(value.values())
+        held += [a for a in (value if isinstance(value, tuple) else (value,))
+                 if isinstance(a, np.ndarray)]
+    assert held and all(a is ps.residues or a is ps.inverses for a in held)
+
+
+def test_weyl_row_peak(tmp_path, mod):
+    # one weyl_full row at n = 1000003: the table's units and root table, which
+    # is filled one block at a time, and a few MiB of block temporaries, not an
+    # n-point FFT of ones (38.3 MiB traced)
+    cfg = {"schema_version": 1, "kind": "kloosterman", "weyl_full": True, "n_schedule": [N]}
+    man, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))
+    assert man.all_passed
+    assert peak <= mod.units.nbytes + 16 * N + 4 * MIB, peak
 
 
 def _shipped_run_peak(tmp_path, stem: str) -> int:

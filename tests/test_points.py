@@ -171,6 +171,20 @@ def test_views_of_an_unreduced_set_reduce_to_its_slices(monkeypatch):
     assert lo == len(xs)
 
 
+def test_views_compute_their_torus_numerators_once(monkeypatch):
+    # a view keeps its numerators, read-only and equal to its slice of the
+    # set's; the whole set computes them afresh on each call
+    monkeypatch.setattr(arith, "BLOCK", 8)
+    ps = gen_triple(PointSetSpec(n=101, d=2, a=3, b=5))
+    assert ps.torus1_numerators() is not ps.torus1_numerators()
+    for lo, view in zip(range(0, len(ps), 8), ps.blocks()):
+        for read, whole in ((view.torus1_numerators, ps.torus1_numerators()),
+                            (view.torus2_numerators, ps.torus2_numerators())):
+            nums = read()
+            assert read() is nums and not nums.flags.writeable
+            assert np.array_equal(nums, whole[lo:lo + 8])
+
+
 def test_verify_invariance_examples():
     assert verify_invariance(Modulus(7), 1, 2)
     with pytest.raises(PrimeDividesModulus):

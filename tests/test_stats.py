@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import discrepancy_l2_reference, weyl_sum_full
+from oracles import discrepancy_l2_reference, weyl_sum_full, weyl_sums_all_residues
 
 from horopoints import arith
-from horopoints.arith import Modulus, kloosterman_sum, weil_bound
+from horopoints.arith import Modulus, kloosterman_sum, weil_bound, weyl_means
 from horopoints.observables import AutomorphicKernel, HeightBand, Product, TorusChar, TwoTorusChar
 from horopoints.points import (
     PointSet,
@@ -37,7 +37,6 @@ from horopoints.stats import (
     rate_fit,
     subset_averages,
     toral_correlation,
-    weyl_sums_all_residues,
 )
 
 
@@ -369,13 +368,13 @@ def test_kloosterman_average_examples():
 
 
 def test_weyl_sum_closed_form():
-    assert abs(weyl_sums_all_residues(6)[2]) < 1e-12
-    assert abs(weyl_sums_all_residues(6)[0] - 1.0) < 1e-12
+    assert abs(weyl_means(Modulus(6))[2]) < 1e-12
+    assert abs(weyl_means(Modulus(6))[6] - 1.0) < 1e-12
     rng = np.random.default_rng(13)
     for _ in range(300):
         n = int(rng.integers(1, 2000))
         m = int(rng.integers(-2 * n, 2 * n + 1))
-        val = weyl_sums_all_residues(n)[m % n]
+        val = weyl_means(Modulus(n))[gcd(m, n)]
         expected = 1.0 if m % n == 0 else 0.0
         assert abs(val - expected) <= 1e-10, (n, m)
 
@@ -383,9 +382,25 @@ def test_weyl_sum_closed_form():
 def test_weyl_bulk_matches_scalar():
     rng = np.random.default_rng(29)
     for n in (1, 2, 17, 240, 1009):
-        bulk = weyl_sums_all_residues(n)
+        means = weyl_means(Modulus(n))
         for m in rng.integers(-2 * n, 2 * n + 1, size=8):
-            assert abs(bulk[int(m) % n] - weyl_sum_full(n, int(m))) <= 1e-10
+            assert abs(means[gcd(int(m), n)] - weyl_sum_full(n, int(m))) <= 1e-10
+
+
+def test_weyl_means_are_one_per_divisor():
+    # the divisors are those of n from its factorization, each once
+    for n in (1, 12, 64, 360, 1009, 9240):
+        assert sorted(weyl_means(Modulus(n))) == [g for g in range(1, n + 1) if n % g == 0]
+
+
+def test_weyl_divisor_mean_matches_the_fft_at_every_frequency():
+    # the sum of m, read at gcd(m, n) (gcd(0, n) = n), against the FFT of the
+    # all-ones vector at m, for every residue m of every n <= 300
+    for n in range(1, 301):
+        means = weyl_means(Modulus(n))
+        fft = weyl_sums_all_residues(n)
+        for m in range(n):
+            assert abs(means[gcd(m, n)] - fft[m]) <= 1e-12, (n, m)
 
 
 def test_toral_correlation_rule():
