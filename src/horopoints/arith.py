@@ -13,6 +13,7 @@ which is deterministic and keeps the rounding error at O(log n * eps).
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property
 from math import gcd
@@ -201,14 +202,14 @@ def roots_of_unity(phases: np.ndarray, n: int) -> np.ndarray:
     return np.exp((2j * np.pi / n) * phases)
 
 
-def power_mask(keys: np.ndarray, e: int, n: int) -> np.ndarray:
-    """The bool mask over [0, n) (n bytes) that marks k^e mod n for each of
-    the int64 keys, raised one block of BLOCK keys at a time by
-    :func:`powmod`.  Over the units and e = d it marks the degree-d residue
-    set; over the keys of the degree-g set and e = d / g, the same one."""
+def power_mask(blocks, e: int, n: int) -> np.ndarray:
+    """The bool mask over [0, n) (n bytes) that marks k^e mod n for each key
+    k of blocks, int64 key arrays raised one at a time by :func:`powmod`.
+    Over the unit blocks of n and e = d it marks the degree-d residue set;
+    over the keys of the degree-g set's views and e = d / g, the same one."""
     seen = np.zeros(n, dtype=bool)
-    for lo in range(0, len(keys), BLOCK):
-        seen[powmod(keys[lo:lo + BLOCK], e, n)] = True
+    for keys in blocks:
+        seen[powmod(keys, e, n)] = True
     return seen
 
 
@@ -222,8 +223,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Modulus:
     """The arithmetic of one modulus n (1 <= n < 2^31), built once per n.
 
-    Holds the factorization, phi, tau and the ascending int64 units, read by
-    every per-n check; the aligned unit inverses, the root table e(j/n) and
+    Holds the factorization, phi and tau, read by every per-n check.  The
+    units are read as ranges of unit indices, each sieved by unit_range; the
+    whole ascending units, their aligned inverses, the root table e(j/n) and
     the d-th power residue sets are built on first use and kept.  The arrays
     are read-only, since every reader of the table shares them.  A table
     lives as long as the work on its n: nothing caches it across moduli.
@@ -234,15 +236,44 @@ class Modulus:
             raise ValueError("Modulus is an int64 bulk path; need 1 <= n < 2^31")
         self.n = n
         self.factors = factorize(n)
-        # a bool mask of length n (n bytes): for each prime p of n the n/p
-        # multiples of p are cleared, and the survivors are the units
-        keep = np.ones(n, dtype=bool)
-        for p in self.factors:
-            keep[::p] = False
-        self.units = _read_only(np.flatnonzero(keep).astype(np.int64, copy=False))
         self.phi = _totient_of(self.factors)
         self.tau = math.prod(e + 1 for e in self.factors.values())
         self._residues: dict[int, np.ndarray] = {}
+
+    def unit_range(self, lo: int, hi: int) -> np.ndarray:
+        """The units of index lo..hi-1 (0 <= lo <= phi, hi cut to phi) in
+        ascending order: a slice of units once they are built, else sieved
+        one segment of BLOCK values at a time, each segment's multiples of
+        the primes of n cleared in a mask of its own, so no n-byte mask is
+        made.  The first segment is bisected for by the count of units below
+        a segment start x, sum mu(g) ceil(x / g) over the squarefree g | n."""
+        if "units" in vars(self):
+            return self.units[lo:hi]
+        step, terms = BLOCK, [(1, 1)]
+        for p in self.factors:
+            terms += [(g * p, -mu) for g, mu in terms]
+
+        def below(seg: int) -> int:
+            return sum(mu * -(-seg * step // g) for g, mu in terms)
+
+        seg = bisect.bisect_right(range(-(-self.n // step)), lo, key=below) - 1
+        out = np.empty(min(hi, self.phi) - lo, dtype=np.int64)
+        skip, filled = lo - below(seg), 0
+        while filled < len(out):
+            start = seg * step
+            keep = np.ones(min(step, self.n - start), dtype=bool)
+            for p in self.factors:
+                keep[-start % p::p] = False
+            found = np.flatnonzero(keep)[skip:skip + len(out) - filled]
+            out[filled:filled + len(found)] = found + start
+            filled += len(found)
+            seg, skip = seg + 1, 0
+        return out
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The ascending units: unit_range over [0, phi)."""
+        return _read_only(self.unit_range(0, self.phi))
 
     def invert(self, keys: np.ndarray) -> np.ndarray:
         """Inverses mod n of a 1-D int64 array of units, aligned elementwise:
@@ -255,8 +286,12 @@ class Modulus:
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        """Inverses of the units, aligned elementwise (k * kbar = 1 mod n)."""
-        return _read_only(self.invert(self.units))
+        """Inverses of the units, aligned elementwise (k * kbar = 1 mod n),
+        inverted one unit block at a time."""
+        out = np.empty(self.phi, dtype=np.int64)
+        for lo in range(0, self.phi, BLOCK):
+            out[lo:lo + BLOCK] = self.invert(self.unit_range(lo, lo + BLOCK))
+        return _read_only(out)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -273,10 +308,10 @@ class Modulus:
     def residues(self, d: int) -> np.ndarray:
         """Sorted unique int64 array of k^d mod n over the units k.
 
-        The d = 1 set is the units array itself.  Otherwise the powers are
-        marked in the :func:`power_mask` of the units (n bytes) and read back
-        in ascending order, which deduplicates and sorts them in time linear
-        in n where a sort-based unique is O(phi(n) log phi(n)).
+        The d = 1 set is the units array itself.  Otherwise the powers of the
+        unit blocks are marked in a :func:`power_mask` (n bytes) and read
+        back in ascending order, which deduplicates and sorts them in time
+        linear in n where a sort-based unique is O(phi(n) log phi(n)).
         """
         if d < 1:
             raise ValueError("need d >= 1")
@@ -284,8 +319,9 @@ class Modulus:
             return self.units
         res = self._residues.get(d)
         if res is None:
+            blocks = (self.unit_range(lo, lo + BLOCK) for lo in range(0, self.phi, BLOCK))
             res = self._residues[d] = _read_only(np.flatnonzero(
-                power_mask(self.units, d, self.n)).astype(np.int64, copy=False))
+                power_mask(blocks, d, self.n)).astype(np.int64, copy=False))
         return res
 
 

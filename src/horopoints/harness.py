@@ -711,12 +711,12 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
 def _run_equidist(cfg: ExperimentConfig, out: Path):
     """Walks one point set per n, that of d = g, the gcd of d_values: the
     set of each d is the subset of its keys that are (d/g)-th powers, marked
-    in one n-byte mask per d other than g, and a point's coordinates depend
-    on its key alone, not on d.  subset_averages averages every observable
-    over every d-subset in that one walk, evaluating each distinct factor
-    once per leaf, with the bits of an average over the set of each d
-    generated on its own.  The set and its masks die when averages
-    returns, before the next set is generated."""
+    in one n-byte mask per d other than g from the keys of the set's block
+    views, and a point's coordinates depend on its key alone, not on d.
+    subset_averages averages every observable over every d-subset in that
+    one walk, evaluating each distinct factor once per leaf, with the bits
+    of an average over the set of each d generated on its own.  The set and
+    its masks die when averages returns, before the next set is generated."""
     record, spec = cfg.params["point_set"]
     d_values = cfg.params["d_values"] or [spec.d]
     g = math.gcd(*d_values)
@@ -733,8 +733,8 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     def averages(n):
         with _stage(clocks, "generate"):
             ps = gen_point_set(replace(spec, n=n, d=g), record["variant"])
-            masks = [None if d == g else power_mask(ps.residues, d // g, n)
-                     for d in d_values]
+            masks = [None if d == g else power_mask(
+                (block.residues for block in ps.blocks()), d // g, n) for d in d_values]
         with _stage(clocks, "evaluate"):
             return subset_averages(ps, cfg.observables, masks, evaluate)
 

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,23 +104,26 @@ class PointSet:
     """A point set as coordinate arrays keyed by the residues of one spec.
 
     len() is the number of points.  Generation is deterministic (keys
-    ascending), so averages downstream are order-stable.  inverses, the
-    read-only inverses of the keys mod n aligned with them, carry the second
-    torus; a set without them has none.  modulus is the arithmetic table of
-    n that a triple set was generated from when its caller handed one over,
-    else None; the torus characters read its root table.  view(lo, hi) is a
+    ascending), so averages downstream are order-stable.  The keys are an
+    int64 array, or with keys None (at d = 1) the units of table, the
+    arithmetic of n the set came from.  A set with_second has a second
+    torus, the keys' inverses, which a view takes by table.invert once.
+    modulus is table when the caller of gen_triple handed it over, else
+    None; the torus characters read its root table.  view(lo, hi) is a
     slice of the set, and blocks() walks it as views of arith.BLOCK
     consecutive points.  A view computes each torus numerator array once,
     for all the characters evaluated on it; a whole set keeps none, so no
-    full-length numerator array outlives its call.
+    full-length array derived from the keys outlives its call.
     """
 
-    def __init__(self, spec: PointSetSpec, residues: np.ndarray, x_mult: int,
-                 inverses: np.ndarray | None = None, modulus: Modulus | None = None):
+    def __init__(self, spec: PointSetSpec, keys: np.ndarray | None, x_mult: int,
+                 table: Modulus | None = None, with_second: bool = False,
+                 modulus: Modulus | None = None):
         self.spec = spec
-        self.residues = residues
+        self._keys = keys
         self.x_mult = x_mult
-        self.inverses = inverses
+        self.table = table
+        self.with_second = with_second
         self.modulus = modulus
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
         # the torus numerator arrays a view has computed, by slot; None on a
@@ -128,35 +131,37 @@ class PointSet:
         self._numerators: dict[str, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.residues)
+        return self.table.phi if self._keys is None else len(self._keys)
+
+    @property
+    def residues(self) -> np.ndarray:
+        """The keys: the held array, or the table's units, sieved per read."""
+        return self.table.unit_range(0, len(self)) if self._keys is None else self._keys
 
     @property
     def n(self) -> int:
         return self.spec.n
 
     @property
-    def with_second(self) -> bool:
-        return self.inverses is not None
-
-    @property
     def scale_height(self) -> float:
         return _scale_height(self.spec.n, self.spec.alpha)
 
     def torus1_numerators(self) -> np.ndarray:
-        return self._torus_numerators("t1", self.spec.a, self.residues)
+        return self._torus_numerators("t1", self.spec.a, lambda: self.residues)
 
     def torus2_numerators(self) -> np.ndarray:
-        if self.inverses is None:
+        if not self.with_second:
             raise ValueError("point set has no second torus coordinate")
-        return self._torus_numerators("t2", self.spec.b, self.inverses)
+        return self._torus_numerators("t2", self.spec.b,
+                                      lambda: self.table.invert(self.residues))
 
-    def _torus_numerators(self, slot: str, mult: int, keys: np.ndarray) -> np.ndarray:
-        """mult * keys mod n; a view keeps it, read-only, for its later readers."""
+    def _torus_numerators(self, slot: str, mult: int, keys: Callable) -> np.ndarray:
+        """mult * keys() mod n; a view keeps it, read-only, for its later readers."""
         held = self._numerators
         if held is None:
-            return (mult % self.n) * keys % self.n
+            return (mult % self.n) * keys() % self.n
         if slot not in held:
-            held[slot] = arith._read_only((mult % self.n) * keys % self.n)
+            held[slot] = arith._read_only((mult % self.n) * keys() % self.n)
         return held[slot]
 
     def x_reals(self) -> np.ndarray:
@@ -185,15 +190,13 @@ class PointSet:
     def view(self, lo: int, hi: int) -> PointSet:
         """The points lo..hi-1 of this set, in key order, as a view.
 
-        A view holds slices of this set's keys and of its inverses, and
-        shares its table; it refers to no set.  It reduces its own points
-        when first read on the surface, with the bits of this set's reduced_xy,
-        and keeps the torus numerators it computes.
+        A view holds its own keys, a slice of this set's or sieved from the
+        table, and shares the table; it refers to no set.  It reduces its own
+        points when first read on the surface, with the bits of this set's
+        reduced_xy, and keeps the torus numerators it computes.
         """
-        window = slice(lo, hi)
-        view = PointSet(self.spec, self.residues[window], self.x_mult,
-                        None if self.inverses is None else self.inverses[window],
-                        self.modulus)
+        keys = self.table.unit_range(lo, hi) if self._keys is None else self._keys[lo:hi]
+        view = PointSet(self.spec, keys, self.x_mult, self.table, self.with_second, self.modulus)
         view._numerators = {}
         return view
 
@@ -218,23 +221,24 @@ def gen_monomial(spec: PointSetSpec) -> PointSet:
     The second coefficient of a pair set rides on the surface coordinate.
     len equals residue_count_formula(Modulus(n), d).
     """
-    return PointSet(spec, Modulus(spec.n).residues(spec.d), x_mult=spec.b)
+    mod = Modulus(spec.n)
+    return PointSet(spec, None if spec.d == 1 else mod.residues(spec.d), x_mult=spec.b,
+                    table=mod)
 
 
 def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
     """Triples (a*k^d/n, b*inv(k^d)/n, u_{c*k^d/n} a_{n^alpha}^{-1}) over units.
 
     The canonical family fixes alpha = 1/2; other alphas are accepted for
-    exploration only.  The residues and their inverses come from modulus,
-    the arithmetic table of n, when one is given, and the set keeps it; the
-    set holds the inverses read-only (the table's own at d = 1).
+    exploration only.  The residues come from modulus, the arithmetic table
+    of n, when one is given, and the set keeps it; each view inverts its own
+    keys when its second torus is first read.
     """
     mod = Modulus(spec.n) if modulus is None else modulus
     if mod.n != spec.n:
         raise ValueError(f"the table of n={mod.n} was given for n={spec.n}")
-    res = mod.residues(spec.d)
-    inverses = mod.inverses if spec.d == 1 else arith._read_only(mod.invert(res))
-    return PointSet(spec, res, x_mult=spec.c, inverses=inverses, modulus=modulus)
+    return PointSet(spec, None if spec.d == 1 else mod.residues(spec.d), x_mult=spec.c,
+                    table=mod, with_second=True, modulus=modulus)
 
 
 # per variant of gen_point_set: the spec fields its generator reads besides

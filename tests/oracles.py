@@ -79,6 +79,15 @@ def discrepancy_l2_reference(n: int, beta: float, d: int, m: int) -> float:
     return float(Fraction(sum(k * k for k in freqs.values()), len(primes) ** 2))
 
 
+def mask_sieve_units(n: int) -> np.ndarray:
+    """The ascending units of n as int64, by an n-byte mask over [0, n)
+    from which the multiples of each prime of n are cleared."""
+    keep = np.ones(n, dtype=bool)
+    for p in factorize(n):
+        keep[::p] = False
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
+
+
 def invariant_by_sorting(residues: np.ndarray, factor: int, n: int) -> bool:
     """True iff multiplying the ascending residue array by factor mod n and
     sorting the image gives the array back."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import kloosterman_sum_reference, moebius_mu, ramanujan_sum
+from oracles import kloosterman_sum_reference, mask_sieve_units, moebius_mu, ramanujan_sum
 
 from horopoints import arith
 from horopoints.arith import (
@@ -228,10 +228,49 @@ def test_power_mask_marks_the_residue_sets(n):
     # of the degree-g keys marks the degree-d set, a subset of them
     mod = Modulus(n)
     for g, d in ((1, 2), (1, 6), (2, 4), (2, 6), (3, 6)):
-        mask = arith.power_mask(mod.residues(g), d // g, n)
+        mask = arith.power_mask([mod.residues(g)], d // g, n)
         assert mask.dtype == bool and mask.shape == (n,)
         assert np.array_equal(np.flatnonzero(mask), mod.residues(d)), (g, d)
         assert mask[mod.residues(g)].sum() == len(mod.residues(d))
+
+
+# one-segment, empty, prime-power, squarefree and seven-prime moduli, and
+# random primes, some of several segments of arith.BLOCK values
+_SIEVED_MODULI = st.one_of(st.sampled_from([1, 2, 2 ** 20, 997 ** 2, 999999, 510510]),
+                           st.integers(2, 2 * 10 ** 6).map(next_prime))
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=_SIEVED_MODULI, cuts=st.lists(st.floats(0, 1), min_size=2, max_size=2),
+       d=st.integers(2, 6))
+@example(n=999999, cuts=[0.3, 0.7], d=2)
+def test_segment_sieve_matches_the_mask_sieve(n, cuts, d):
+    # the unit ranges, at cuts of [0, phi) that fall anywhere in a segment,
+    # the inverses and the residue sets, all sieved before the whole units
+    # are built, and the units have the bytes of those read from one n-byte
+    # mask; once the units are built, a range is a slice of them
+    want = mask_sieve_units(n)
+    mod = Modulus(n)
+    lo, hi = sorted(int(c * mod.phi) for c in cuts)
+    assert mod.unit_range(lo, hi).tobytes() == want[lo:hi].tobytes(), (lo, hi)
+    # the inverse of a unit is the one unit that inverts it
+    inv = mod.inverses
+    assert (want * inv % n == 1 % n).all() and np.sort(inv).tobytes() == want.tobytes()
+    assert mod.residues(d).tobytes() == np.unique(powmod(want, d, n)).tobytes()
+    assert "units" not in vars(mod)
+    assert mod.units.tobytes() == want.tobytes()
+    assert mod.unit_range(lo, hi).tobytes() == want[lo:hi].tobytes()
+
+
+def test_segment_sieve_cuts_at_and_across_segment_bounds():
+    # 2^20 has 64 segments of 8192 units each; 510510 = 2*3*5*7*11*13*17
+    # has 92160 units over 32 segments
+    for n in (2 ** 20, 510510):
+        want, mod = mask_sieve_units(n), Modulus(n)
+        b = arith.BLOCK
+        for lo, hi in ((0, 0), (0, 1), (b - 1, b + 1), (b // 2, 3 * b // 2 + 7),
+                       (mod.phi - 1, mod.phi), (mod.phi, mod.phi), (0, mod.phi)):
+            assert mod.unit_range(lo, hi).tobytes() == want[lo:hi].tobytes(), (n, lo, hi)
 
 
 def test_primes_and_factors_near_one_million_match_brute_force():

@@ -5,12 +5,15 @@ numpy reports its array buffers to tracemalloc, so the peaks below count
 the bytes a call allocates, whatever the machine or allocator.  Each
 ceiling is the call's output plus a few MiB of per-block temporaries: a
 full-length temporary (8 MB of int64 or float64 per million points) breaks
-it.  An average outputs one number, so its ceiling is the temporaries
-alone, an equidist or cusp_mass run's is the units of the set it holds,
-and a full Weyl row's is the units and root table of its table.  The dump's ceiling is its one unreduced point set plus about a MiB
-of encoded text and block temporaries: a block of 16384 encoded rows
-instead of a chunk of 1024 breaks it, and so do full-length reduced
-coordinates.
+it.  A table build allocates next to nothing, since no unit is sieved
+before one is read.  An average outputs one number, and no point set holds
+its units (each view sieves its own keys), so the ceiling of an average,
+of an equidist run and of a cusp_mass run is the temporaries alone; such a
+run builds neither the units nor the inverses of its table.  A full Weyl
+row's ceiling is the root table of its table.  The dump's ceiling is its
+one unreduced point set plus about a MiB of encoded text and block
+temporaries: a block of 16384 encoded rows instead of a chunk of 1024
+breaks it, and so do full-length reduced coordinates.
 """
 
 import json
@@ -52,6 +55,32 @@ def mod():
     return Modulus(N)
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """The arithmetic tables built while the test runs."""
+    built = []
+    init = Modulus.__init__
+
+    def record(table, n):
+        init(table, n)
+        built.append(table)
+
+    monkeypatch.setattr(Modulus, "__init__", record)
+    return built
+
+
+def _no_units_built(tables) -> bool:
+    return bool(tables) and not any("units" in vars(t) or "inverses" in vars(t)
+                                    for t in tables)
+
+
+def test_modulus_build_peak(tables):
+    # the factorization, phi and tau; the units wait for their first reader
+    _, peak = _peak_bytes(lambda: Modulus(N))
+    assert peak <= MIB, peak
+    assert _no_units_built(tables)
+
+
 def test_residue_set_peak(mod):
     res, peak = _peak_bytes(lambda: mod.residues(2))
     # the output, the n-byte seen mask and one block of powers
@@ -59,7 +88,7 @@ def test_residue_set_peak(mod):
 
 
 def test_reduced_xy_peak(mod):
-    # a set that holds its table, whose inverses are built before the call
+    # a set that holds its table, whose views sieve their own keys
     ps = gen_triple(PointSetSpec(n=N), mod)
     (xs, ys), peak = _peak_bytes(ps.reduced_xy)
     assert xs.nbytes + ys.nbytes == 16 * len(ps)
@@ -77,8 +106,9 @@ def test_empirical_average_peak(mod):
 
 
 def test_average_leaves_no_numerator_array_on_the_set(mod):
-    # each leaf view computes its torus numerators once for every character
-    # and drops them with the view: the set holds its keys and inverses only
+    # each leaf view sieves its keys, inverts them and computes its torus
+    # numerators once for every character, and drops them with the view: the
+    # d = 1 set holds its table, and no array derived from its keys
     ps = gen_triple(PointSetSpec(n=N), mod)
     subset_averages(ps, [TwoTorusChar(1, 2), TwoTorusChar(-1, 1), TorusChar(3)])
     held = []
@@ -87,47 +117,64 @@ def test_average_leaves_no_numerator_array_on_the_set(mod):
             value = tuple(value.values())
         held += [a for a in (value if isinstance(value, tuple) else (value,))
                  if isinstance(a, np.ndarray)]
-    assert held and all(a is ps.residues or a is ps.inverses for a in held)
+    assert held == []
 
 
-def test_weyl_row_peak(tmp_path, mod):
-    # one weyl_full row at n = 1000003: the table's units and root table, which
+def test_weyl_row_peak(tmp_path, tables):
+    # one weyl_full row at n = 1000003 on a fresh table: its root table, which
     # is filled one block at a time, and a few MiB of block temporaries, not an
-    # n-point FFT of ones (38.3 MiB traced)
+    # n-point FFT of ones (38.3 MiB traced); the row reads no unit
     cfg = {"schema_version": 1, "kind": "kloosterman", "weyl_full": True, "n_schedule": [N]}
     man, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))
     assert man.all_passed
-    assert peak <= mod.units.nbytes + 16 * N + 4 * MIB, peak
+    assert peak <= 16 * N + 4 * MIB, peak
+    assert _no_units_built(tables)
 
 
-def _shipped_run_peak(tmp_path, stem: str) -> int:
+def _shipped_run_peak(tmp_path, stem: str, **changes) -> int:
     cfg = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+    cfg["point_set"].update(changes)
     assert max(cfg["n_schedule"]) == N
     man, peak = _peak_bytes(lambda: run(cfg, out_dir=tmp_path))
     assert man.all_passed
     return peak
 
 
-def test_equidist_run_peak(tmp_path, mod):
-    # c08 at n = 1000003 holds the d = 1 set's units and a few MiB beside
-    # them, among them the n-byte mask of its d = 2 subset: each view reduces
-    # the points it reads, so the set's reduced x and y (16 MB) or a
+def test_equidist_run_peak(tmp_path, tables):
+    # c08 at n = 1000003: a few MiB of block temporaries, among them the
+    # n-byte mask of its d = 2 subset, marked from the keys of the d = 1
+    # set's views; the set's units (8 MB), its reduced x and y (16 MB) or a
     # full-length array of values breaks it
     peak = _shipped_run_peak(tmp_path, "c08_equidist_trend")
-    assert peak <= mod.units.nbytes + 4 * MIB, peak
+    assert peak <= 4 * MIB, peak
+    assert _no_units_built(tables)
 
 
-def test_cusp_mass_run_peak(tmp_path, mod):
-    # c06 at n = 1000003, under the ceiling of c08: its units, and the
-    # heights of one view at a time
+def test_cusp_mass_run_peak(tmp_path, tables):
+    # c06 at n = 1000003, under the ceiling of c08: the keys and heights of
+    # one view at a time
     peak = _shipped_run_peak(tmp_path, "c06_cusp_mass_half")
-    assert peak <= mod.units.nbytes + 4 * MIB, peak
+    assert peak <= 4 * MIB, peak
+    assert _no_units_built(tables)
+
+
+def test_triple_cusp_mass_run_inverts_no_key(tmp_path, tables, monkeypatch):
+    # c06 on the triple set of the same points: no view reads its second
+    # torus, so no key is inverted
+    calls = []
+    invert = Modulus.invert
+    monkeypatch.setattr(Modulus, "invert", lambda table, keys: calls.append(len(keys))
+                        or invert(table, keys))
+    peak = _shipped_run_peak(tmp_path, "c06_cusp_mass_half", variant="triple")
+    assert calls == []
+    assert peak <= 4 * MIB, peak
+    assert _no_units_built(tables)
 
 
 def test_inverses_peak():
     mod = Modulus(N)
     inv, peak = _peak_bytes(lambda: mod.inverses)
-    assert inv.nbytes == 8 * len(mod.units)
+    assert inv.nbytes == 8 * mod.phi
     assert peak <= inv.nbytes + 2 * MIB, peak
 
 

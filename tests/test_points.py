@@ -130,18 +130,29 @@ def test_triple_inverse_structure():
                 assert (o1, o2) == (t1, t2) and abs(oz - zs[i]) < 1e-15
 
 
-def test_triple_set_holds_its_key_inverses_read_only():
+def test_triple_views_invert_their_own_keys(monkeypatch):
+    # a triple set holds no inverses: each view inverts its keys by the
+    # table's invert when its second torus is first read, and only then
+    monkeypatch.setattr(arith, "BLOCK", 8)
+    calls = []
+    invert = Modulus.invert
+    monkeypatch.setattr(Modulus, "invert", lambda mod, keys: calls.append(len(keys))
+                        or invert(mod, keys))
     for n in (7, 45, 101):
         mod = Modulus(n)
         for d in (1, 2):
             ps = gen_triple(PointSetSpec(n=n, d=d), mod)
-            assert not ps.inverses.flags.writeable
-            assert (ps.residues * ps.inverses % n == 1).all()
-        assert gen_triple(PointSetSpec(n=n), mod).inverses is mod.inverses
-        assert np.array_equal(gen_triple(PointSetSpec(n=n, d=2), mod).inverses,
-                              mod.invert(mod.residues(2)))
-    assert all(gen(PointSetSpec(n=7)).inverses is None
-               for gen in (gen_monomial, lambda spec: gen_full(spec.n, spec.alpha)))
+            assert ps.with_second and calls == []
+            for view in ps.blocks():
+                view.heights()
+                assert calls == []
+                t2 = view.torus2_numerators()
+                assert view.torus2_numerators() is t2 and calls == [len(view)]
+                assert (view.residues * t2 % n == 1 % n).all()
+                calls.clear()
+        assert "units" not in vars(mod) and "inverses" not in vars(mod)
+    assert not any(gen(PointSetSpec(n=7)).with_second
+                   for gen in (gen_monomial, lambda spec: gen_full(spec.n, spec.alpha)))
 
 
 def test_views_refer_to_no_set(monkeypatch):

@@ -68,8 +68,8 @@ def test_empirical_average_permutation_stable():
     rng = np.random.default_rng(3)
     for _ in range(3):
         rng.shuffle(residues)
-        shuffled = PointSet(ps.spec, residues.copy(), ps.x_mult,
-                            inverses=Modulus(ps.n).invert(residues))
+        shuffled = PointSet(ps.spec, residues.copy(), ps.x_mult, table=Modulus(ps.n),
+                            with_second=True)
         assert abs(empirical_average(shuffled, obs) - base) < 1e-12
 
 
@@ -242,7 +242,7 @@ def test_subset_walk_is_bit_identical(monkeypatch, block, variant, d_values):
     for n in (1729, 2017):
         spec = replace(_WALK_SPECS[variant], n=n)
         ps = gen_point_set(replace(spec, d=g), variant)
-        masks = [None if d == g else arith.power_mask(ps.residues, d // g, n)
+        masks = [None if d == g else arith.power_mask([ps.residues], d // g, n)
                  for d in d_values]
         got = subset_averages(ps, observables, masks)
         for d, per_obs in zip(d_values, got):
@@ -261,7 +261,7 @@ def test_subset_walk_evaluates_each_distinct_factor_once_per_leaf(monkeypatch):
         calls.append((factor.describe(), len(view)))
         return factor.eval_many(view)
 
-    mask = arith.power_mask(ps.residues, 2, ps.n)
+    mask = arith.power_mask([ps.residues], 2, ps.n)
     subset_averages(ps, _walk_observables("monomial"), [None, mask], evaluate)
     # torus_char(m=3), the kernel, torus_char(m=1) and the band, per leaf of
     # at most 100 points; the product reads the bare kernel's values
