@@ -49,11 +49,10 @@ class NotCoprime(ValueError):
 _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
-# blocks (the residue sets, power masks, inverses and root table here,
-# PointSet.blocks, which PointSet.reduced_xy and the sample dump walk, and
-# the leaves of the summation tree that the averages of stats walk; the
-# harness writers write harness._ROWS_PER_WRITE rows at a time): 16384
-# float64 temporaries stay in cache; 4096 and 65536 were both slower on large_n
+# blocks (the unit sieve, residue sets, inverses and root table here,
+# PointSet.blocks, which reduced_xy and the sample dump walk, and the leaves
+# of the summation tree of the stats averages): 16384 float64 temporaries
+# stay in cache; 4096 and 65536 were both slower on large_n
 BLOCK = 16384
 
 
@@ -277,8 +276,10 @@ class Modulus:
 
     def invert(self, keys: np.ndarray) -> np.ndarray:
         """Inverses mod n of a 1-D int64 array of units, aligned elementwise:
-        keys^(phi - 1) mod n by :func:`powmod`, one block of BLOCK keys at a
-        time into one int64 array, so the temporaries stay one block long."""
+        read from inverses at the keys' places in units once those are built,
+        else keys^(phi - 1) mod n by :func:`powmod`, BLOCK keys at a time."""
+        if "inverses" in vars(self):
+            return self.inverses.take(self.units.searchsorted(keys))
         out = np.empty(len(keys), dtype=np.int64)
         for lo in range(0, len(keys), BLOCK):
             out[lo:lo + BLOCK] = powmod(keys[lo:lo + BLOCK], self.phi - 1, self.n)

@@ -145,6 +145,16 @@ def _bool(value) -> bool:
     return value
 
 
+def _fields(record: dict, known) -> None:
+    """Refuse a config record that is not an object or has a field outside
+    known, which would otherwise be dropped unread."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected an object, got {record!r}")
+    unknown = sorted(set(record) - set(known))
+    if unknown:
+        raise ValueError(f"has no field {', '.join(map(repr, unknown))}")
+
+
 def _parse_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10 ** 6)
@@ -196,10 +206,13 @@ def parse_observable(rec: dict) -> Observable:
     t = rec["type"]
     with _invalid(f"bad observable record {rec!r}"):
         if t == "torus_char":
+            _fields(rec, ("type", "m"))
             return TorusChar(m=_int(rec["m"]))
         if t == "two_torus_char":
+            _fields(rec, ("type", "m1", "m2"))
             return TwoTorusChar(m1=_int(rec["m1"]), m2=_int(rec["m2"]))
         if t == "kernel":
+            _fields(rec, ("type", "radius", "profile", "center"))
             center = rec.get("center")
             if center is not None and (not isinstance(center, (list, tuple))
                                        or len(center) != 2):
@@ -210,23 +223,19 @@ def parse_observable(rec: dict) -> Observable:
                 center=1j if center is None else complex(_float(center[0]), _float(center[1])),
             )
         if t == "height_band":
+            _fields(rec, ("type", "lower", "upper"))
             upper = rec.get("upper")
             return HeightBand(lower=_float(rec["lower"]),
                               upper=math.inf if upper is None else _float(upper))
         if t == "product":
+            _fields(rec, ("type", "factors"))
             return Product(tuple(parse_observable(f) for f in rec["factors"]))
     raise ConfigInvalid(f"unknown observable type {t!r}")
 
 
-def _toral(value) -> dict | None:
-    """The toral block of invariance: how many matrices, with entries up to what."""
-    if not value:
-        return None
-    if not isinstance(value, dict):
-        raise ValueError(f"expected an object, got {value!r}")
-    unknown = sorted(set(value) - {"count", "max_entry"})
-    if unknown:
-        raise ValueError(f"has no field {', '.join(map(repr, unknown))}")
+def _toral(value) -> dict:
+    """The toral block of invariance, an object: how many matrices, with entries up to what."""
+    _fields(value, ("count", "max_entry"))
     count, max_entry = _int(value.get("count", 1000)), _int(value.get("max_entry", 10))
     if count < 0 or max_entry < 1:
         raise ValueError("needs count >= 0 and max_entry >= 1")
@@ -238,6 +247,7 @@ def _case(value) -> tuple:
     """A projection case (n, places, l, m), checked by project_level's own
     validator; both of its paths walk every k < n and hold up to n pairs, so
     n is bounded as a schedule's length is."""
+    _fields(value, ("n", "places", "l", "m"))
     n = _int(value["n"])
     places, l, m = validate_projection(
         n, *(map(_int, value[key]) for key in ("places", "l", "m")))
@@ -267,6 +277,7 @@ def _parse_schedule(raw) -> list[int]:
         _check_length(len(raw))
         sched = [_int(n) for n in raw]
     elif isinstance(raw, dict) and "stop" in raw:
+        _fields(raw, ("start", "stop", "step"))
         start, step = _int(raw.get("start", 1)), _int(raw.get("step", 1))
         if start < 1 or step < 1:
             raise ValueError("a range needs start >= 1 and step >= 1")
@@ -291,11 +302,7 @@ _POINT_SET_DEFAULTS = {"alpha": "1/2", "d": 1, "a": 1, "b": 1, "c": 1,
 def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
     """The point_set record with its defaults, kept raw for the equidist
     report, which writes it verbatim; and its spec at n = 1."""
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"point_set must be an object, got {raw!r}")
-    unknown = sorted(set(raw) - set(_POINT_SET_DEFAULTS))
-    if unknown:
-        raise ConfigInvalid(f"point_set has no field {', '.join(map(repr, unknown))}")
+    _fields(raw, _POINT_SET_DEFAULTS)
     ps = {**_POINT_SET_DEFAULTS, **raw}
     if not isinstance(ps["variant"], str) or ps["variant"] not in VARIANTS:
         raise ConfigInvalid(f"unknown point set variant {ps['variant']!r}")
@@ -807,12 +814,13 @@ def _kloosterman_rows(cfg: ExperimentConfig, mod: Modulus):
     m_range, tol = cfg.params["m_range"], 1e-9
     phi = mod.phi
     freqs = list(product(range(-m_range, m_range + 1), repeat=2))
-    # every character of the grid averaged in one walk of the set
+    # the sums build the units, inverses and root table that the views read
+    sums = [kloosterman_sum(m1, m2, mod) for m1, m2 in freqs]
     averages = subset_averages(gen_triple(PointSetSpec(n=n), mod),
                                [TwoTorusChar(m1, m2) for m1, m2 in freqs])[0]
     rows = []
-    for (m1, m2), avg in zip(freqs, averages):
-        good = abs(avg - kloosterman_sum(m1, m2, mod) / phi) <= tol
+    for (m1, m2), avg, ksum in zip(freqs, averages, sums):
+        good = abs(avg - ksum / phi) <= tol
         if (m1, m2) != (0, 0):
             good &= abs(avg) <= weil_bound(m1, m2, mod) / phi + tol
         rows.append((n, m1, m2, avg.real, avg.imag, good))

@@ -17,7 +17,6 @@ from typing import Union
 
 import numpy as np
 
-from . import arith
 from .arith import _read_only, roots_of_unity
 from .points import PointSet
 from .sl2 import reduce_many
@@ -258,17 +257,11 @@ def _kernel_values(xf: np.ndarray, yf: np.ndarray, radius: float, profile: str,
 # observable variants
 
 def _phase_roots(ps: PointSet, phases: np.ndarray) -> np.ndarray:
-    """e(phase/n) at each phase of a character of ps, bit for bit
-    roots_of_unity(phases, n).
-
-    A set that holds the table of its n gathers them from the table's root
-    table, built once per n and shared by kloosterman_sum; any other set,
-    and every set with n above arith.BLOCK, takes the exp, so that no root
-    table of more than one block (16 bytes per residue) is built here.
-    """
-    mod = ps.modulus
-    if mod is not None and ps.n <= arith.BLOCK:
-        return mod.roots.take(phases)
+    """e(phase/n) at each phase, bit for bit roots_of_unity(phases, n): read
+    from the root table of ps.table once another reader has built it."""
+    table = ps.table
+    if table is not None and "roots" in vars(table):
+        return table.roots.take(phases)
     return roots_of_unity(phases, ps.n)
 
 

@@ -108,23 +108,19 @@ class PointSet:
     int64 array, or with keys None (at d = 1) the units of table, the
     arithmetic of n the set came from.  A set with_second has a second
     torus, the keys' inverses, which a view takes by table.invert once.
-    modulus is table when the caller of gen_triple handed it over, else
-    None; the torus characters read its root table.  view(lo, hi) is a
-    slice of the set, and blocks() walks it as views of arith.BLOCK
-    consecutive points.  A view computes each torus numerator array once,
-    for all the characters evaluated on it; a whole set keeps none, so no
-    full-length array derived from the keys outlives its call.
+    view(lo, hi) is a slice of the set, and blocks() walks it as views of
+    arith.BLOCK consecutive points.  A view computes each torus numerator
+    array once, for all the characters evaluated on it; a whole set keeps
+    none, so no full-length array derived from the keys outlives its call.
     """
 
     def __init__(self, spec: PointSetSpec, keys: np.ndarray | None, x_mult: int,
-                 table: Modulus | None = None, with_second: bool = False,
-                 modulus: Modulus | None = None):
+                 table: Modulus | None = None, with_second: bool = False):
         self.spec = spec
         self._keys = keys
         self.x_mult = x_mult
         self.table = table
         self.with_second = with_second
-        self.modulus = modulus
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
         # the torus numerator arrays a view has computed, by slot; None on a
         # whole set, which keeps none
@@ -196,7 +192,7 @@ class PointSet:
         reduced_xy, and keeps the torus numerators it computes.
         """
         keys = self.table.unit_range(lo, hi) if self._keys is None else self._keys[lo:hi]
-        view = PointSet(self.spec, keys, self.x_mult, self.table, self.with_second, self.modulus)
+        view = PointSet(self.spec, keys, self.x_mult, self.table, self.with_second)
         view._numerators = {}
         return view
 
@@ -231,14 +227,14 @@ def gen_triple(spec: PointSetSpec, modulus: Modulus | None = None) -> PointSet:
 
     The canonical family fixes alpha = 1/2; other alphas are accepted for
     exploration only.  The residues come from modulus, the arithmetic table
-    of n, when one is given, and the set keeps it; each view inverts its own
-    keys when its second torus is first read.
+    of n, when one is given to share, else from a table of its own; each view
+    inverts its own keys when its second torus is first read.
     """
     mod = Modulus(spec.n) if modulus is None else modulus
     if mod.n != spec.n:
         raise ValueError(f"the table of n={mod.n} was given for n={spec.n}")
     return PointSet(spec, None if spec.d == 1 else mod.residues(spec.d), x_mult=spec.c,
-                    table=mod, with_second=True, modulus=modulus)
+                    table=mod, with_second=True)
 
 
 # per variant of gen_point_set: the spec fields its generator reads besides

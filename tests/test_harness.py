@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from oracles import ramanujan_sum
 
-from horopoints import arith, harness, points
+from horopoints import arith, harness, observables, points
 from horopoints.arith import totient
 from horopoints.cli import main
 from horopoints.harness import (
@@ -122,6 +122,38 @@ def test_run_kloosterman_and_determinism(tmp_path):
     mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
     ma.pop("wall_clock_s"), mb.pop("wall_clock_s")
     assert ma == mb
+
+
+@pytest.mark.parametrize("n", [1000, 1009, arith.next_prime(arith.BLOCK + 1)])
+def test_kloosterman_row_sieves_inverts_and_raises_each_unit_once(monkeypatch, n):
+    # the sums build the fresh table's units, inverses and root table first,
+    # and the triple set's views read them: each unit is sieved and inverted
+    # once, and each residue raised to its root once
+    counts = {"sieved": 0, "inverted": 0, "raised": 0}
+    unit_range, powmod = arith.Modulus.unit_range, arith.powmod
+    roots_of_unity = arith.roots_of_unity
+
+    def sieved(mod, lo, hi):
+        keys = unit_range(mod, lo, hi)
+        counts["sieved"] += 0 if "units" in vars(mod) else len(keys)
+        return keys
+
+    def inverted(base, exp, n):
+        counts["inverted"] += len(base)
+        return powmod(base, exp, n)
+
+    def raised(phases, n):
+        counts["raised"] += len(phases)
+        return roots_of_unity(phases, n)
+
+    monkeypatch.setattr(arith.Modulus, "unit_range", sieved)
+    monkeypatch.setattr(arith, "powmod", inverted)
+    for module in (arith, observables):
+        monkeypatch.setattr(module, "roots_of_unity", raised)
+    mod = arith.Modulus(n)
+    rows, _ = harness._kloosterman_rows(load_config(_base("kloosterman", m_range=1)), mod)
+    assert len(rows) == 9 and all(row[-1] for row in rows)
+    assert counts == {"sieved": mod.phi, "inverted": mod.phi, "raised": n}
 
 
 def test_equidist_report_structure(tmp_path):
@@ -783,9 +815,31 @@ BAD_CONFIGS = {
     "point_set_unknown_field": _base("cusp_mass", point_set={"alpah": "5/4"}),
     # this loaded as count 2 with the default max_entry 10
     "toral_unknown_field": _base("invariance", toral={"max_entyr": 3, "count": 2}),
+    # a misspelt field of a record was dropped: this ran centred at i
+    "kernel_unknown_field": _base("equidist", observables=[
+        {"type": "kernel", "radius": 1, "centre": [0, 2]}]),
+    # this ran the band (2, inf]
+    "height_band_unknown_field": _base("equidist", observables=[
+        {"type": "height_band", "lower": 2, "uper": 3}]),
+    "product_factor_unknown_field": _base("equidist", observables=[
+        {"type": "product", "factors": [{"type": "torus_char", "m": 1, "m2": 2}]}]),
+    # this was read as the range 1..10
+    "schedule_range_unknown_field": _base("cardinality", n_schedule={"stop": 10, "strat": 2}),
+    "case_unknown_field": {"schema_version": 1, "kind": "projection",
+                           "cases": [{"n": 5, "places": [2], "l": [1], "m": [0], "k": 3}]},
     # true == 1 in Python: this loaded as version 1
     "schema_version_boolean": _base("cardinality", schema_version=True),
 }
+
+
+@pytest.mark.parametrize("value", [0, "", [], False, 5, "x", [1]])
+def test_toral_takes_only_an_object(value):
+    # a falsy value dropped the toral instances; {} reads the defaults
+    with pytest.raises(ConfigInvalid, match="toral"):
+        load_config(_base("invariance", toral=value))
+    assert load_config(_base("invariance", toral={})).params["toral"] == \
+        {"count": 1000, "max_entry": 10}
+    assert load_config(_base("invariance", toral=None)).params["toral"] is None
 
 
 def test_schema_version_may_be_an_integral_float():

@@ -93,58 +93,83 @@ def test_two_torus_char():
         TwoTorusChar(1, 1).eval_many(gen_monomial(PointSetSpec(n=5, d=1)))
 
 
-# n = 1 and 2, a prime, a prime power, a composite, and the cap itself
-_GATHERED_MODULI = (1, 2, 1009, 3 ** 6, 1000, arith.BLOCK)
+# n = 1 and 2, a prime, a prime power, a composite, BLOCK and the prime
+# above it, whose d = 1 sets span two views
+_MODULI = (1, 2, 1009, 3 ** 6, 1000, arith.BLOCK, arith.next_prime(arith.BLOCK + 1))
 _FREQUENCIES = (*range(-3, 4), 10 ** 30 + 7)
 
 
-def _characters(ps):
-    # the characters of the tori that ps carries
+def _observables(ps):
+    # every observable type on the coordinates that ps carries
     yield from (TorusChar(m) for m in _FREQUENCIES)
+    yield from (AutomorphicKernel(1.0, "smooth"), AutomorphicKernel(1.0, "indicator"),
+                HeightBand(1.5), Product((TorusChar(2), AutomorphicKernel(1.0))))
     if ps.with_second:
-        yield from (TwoTorusChar(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4))
+        yield from (TwoTorusChar(m1, m2) for m1 in range(-2, 3) for m2 in range(-2, 3))
         yield from (TwoTorusChar(10 ** 30 + 7, m2) for m2 in (-3, 1))
+        yield Product((TwoTorusChar(1, -1), HeightBand(1.5, 4.0)))
 
 
-def _sets_with_and_without_the_table(n, mod):
-    # each pair: a triple set or view generated from the table, and the same
-    # points without one; a triple set is the one generator handed a table
+def _sets(n):
+    # each variant's set at d = 1 and 2, each on a fresh table of its own (the
+    # full set has none); a triple set shares the table it is handed
+    yield gen_full(n, Fraction(1, 2))
     for d in (1, 2):
-        spec = PointSetSpec(n=n, d=d)
-        held, bare = gen_triple(spec, mod), gen_triple(spec)
-        yield held, bare
-        yield from zip(held.blocks(), bare.blocks())
+        yield gen_monomial(PointSetSpec(n=n, d=d))
+        yield gen_triple(PointSetSpec(n=n, d=d), Modulus(n))
 
 
-@pytest.mark.parametrize("n", _GATHERED_MODULI)
-def test_gathered_characters_equal_exp_bit_for_bit(n):
-    # a set that holds the table of n <= BLOCK gathers its characters from the
-    # root table; a set without one takes the exp of the same phases
-    mod = Modulus(n)
-    for held, bare in _sets_with_and_without_the_table(n, mod):
-        assert held.modulus is mod and bare.modulus is None
-        for obs in _characters(held):
-            got, want = obs.eval_many(held), obs.eval_many(bare)
-            assert got.dtype == want.dtype == complex
-            assert got.tobytes() == want.tobytes(), (n, obs)
-    assert "roots" in vars(mod)
+@pytest.mark.parametrize("n", _MODULI)
+def test_sets_on_a_fresh_table_build_no_whole_array(n):
+    # a view sieves and inverts only its own keys and a character takes the
+    # exp of its own phases, so no observable, on a set or on its views,
+    # builds the units, their inverses or the root table
+    for ps in _sets(n):
+        for obs in _observables(ps):
+            for target in (ps, *ps.blocks()):
+                obs.eval_many(target)
+        if ps.table is not None:
+            assert not {"units", "inverses", "roots"} & set(vars(ps.table)), (n, ps.spec)
+
+
+@pytest.mark.parametrize("n", _MODULI)
+def test_sets_on_a_built_table_read_it_with_the_same_bits(n, monkeypatch):
+    # once a table holds its units, inverses and roots, its sets and views read
+    # them (no powmod and no exp), with the bits of the sets on a fresh table
+    reading = []
+
+    def refused(name, compute):
+        def call(*args):
+            assert not reading, f"{name} on a built table"
+            return compute(*args)
+        return call
+
+    monkeypatch.setattr(arith, "powmod", refused("powmod", arith.powmod))
+    monkeypatch.setattr(observables, "roots_of_unity",
+                        refused("exp", observables.roots_of_unity))
+    for fresh, built in zip(_sets(n), _sets(n)):
+        mod = built.table
+        if mod is not None:
+            mod.units, mod.inverses, mod.roots
+        for want_set, got_set in zip((fresh, *fresh.blocks()), (built, *built.blocks())):
+            for obs in _observables(fresh):
+                want = obs.eval_many(want_set)
+                reading.extend([mod] if mod is not None else [])
+                got = obs.eval_many(got_set)
+                reading.clear()
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, built.spec, obs)
+            if built.with_second:
+                want = fresh.table.invert(want_set.residues), want_set.torus2_numerators()
+                reading.append(mod)
+                got = mod.invert(got_set.residues), got_set.torus2_numerators()
+                reading.clear()
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     # the exp of one phase at a time, the tail of a vectorised loop, gives the
     # same bits as the table built over [0, n)
     for j in np.unique(np.linspace(0, n - 1, 600).astype(np.int64)).tolist():
         single = roots_of_unity(np.array([j], dtype=np.int64), n)
         assert single.tobytes() == mod.roots[j:j + 1].tobytes(), (n, j)
-
-
-def test_characters_above_the_cap_take_the_exp_and_build_no_root_table():
-    n = arith.next_prime(arith.BLOCK + 1)
-    mod = Modulus(n)
-    pairs = list(_sets_with_and_without_the_table(n, mod))
-    assert len(pairs) > 4  # the d = 1 set spans two views
-    for held, bare in pairs:
-        assert held.modulus is mod
-        for obs in _characters(held):
-            assert obs.eval_many(held).tobytes() == obs.eval_many(bare).tobytes(), obs
-    assert "roots" not in vars(mod)
 
 
 def test_kernel_at_center_matches_brute_enumeration():
