@@ -32,7 +32,6 @@ __all__ = [
     "primes_coprime",
     "powmod",
     "roots_of_unity",
-    "power_mask",
     "Modulus",
     "residue_count_formula",
     "kloosterman_sum",
@@ -49,7 +48,7 @@ class NotCoprime(ValueError):
 _INT64_MOD_LIMIT = 1 << 31
 
 # residues per block wherever a point set or a residue set is walked in
-# blocks (the unit sieve, residue sets, inverses and root table here,
+# blocks (the unit sieve, residue masks, inverses and root table here,
 # PointSet.blocks, which reduced_xy and the sample dump walk, and the leaves
 # of the summation tree of the stats averages): 16384 float64 temporaries
 # stay in cache; 4096 and 65536 were both slower on large_n
@@ -201,17 +200,6 @@ def roots_of_unity(phases: np.ndarray, n: int) -> np.ndarray:
     return np.exp((2j * np.pi / n) * phases)
 
 
-def power_mask(blocks, e: int, n: int) -> np.ndarray:
-    """The bool mask over [0, n) (n bytes) that marks k^e mod n for each key
-    k of blocks, int64 key arrays raised one at a time by :func:`powmod`.
-    Over the unit blocks of n and e = d it marks the degree-d residue set;
-    over the keys of the degree-g set's views and e = d / g, the same one."""
-    seen = np.zeros(n, dtype=bool)
-    for keys in blocks:
-        seen[powmod(keys, e, n)] = True
-    return seen
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays, shared by every later reader: the tables of a Modulus
     # and the reduced coordinates of a PointSet
@@ -224,8 +212,8 @@ class Modulus:
 
     Holds the factorization, phi and tau, read by every per-n check.  The
     units are read as ranges of unit indices, each sieved by unit_range; the
-    whole ascending units, their aligned inverses, the root table e(j/n) and
-    the d-th power residue sets are built on first use and kept.  The arrays
+    whole units, their aligned inverses, the root table e(j/n) and the d-th
+    power residue sets and masks are built on first use and kept.  The arrays
     are read-only, since every reader of the table shares them.  A table
     lives as long as the work on its n: nothing caches it across moduli.
     """
@@ -237,6 +225,7 @@ class Modulus:
         self.factors = factorize(n)
         self.phi = _totient_of(self.factors)
         self.tau = math.prod(e + 1 for e in self.factors.values())
+        self._masks: dict[int, np.ndarray] = {}
         self._residues: dict[int, np.ndarray] = {}
 
     def unit_range(self, lo: int, hi: int) -> np.ndarray:
@@ -306,23 +295,30 @@ class Modulus:
             out[lo:lo + BLOCK] = roots_of_unity(np.arange(lo, min(lo + BLOCK, self.n)), self.n)
         return _read_only(out)
 
-    def residues(self, d: int) -> np.ndarray:
-        """Sorted unique int64 array of k^d mod n over the units k.
-
-        The d = 1 set is the units array itself.  Otherwise the powers of the
-        unit blocks are marked in a :func:`power_mask` (n bytes) and read
-        back in ascending order, which deduplicates and sorts them in time
-        linear in n where a sort-based unique is O(phi(n) log phi(n)).
-        """
+    def residue_mask(self, d: int) -> np.ndarray:
+        """The bool mask over [0, n) of the degree-d residue set, the one that
+        every reader of the set reads: the d-th powers of one unit_range of
+        BLOCK units are marked at a time (at d = 1, the units)."""
         if d < 1:
             raise ValueError("need d >= 1")
+        mask = self._masks.get(d)
+        if mask is None:
+            mask = np.zeros(self.n, dtype=bool)
+            for lo in range(0, self.phi, BLOCK):
+                mask[powmod(self.unit_range(lo, lo + BLOCK), d, self.n)] = True
+            mask = self._masks[d] = _read_only(mask)
+        return mask
+
+    def residues(self, d: int) -> np.ndarray:
+        """Sorted unique int64 array of k^d mod n over the units k: the
+        units at d = 1, else read off residue_mask(d) in ascending order, in
+        time linear in n where a sort-based unique is O(phi log phi)."""
         if d == 1:
             return self.units
         res = self._residues.get(d)
         if res is None:
-            blocks = (self.unit_range(lo, lo + BLOCK) for lo in range(0, self.phi, BLOCK))
             res = self._residues[d] = _read_only(np.flatnonzero(
-                power_mask(blocks, d, self.n)).astype(np.int64, copy=False))
+                self.residue_mask(d)).astype(np.int64, copy=False))
         return res
 
 

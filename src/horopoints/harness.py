@@ -27,7 +27,6 @@ from .arith import (
     Modulus,
     is_prime,
     kloosterman_sum,
-    power_mask,
     residue_count_formula,
     weil_bound,
     weyl_means,
@@ -156,9 +155,12 @@ def _fields(record: dict, known) -> None:
 
 
 def _parse_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 6)
-    return Fraction(x)
+    """An int, a string such as "1/3", or a float that its nearest fraction
+    of denominator <= 10^6 gives back (0.1 is 1/10), as a Fraction; no bool."""
+    value = Fraction(x).limit_denominator(10 ** 6) if isinstance(x, float) else Fraction(x)
+    if isinstance(x, bool) or isinstance(x, float) and float(value) != x:
+        raise ValueError(f'{x!r} is not an exact fraction; write alpha as a string such as "1/3"')
+    return value
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ class Param:
     """A config key of a kind.  parse reads one value (many: each entry of a
     non-empty list, with no entry repeated, which would write its rows or
     table twice), test must hold for it (need says what it asks), and an
-    absent or null key takes the default, unless it is required."""
+    absent or null key takes the default, unless it is required.  It is
+    refused off its default while the flag unread_with, which skips it, is true."""
 
     key: str
     parse: Callable
@@ -175,6 +178,7 @@ class Param:
     test: Callable | None = None
     need: str = ""
     required: bool = False
+    unread_with: str = ""
 
     def read(self, raw: dict):
         value = raw.get(self.key)
@@ -317,7 +321,6 @@ def _parse_point_set(raw) -> tuple[dict, PointSetSpec]:
 _SCHEDULE = Param("n_schedule", _parse_schedule, required=True)
 # a (record, spec) pair; only the kinds that build point sets declare it
 _POINT_SET = Param("point_set", _parse_point_set, _parse_point_set({}))
-_M_RANGE = Param("m_range", _m_range, 2)
 _FORMAT = Param("format", str, "csv", test=lambda f: f in ("csv", "json"),
                 need="csv or json")
 
@@ -370,6 +373,9 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigInvalid(f"unknown kind {kind!r}")
 
     params = {p.key: p.read(raw) for p in KINDS[kind].params}
+    for p in KINDS[kind].params:
+        if p.unread_with and params[p.unread_with] and params[p.key] != p.default:
+            raise ConfigInvalid(f"{p.unread_with} reads no {p.key}")
     if KINDS[kind].admit is not None:
         KINDS[kind].admit(params)
     out_dir = raw.get("out_dir") or os.environ.get(ENV_OUT_DIR)
@@ -718,12 +724,12 @@ def _run_generate(cfg: ExperimentConfig, out: Path):
 def _run_equidist(cfg: ExperimentConfig, out: Path):
     """Walks one point set per n, that of d = g, the gcd of d_values: the
     set of each d is the subset of its keys that are (d/g)-th powers, marked
-    in one n-byte mask per d other than g from the keys of the set's block
-    views, and a point's coordinates depend on its key alone, not on d.
+    in the table's n-byte mask of d (Modulus.residue_mask) for each d other
+    than g, and a point's coordinates depend on its key alone, not on d.
     subset_averages averages every observable over every d-subset in that
     one walk, evaluating each distinct factor once per leaf, with the bits
     of an average over the set of each d generated on its own.  The set and
-    its masks die when averages returns, before the next set is generated."""
+    its table's masks die when averages returns, before the next set is made."""
     record, spec = cfg.params["point_set"]
     d_values = cfg.params["d_values"] or [spec.d]
     g = math.gcd(*d_values)
@@ -740,8 +746,7 @@ def _run_equidist(cfg: ExperimentConfig, out: Path):
     def averages(n):
         with _stage(clocks, "generate"):
             ps = gen_point_set(replace(spec, n=n, d=g), record["variant"])
-            masks = [None if d == g else power_mask(
-                (block.residues for block in ps.blocks()), d // g, n) for d in d_values]
+            masks = [None if d == g else ps.table.residue_mask(d) for d in d_values]
         with _stage(clocks, "evaluate"):
             return subset_averages(ps, cfg.observables, masks, evaluate)
 
@@ -825,11 +830,6 @@ def _kloosterman_rows(cfg: ExperimentConfig, mod: Modulus):
             good &= abs(avg) <= weil_bound(m1, m2, mod) / phi + tol
         rows.append((n, m1, m2, avg.real, avg.imag, good))
     return rows, []
-
-
-def _admit_m_range(params: dict) -> None:
-    if params["weyl_full"] and params["m_range"] != _M_RANGE.default:
-        raise ConfigInvalid("weyl_full sums every residue frequency and reads no m_range")
 
 
 def _invariance_rows(cfg: ExperimentConfig, mod: Modulus):
@@ -950,8 +950,9 @@ KINDS: dict[str, Kind] = {
         _d_values(None), Param("require_decay", _bool, False))),
     # weyl_full writes the weyl table instead of the kloosterman one
     "kloosterman": Kind(
-        hard=True, rows=_kloosterman_rows, admit=_admit_m_range, on_modulus=True,
-        params=(_SCHEDULE, _M_RANGE, Param("weyl_full", _bool, False)),
+        hard=True, rows=_kloosterman_rows, on_modulus=True,
+        params=(_SCHEDULE, Param("m_range", _m_range, 2, unread_with="weyl_full"),
+                Param("weyl_full", _bool, False)),
         tables=(Table("kloosterman", ("n", "m1", "m2", "avg_re", "avg_im", "ok"), True),
                 Table("weyl", ("n", "max_abs_error", "ok"), True))),
     "invariance": Kind(
@@ -983,7 +984,8 @@ KINDS: dict[str, Kind] = {
         params=(_SCHEDULE, _POINT_SET,
                 Param("thresholds", _float, [2.0, 4.0, 8.0], many=True,
                       test=lambda t: t >= 1, need=">= 1"),
-                Param("rel_tol", _float, test=lambda t: t >= 0, need=">= 0"),
+                Param("rel_tol", _float, test=lambda t: t >= 0, need=">= 0",
+                      unread_with="expect_full_mass"),
                 Param("expect_full_mass", _bool, False),
                 Param("min_height_sqrt_n", _bool, False)),
         tables=(Table("cusp_mass", ("n", "T", "mass", "expected", "rel_err", "ok")),

@@ -268,15 +268,14 @@ def verify_invariance(mod: Modulus, d: int, p: int) -> bool:
 
     p is a unit mod n (else PrimeDividesModulus), so multiplying by p^(2d)
     is injective, and the image equals the set exactly when it lies in it:
-    each image key is looked up in a bool mask of the set over [0, n).
+    each image key is looked up in the table's mask of the set, read after
+    the set so that at d = 1 it is marked from the units the set builds.
     """
     n = mod.n
     if gcd(p, n) != 1:
         raise PrimeDividesModulus(f"p={p} divides n={n}")
     res = mod.residues(d)
-    member = np.zeros(n, dtype=bool)
-    member[res] = True
-    return bool(member[res * pow(p, 2 * d, n) % n].all())
+    return bool(mod.residue_mask(d)[res * pow(p, 2 * d, n) % n].all())
 
 
 # ---------------------------------------------------------------------------

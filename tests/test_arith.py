@@ -222,16 +222,26 @@ def test_residue_sets_of_several_blocks_match_unique_oracle(n):
         _assert_same_sorted_int64(mod.residues(d), unique_residue_array(n, d), (n, d))
 
 
-@pytest.mark.parametrize("n", [1729, 2017, 255255])
-def test_power_mask_marks_the_residue_sets(n):
-    # the d-th powers are the (d/g)-th powers of the degree-g set, so the mask
-    # of the degree-g keys marks the degree-d set, a subset of them
+@pytest.mark.parametrize("n", [1, 2, 8, 1024, 1729, 2017, 255255])
+def test_residue_mask_marks_the_residue_sets(n):
+    # the table's one mask of each degree-d set: read-only, built once, the
+    # set read off it, and the (d/g)-th powers of the degree-g keys mark it
+    # (the subsets equidist averages over the set of g)
     mod = Modulus(n)
+    for d in range(1, 7):
+        mask = mod.residue_mask(d)
+        assert mask.dtype == bool and mask.shape == (n,) and not mask.flags.writeable
+        assert set(np.flatnonzero(mask).tolist()) == brute_residues(n, d), d
+        assert mod.residue_mask(d) is mask
+        if d >= 2:
+            assert np.array_equal(mod.residues(d), np.flatnonzero(mask))
     for g, d in ((1, 2), (1, 6), (2, 4), (2, 6), (3, 6)):
-        mask = arith.power_mask([mod.residues(g)], d // g, n)
-        assert mask.dtype == bool and mask.shape == (n,)
-        assert np.array_equal(np.flatnonzero(mask), mod.residues(d)), (g, d)
-        assert mask[mod.residues(g)].sum() == len(mod.residues(d))
+        powers = np.zeros(n, dtype=bool)
+        powers[powmod(mod.residues(g), d // g, n)] = True
+        assert np.array_equal(powers, mod.residue_mask(d)), (g, d)
+        assert mod.residue_mask(d)[mod.residues(g)].sum() == len(mod.residues(d))
+    with pytest.raises(ValueError, match="d >= 1"):
+        mod.residue_mask(0)
 
 
 # one-segment, empty, prime-power, squarefree and seven-prime moduli, and

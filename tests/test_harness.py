@@ -5,13 +5,15 @@ import dataclasses
 import json
 import math
 import weakref
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from oracles import ramanujan_sum
 
-from horopoints import arith, harness, observables, points
+from horopoints import arith, harness, observables, points, stats
 from horopoints.arith import totient
 from horopoints.cli import main
 from horopoints.harness import (
@@ -154,6 +156,58 @@ def test_kloosterman_row_sieves_inverts_and_raises_each_unit_once(monkeypatch, n
     rows, _ = harness._kloosterman_rows(load_config(_base("kloosterman", m_range=1)), mod)
     assert len(rows) == 9 and all(row[-1] for row in rows)
     assert counts == {"sieved": mod.phi, "inverted": mod.phi, "raised": n}
+
+
+@pytest.mark.parametrize("n", [1001, 1009, arith.next_prime(arith.BLOCK + 1)])
+def test_invariance_row_builds_each_residue_mask_once(monkeypatch, n):
+    # a c05 row on a fresh table marks each degree-d set once, in the
+    # table's mask of it, and no verify_invariance call allocates a mask of
+    # its own, then or on the built table
+    masks = []
+    zeros = np.zeros
+
+    def counted(shape, dtype=float, **kwargs):
+        out = zeros(shape, dtype, **kwargs)
+        if out.dtype == bool:
+            masks.append(shape)
+        return out
+
+    monkeypatch.setattr(np, "zeros", counted)
+    cfg = load_config(_base("invariance", d_values=[1, 2, 3, 4], primes=[2, 3, 5]))
+    mod = arith.Modulus(n)
+    (rows,) = harness._invariance_rows(cfg, mod)
+    assert len(rows) == 12 and all(row[-1] for row in rows)
+    assert masks == [n] * 4
+    assert all(points.verify_invariance(mod, d, p) for d in range(1, 5) for p in (2, 3, 5))
+    assert masks == [n] * 4
+
+
+def test_equidist_reads_the_table_mask_in_one_walk_per_set(tmp_path, monkeypatch):
+    # the d = 2 subset of each d = 1 set is marked by the set table's own
+    # mask of the squares, and the set is walked once, by subset_averages:
+    # one view per leaf of its summation tree, and no blocks() walk
+    monkeypatch.setattr(arith, "BLOCK", 100)
+    walked, views, blocks = [], [], []
+    subset_averages = harness.subset_averages
+    view, walk = points.PointSet.view, points.PointSet.blocks
+
+    def averaged(ps, observables, masks, evaluate):
+        walked.append((ps, masks))
+        return subset_averages(ps, observables, masks, evaluate)
+
+    monkeypatch.setattr(harness, "subset_averages", averaged)
+    monkeypatch.setattr(points.PointSet, "view",
+                        lambda ps, lo, hi: views.append(ps) or view(ps, lo, hi))
+    monkeypatch.setattr(points.PointSet, "blocks", lambda ps: blocks.append(ps) or walk(ps))
+    cfg = _base("equidist", n_schedule=[1009, 2017, 3001], d_values=[1, 2],
+                observables=[{"type": "torus_char", "m": 1},
+                             {"type": "height_band", "lower": 2.0}])
+    run(cfg, out_dir=tmp_path)
+    assert len(walked) == 3
+    for ps, masks in walked:
+        assert masks[0] is None and masks[1] is ps.table.residue_mask(2)
+        assert sum(v is ps for v in views) == len(stats._leaf_plan(len(ps))) > 1
+        assert not any(b is ps for b in blocks)
 
 
 def test_equidist_report_structure(tmp_path):
@@ -729,6 +783,14 @@ BAD_CONFIGS = {
     "schedule_entry_not_an_integer": _base("generate", n_schedule=["x"]),
     "alpha_not_a_fraction": _base("generate", point_set={"alpha": "abc"}),
     "alpha_negative": _base("generate", point_set={"alpha": "-1"}),
+    # true == 1 and false == 0 in Python: these ran at alpha 1 and 0
+    "alpha_true": _base("generate", point_set={"alpha": True}),
+    "alpha_false": _base("cusp_mass", point_set={"alpha": False}),
+    # floats were rounded to a denominator <= 10^6: 1e-7 ran as alpha 0 while
+    # the equidist report recorded 1e-07, and 0.5000001 ran as 1/2
+    "alpha_float_rounded_to_zero": _base("generate", point_set={"alpha": 1e-7}),
+    "alpha_float_rounded_to_one_half": _base("equidist", point_set={"alpha": 0.5000001},
+                                             observables=[{"type": "torus_char", "m": 1}]),
     "degree_zero": _base("generate", point_set={"d": 0}),
     "m_range_not_an_integer": _base("kloosterman", m_range="x"),
     # weyl_full sums every residue frequency, so an m_range was dropped
@@ -774,6 +836,8 @@ BAD_CONFIGS = {
     # 3/(pi T) is the mass above T only for T >= 1: T = 0.5 wrote an expected
     # mass of 1.91 and, without rel_tol, passed
     "cusp_mass_threshold_below_one": _base("cusp_mass", thresholds=[0.5]),
+    # expect_full_mass checks mass == 1 alone: this loaded, read no rel_tol and passed
+    "rel_tol_beside_expect_full_mass": _base("cusp_mass", expect_full_mass=True, rel_tol=0.0),
     # observable fields are not truncated or read from a boolean
     "torus_char_m_fractional": _base("equidist", observables=[
         {"type": "torus_char", "m": 1.5}]),
@@ -840,6 +904,15 @@ def test_toral_takes_only_an_object(value):
     assert load_config(_base("invariance", toral={})).params["toral"] == \
         {"count": 1000, "max_entry": 10}
     assert load_config(_base("invariance", toral=None)).params["toral"] is None
+
+
+@pytest.mark.parametrize("alpha, want", [(0.5, Fraction(1, 2)), (1.25, Fraction(5, 4)),
+                                         (2.0, Fraction(2)), (0.1, Fraction(1, 10)),
+                                         (1, Fraction(1)), ("1/3", Fraction(1, 3))])
+def test_alpha_loads_from_an_exact_number(alpha, want):
+    # a float loads as the fraction of denominator <= 10^6 that gives it back
+    cfg = load_config(_base("generate", point_set={"alpha": alpha}))
+    assert cfg.params["point_set"][1].alpha == want
 
 
 def test_schema_version_may_be_an_integral_float():

@@ -83,7 +83,7 @@ def test_modulus_build_peak(tables):
 
 def test_residue_set_peak(mod):
     res, peak = _peak_bytes(lambda: mod.residues(2))
-    # the output, the n-byte seen mask and one block of powers
+    # the output, the table's n-byte mask of the set and one block of powers
     assert peak <= res.nbytes + N + 2 * MIB, peak
 
 
@@ -142,8 +142,8 @@ def _shipped_run_peak(tmp_path, stem: str, **changes) -> int:
 
 def test_equidist_run_peak(tmp_path, tables):
     # c08 at n = 1000003: a few MiB of block temporaries, among them the
-    # n-byte mask of its d = 2 subset, marked from the keys of the d = 1
-    # set's views; the set's units (8 MB), its reduced x and y (16 MB) or a
+    # table's n-byte mask of its d = 2 subset, marked one unit range at a
+    # time; the set's units (8 MB), its reduced x and y (16 MB) or a
     # full-length array of values breaks it
     peak = _shipped_run_peak(tmp_path, "c08_equidist_trend")
     assert peak <= 4 * MIB, peak

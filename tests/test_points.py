@@ -243,14 +243,20 @@ def test_verify_invariance_matches_the_sorting_oracle():
 
 
 class _PlantedTable:
-    """A stand-in for the table of n whose residue sets are given, not computed."""
+    """A stand-in for the table of n whose residue sets, and their mask, are
+    given, not computed."""
 
     def __init__(self, n, residues):
         self.n = n
         self.planted = np.array(residues, dtype=np.int64)
+        self.mask = np.zeros(n, dtype=bool)
+        self.mask[self.planted] = True
 
     def residues(self, d):
         return self.planted
+
+    def residue_mask(self, d):
+        return self.mask
 
 
 @pytest.mark.parametrize("n, residues, p, d, invariant", [

@@ -242,8 +242,7 @@ def test_subset_walk_is_bit_identical(monkeypatch, block, variant, d_values):
     for n in (1729, 2017):
         spec = replace(_WALK_SPECS[variant], n=n)
         ps = gen_point_set(replace(spec, d=g), variant)
-        masks = [None if d == g else arith.power_mask([ps.residues], d // g, n)
-                 for d in d_values]
+        masks = [None if d == g else ps.table.residue_mask(d) for d in d_values]
         got = subset_averages(ps, observables, masks)
         for d, per_obs in zip(d_values, got):
             alone = gen_point_set(replace(spec, d=d), variant)
@@ -261,7 +260,7 @@ def test_subset_walk_evaluates_each_distinct_factor_once_per_leaf(monkeypatch):
         calls.append((factor.describe(), len(view)))
         return factor.eval_many(view)
 
-    mask = arith.power_mask([ps.residues], 2, ps.n)
+    mask = ps.table.residue_mask(2)
     subset_averages(ps, _walk_observables("monomial"), [None, mask], evaluate)
     # torus_char(m=3), the kernel, torus_char(m=1) and the band, per leaf of
     # at most 100 points; the product reads the bare kernel's values
